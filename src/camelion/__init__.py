@@ -53,11 +53,11 @@ from .segmenter import (
     SegmenterConfig,
     SegmenterModel,
     SegOutput,
+    atlas_prior,
     load_segmenter,
     predict,
     save_segmenter,
     train,
-    warm_start,
 )
 from .synth import (
     SynthConfig,

@@ -22,9 +22,9 @@ import numpy as np
 from . import harmonize, metrics, synth
 from .errors import ArgumentError, CamelionError, PipelineError
 from .pv import PvConfig, estimate_pv, noise_sigma, present_class_means
-from .segmenter import SegmenterConfig, predict, train, warm_start
+from .segmenter import SegmenterConfig, predict, train
 from .synth import SynthConfig, SynthModel, save_synth_model, synthesize
-from .util import derived_seed
+from .util import LatestSetMemo, content_key, derived_seed
 from .volumes import (
     AtlasPair,
     LabelVolume,
@@ -99,18 +99,30 @@ class _Stage:
         return False
 
 
+# atlas partial volumes of the latest atlas set, keyed by atlas content
+_ATLAS_PV = LatestSetMemo()
+
+
 def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[AtlasPair]:
     """Estimate each atlas's partial volumes from its original image and
-    labels. Computed once; the loop reuses them every iteration."""
-    out = []
+    labels; pairs that already carry partial volumes are kept as they are.
+
+    Computed once per atlas set per process: results are keyed by a digest
+    of each atlas's header, image, labels and cfg, and only the latest set
+    is kept, so a second run() on the same atlases reuses them and a new
+    set evicts the old one before its own misses are computed.
+    """
+    todo = [pair for pair in atlases if pair.precomputed_pv is None]
+    keys = [
+        content_key(pair.image.header, pair.labels.num_classes, pair.image.data,
+                    pair.labels.data, cfg)
+        for pair in todo
+    ]
     with _Stage("precompute_atlas_pv"):
-        for pair in atlases:
-            if pair.precomputed_pv is not None:
-                out.append(pair)
-            else:
-                pv = estimate_pv(pair.image, pair.labels, cfg)
-                out.append(AtlasPair(pair.image, pair.labels, precomputed_pv=pv))
-    return out
+        pvs = _ATLAS_PV.lookup(keys, lambda i: estimate_pv(todo[i].image, todo[i].labels, cfg))
+    computed = {id(pair): AtlasPair(pair.image, pair.labels, precomputed_pv=pv)
+                for pair, pv in zip(todo, pvs)}
+    return [computed.get(id(pair), pair) for pair in atlases]
 
 
 def _strip(labels: LabelVolume, fg: np.ndarray) -> LabelVolume:
@@ -243,8 +255,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
                 AtlasPair(img, a.labels, precomputed_pv=a.precomputed_pv)
                 for img, a in zip(new_images, atlases)
             ]
-            fresh = train(pairs, cfg.segmenter)
-            model = warm_start(fresh, model)
+            model = train(pairs, cfg.segmenter)
         with _Stage(f"segment[{t}]", partial()):
             seg_out = predict(model, input_image)
             new_labels = _strip(seg_out.labels, fg)

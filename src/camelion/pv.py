@@ -140,20 +140,40 @@ def second_class_map(labels: LabelVolume) -> LabelVolume:
     Distances are anisotropic Euclidean using the header voxel size;
     exact-distance ties resolve to the smaller class index. Background
     voxels map to 0.
+
+    The distance transforms run on the bounding box of the tissue voxels
+    only. This is exact: every voxel that needs an answer and every voxel
+    of every class lies inside the box, so the nearest voxel of a class is
+    never cut off, and offsets between voxels do not change with the crop.
     """
-    present = [k for k in range(1, labels.num_classes + 1) if (labels.data == k).any()]
+    counts = np.bincount(labels.data.ravel(), minlength=labels.num_classes + 1)
+    present = [k for k in range(1, labels.num_classes + 1) if counts[k]]
     if len(present) < 2:
         raise GeometryError(f"need at least two tissue classes, found {len(present)}")
+    box = _bounding_box(labels.data > 0)
+    crop = labels.data[box]
     sampling = labels.header.voxel_size
-    dist = np.empty((len(present),) + labels.header.dims, dtype=np.float64)
+    dist = np.empty((len(present),) + crop.shape, dtype=np.float64)
     for i, k in enumerate(present):
-        dist[i] = distance_transform_edt(labels.data != k, sampling=sampling)
+        dist[i] = distance_transform_edt(crop != k, sampling=sampling)
     # a voxel may not pick its own class
     for i, k in enumerate(present):
-        dist[i][labels.data == k] = np.inf
-    nearest = np.asarray(present, dtype=np.uint8)[dist.argmin(axis=0)]
-    nearest[labels.data == 0] = 0
+        dist[i][crop == k] = np.inf
+    inner = np.asarray(present, dtype=np.uint8)[dist.argmin(axis=0)]
+    inner[crop == 0] = 0
+    nearest = np.zeros(labels.header.dims, dtype=np.uint8)
+    nearest[box] = inner
     return LabelVolume(labels.header, nearest, num_classes=labels.num_classes)
+
+
+def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
+    """Smallest box of slices holding every True voxel of a non-empty mask."""
+    box = []
+    for axis in range(mask.ndim):
+        others = tuple(a for a in range(mask.ndim) if a != axis)
+        hit = np.flatnonzero(mask.any(axis=others))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
 
 
 def _objective(alpha, f, c_a, c_b, sigma, beta):

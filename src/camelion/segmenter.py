@@ -5,9 +5,10 @@ The reference backend is a Gaussian intensity classifier with a spatial
 atlas prior: class k contributes N(f; mu_k, sigma_k^2) * pi_k(j), where pi
 is the smoothed per-voxel label frequency across the atlases. Training is
 exact and fast, which matters because the adaptation loop retrains the
-segmenter on every iteration. The backend interface (train / predict /
-warm_start plus serialization) is what an iterative network backend would
-have to provide to drop in.
+segmenter on every iteration. The spatial prior depends on the atlas
+labels only, which the loop never changes, so train reuses it across
+calls. The backend interface (train / predict plus serialization) is what
+an iterative network backend would have to provide to drop in.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .volumes import (
     encode_mvf,
     require_same_header,
 )
+from .util import LatestSetMemo, content_key
 
 GAUSSIAN_BACKEND = "gaussian"
 PRIOR_SMOOTH_RADIUS = 3            # box filter radius in voxels
@@ -105,14 +107,47 @@ def label_frequency(atlas_labels: list[LabelVolume]) -> np.ndarray:
     return freq
 
 
+def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.ndarray:
+    """Spatial prior stack (K, *dims) float32 from the atlas labels alone.
+
+    The cross-atlas label frequency, box-smoothed, floored at prior_epsilon
+    inside the brain mask (union of non-background atlas voxels) and zero
+    outside it; where the floored channels sum past one they are rescaled
+    to sum to one. The returned array is read-only.
+    """
+    freq = label_frequency(atlas_labels)
+    size = 2 * PRIOR_SMOOTH_RADIUS + 1
+    prior = np.empty_like(freq)
+    for k in range(freq.shape[0]):
+        prior[k] = uniform_filter(freq[k], size=size, mode="constant")
+    np.clip(prior, 0.0, 1.0, out=prior)
+
+    mask = np.zeros(freq.shape[1:], dtype=bool)
+    for lab in atlas_labels:
+        mask |= lab.data > 0
+    prior = np.where(mask, np.maximum(prior, np.float32(cfg.prior_epsilon)), 0.0).astype(np.float32)
+    channel_sum = prior.sum(axis=0)
+    over = channel_sum > 1.0
+    if over.any():
+        prior = np.where(over, prior / np.maximum(channel_sum, 1.0), prior)
+    prior = np.ascontiguousarray(prior, dtype=np.float32)
+    prior.flags.writeable = False
+    return prior
+
+
+# the prior of the latest atlas label set, keyed by label content and
+# prior_epsilon
+_PRIORS = LatestSetMemo()
+
+
 def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
     """Fit the Gaussian backend on atlas image/label pairs.
 
     Class statistics are pooled over every atlas voxel of the class; the
-    spatial prior is the cross-atlas label frequency, box-smoothed, floored
-    at prior_epsilon inside the brain mask (union of non-background atlas
-    voxels) and zero outside it. Per-atlas partial sums are reduced in
-    sorted order, so the result is invariant to atlas ordering.
+    spatial prior is atlas_prior of the atlas labels, reused from the
+    previous call when the labels and prior_epsilon are unchanged. Per-atlas
+    partial sums are reduced in sorted order, so the result is invariant to
+    atlas ordering.
     """
     if not atlases:
         raise ArgumentError("need at least one atlas")
@@ -147,28 +182,18 @@ def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
     floor = VARIANCE_FLOOR_FRACTION * intensity_range**2
     var = np.maximum(var, max(floor, np.finfo(np.float64).tiny))
 
-    freq = label_frequency([a.labels for a in atlases])
-    size = 2 * PRIOR_SMOOTH_RADIUS + 1
-    prior = np.empty_like(freq)
-    for k in range(k_max):
-        prior[k] = uniform_filter(freq[k], size=size, mode="constant")
-    np.clip(prior, 0.0, 1.0, out=prior)
-
-    mask = np.zeros(header.dims, dtype=bool)
-    for pair in atlases:
-        mask |= pair.labels.data > 0
-    prior = np.where(mask, np.maximum(prior, np.float32(cfg.prior_epsilon)), 0.0).astype(np.float32)
-    channel_sum = prior.sum(axis=0)
-    over = channel_sum > 1.0
-    if over.any():
-        prior = np.where(over, prior / np.maximum(channel_sum, 1.0), prior)
+    labels = [a.labels for a in atlases]
+    parts = [cfg.prior_epsilon]
+    for lab in labels:
+        parts += [lab.header, lab.num_classes, lab.data]
+    [prior] = _PRIORS.lookup([content_key(*parts)], lambda _: atlas_prior(labels, cfg))
 
     return SegmenterModel(
         backend=GAUSSIAN_BACKEND,
         header=header,
         means=mean,
         variances=var,
-        prior=np.ascontiguousarray(prior, dtype=np.float32),
+        prior=prior,
         prior_epsilon=cfg.prior_epsilon,
         smoothing_weight=cfg.smoothing_weight,
     )
@@ -236,22 +261,6 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
         posteriors=posteriors,
         out_of_prior=out_of_prior,
     )
-
-
-def warm_start(model: SegmenterModel, previous: SegmenterModel) -> SegmenterModel:
-    """Carry state across retrains.
-
-    The Gaussian backend retrains exactly, so this returns the fresh model
-    unchanged; it exists so iterative backends can reuse weights under the
-    same interface.
-    """
-    if model.backend != previous.backend:
-        raise ArgumentError(f"backend mismatch: {model.backend!r} vs {previous.backend!r}")
-    if model.num_classes != previous.num_classes:
-        raise ArgumentError(
-            f"class count mismatch: {model.num_classes} vs {previous.num_classes}"
-        )
-    return model
 
 
 def save_segmenter(model: SegmenterModel, path) -> None:

@@ -6,6 +6,7 @@ the implementations under test.
 """
 
 import numpy as np
+from scipy.ndimage import uniform_filter
 
 
 def grid_objective(alpha, f, c_a, c_b, sigma, beta):
@@ -136,3 +137,29 @@ def pearson_direct(x, y):
     num = ((x - mx) * (y - my)).sum()
     den = np.sqrt(((x - mx) ** 2).sum() * ((y - my) ** 2).sum())
     return num / den
+
+
+def atlas_prior_reference(label_arrays, num_classes, prior_epsilon, radius=3):
+    """Spatial prior built step by step as train built it before the prior
+    had its own function: float32 label frequency, box smoothing, clip,
+    epsilon floor inside the union brain mask, zero outside, and rescaling
+    where the channels sum past one."""
+    dims = label_arrays[0].shape
+    freq = np.zeros((num_classes,) + dims, dtype=np.float32)
+    for lab in label_arrays:
+        for k in range(1, num_classes + 1):
+            freq[k - 1] += lab == k
+    freq /= len(label_arrays)
+    prior = np.empty_like(freq)
+    for k in range(num_classes):
+        prior[k] = uniform_filter(freq[k], size=2 * radius + 1, mode="constant")
+    np.clip(prior, 0.0, 1.0, out=prior)
+    mask = np.zeros(dims, dtype=bool)
+    for lab in label_arrays:
+        mask |= lab > 0
+    prior = np.where(mask, np.maximum(prior, np.float32(prior_epsilon)), 0.0).astype(np.float32)
+    channel_sum = prior.sum(axis=0)
+    over = channel_sum > 1.0
+    if over.any():
+        prior = np.where(over, prior / np.maximum(channel_sum, 1.0), prior)
+    return np.ascontiguousarray(prior, dtype=np.float32)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from camelion import metrics, tissues
+from camelion import metrics, pipeline, segmenter, tissues
 from camelion.errors import ArgumentError, PipelineError
 from camelion.phantom import (
     DEFAULT_PROTOCOL_A,
@@ -24,14 +24,16 @@ from camelion.pipeline import (
     run_nhm,
     save_loop_artifacts,
 )
-from camelion.pv import PvConfig
+from camelion.pv import PvConfig, estimate_pv
 from camelion.segmenter import SegmenterConfig
 from camelion.synth import SynthConfig
+from camelion.util import LatestSetMemo
 from camelion.volumes import (
     AtlasPair,
     LabelVolume,
     ScalarVolume,
     VolumeHeader,
+    encode_mvf,
     validate_partial_volumes,
 )
 
@@ -97,6 +99,67 @@ class TestPrecompute:
             assert np.array_equal(hard.data[dominant], pair.labels.data[dominant])
 
 
+class TestAtlasPvMemo:
+    @pytest.fixture
+    def pv_calls(self, monkeypatch):
+        calls = []
+
+        def counting(image, labels, cfg):
+            calls.append(labels)
+            return estimate_pv(image, labels, cfg)
+
+        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestSetMemo())
+        monkeypatch.setattr(pipeline, "estimate_pv", counting)
+        return calls
+
+    @staticmethod
+    def copies(atlases):
+        return [
+            AtlasPair(ScalarVolume(a.image.header, a.image.data.copy()),
+                      LabelVolume(a.labels.header, a.labels.data.copy(), a.labels.num_classes))
+            for a in atlases
+        ]
+
+    def test_equal_content_hits(self, small_cohort, pv_calls):
+        atlases, _, _ = small_cohort
+        first = precompute_atlas_pv(atlases, PvConfig())
+        again = precompute_atlas_pv(self.copies(atlases), PvConfig())
+        assert len(pv_calls) == len(atlases)
+        for a, b in zip(first, again):
+            assert b.precomputed_pv is a.precomputed_pv
+
+    def test_changed_voxel_recomputes_only_that_atlas(self, small_cohort, pv_calls):
+        atlases, _, _ = small_cohort
+        precompute_atlas_pv(atlases, PvConfig())
+        edited = atlases[1].image.data.copy()
+        edited[12, 12, 12] += 1.0
+        changed = [atlases[0], AtlasPair(ScalarVolume(atlases[1].image.header, edited),
+                                         atlases[1].labels)]
+        out = precompute_atlas_pv(changed, PvConfig())
+        assert len(pv_calls) == len(atlases) + 1
+        assert pv_calls[-1] is atlases[1].labels
+        fresh = estimate_pv(changed[1].image, changed[1].labels, PvConfig())
+        assert encode_mvf(out[1].precomputed_pv) == encode_mvf(fresh)
+
+    def test_config_change_recomputes(self, small_cohort, pv_calls):
+        atlases, _, _ = small_cohort
+        precompute_atlas_pv(atlases, PvConfig())
+        out = precompute_atlas_pv(atlases, PvConfig(beta=0.3))
+        assert len(pv_calls) == 2 * len(atlases)
+        for pair in out:
+            fresh = estimate_pv(pair.image, pair.labels, PvConfig(beta=0.3))
+            assert encode_mvf(pair.precomputed_pv) == encode_mvf(fresh)
+
+    def test_only_latest_set_kept(self, small_cohort, pv_calls):
+        atlases, _, _ = small_cohort
+        precompute_atlas_pv(atlases, PvConfig())
+        precompute_atlas_pv(atlases[:1], PvConfig(beta=0.3))
+        precompute_atlas_pv(atlases[:1], PvConfig(beta=0.3))
+        assert len(pv_calls) == len(atlases) + 1
+        precompute_atlas_pv(atlases, PvConfig())
+        assert len(pv_calls) == 2 * len(atlases) + 1
+
+
 def checksum(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
@@ -133,14 +196,21 @@ class TestRun:
         assert len(result.atlas_images_history) == 1
         assert not result.converged
 
-    def test_deterministic(self, small_cohort):
+    def test_deterministic(self, small_cohort, monkeypatch):
+        # the first run fills the atlas-side caches, the second reuses them
         atlases, input_image, _ = small_cohort
         cfg = LoopConfig(max_iterations=2)
+        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestSetMemo())
+        monkeypatch.setattr(segmenter, "_PRIORS", LatestSetMemo())
         r1 = run(input_image, atlases, cfg)
         r2 = run(input_image, atlases, cfg)
-        assert np.array_equal(r1.final_labels.data, r2.final_labels.data)
-        for a, b in zip(r1.labels_history, r2.labels_history):
-            assert np.array_equal(a.data, b.data)
+
+        def volumes(result):
+            return [encode_mvf(v) for v in
+                    [result.final_labels, *result.labels_history,
+                     *(img for imgs in result.atlas_images_history for img in imgs)]]
+
+        assert volumes(r1) == volumes(r2)
         assert r1.change_fractions == r2.change_fractions
 
     def test_inputs_never_mutated(self, small_cohort):

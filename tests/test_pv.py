@@ -168,6 +168,19 @@ class TestSecondClassMap:
             expected = nearest_different_label(labels, voxel)
             assert np.array_equal(got.data, expected)
 
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
+    def test_cropped_tissue_against_brute_force(self, voxel):
+        # tissue inside a box with a background margin, and tissue touching
+        # one face of the grid: the transforms run on a crop of the grid
+        rng = np.random.default_rng(91)
+        for box in [(slice(3, 9), slice(2, 11), slice(4, 10)),
+                    (slice(0, 5), slice(3, 9), slice(2, 12))]:
+            labels = np.zeros((12, 12, 12), dtype=np.uint8)
+            labels[box] = rng.integers(0, 6, size=labels[box].shape)
+            got = second_class_map(make_labels(labels, voxel=voxel))
+            expected = nearest_different_label(labels, voxel)
+            assert np.array_equal(got.data, expected)
+
     def test_result_never_equals_label(self, rng):
         labels = rng.integers(0, 6, size=(8, 8, 8)).astype(np.uint8)
         vol = make_labels(labels)

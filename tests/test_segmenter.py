@@ -11,17 +11,19 @@ from camelion.phantom import (
     render,
     restrict_to_top_two,
 )
+from camelion import segmenter
 from camelion.segmenter import (
     SegmenterConfig,
+    atlas_prior,
     label_frequency,
     load_segmenter,
     predict,
     save_segmenter,
     train,
-    warm_start,
 )
+from camelion.util import LatestSetMemo
 from camelion.volumes import AtlasPair, LabelVolume, ScalarVolume, VolumeHeader
-from oracles import bayes_labels
+from oracles import atlas_prior_reference, bayes_labels
 
 NO_SMOOTH = SegmenterConfig(smoothing_weight=0.0)
 
@@ -102,6 +104,66 @@ def test_prior_sums_bounded():
     # floored at epsilon, up to the rescaling that keeps channel sums <= 1
     floor = 0.01 / (1.0 + 5 * 0.01)
     assert np.all(model.prior[:, model.brain_mask] >= floor - 1e-7)
+
+
+class TestPriorMemo:
+    @pytest.fixture
+    def frequency_calls(self, monkeypatch):
+        calls = []
+
+        def counting(atlas_labels):
+            calls.append(len(atlas_labels))
+            return label_frequency(atlas_labels)
+
+        monkeypatch.setattr(segmenter, "_PRIORS", LatestSetMemo())
+        monkeypatch.setattr(segmenter, "label_frequency", counting)
+        return calls
+
+    @staticmethod
+    def atlases(seed=5):
+        rng = np.random.default_rng(seed)
+        labels = [five_class_labels((12, 12, 12)) for _ in range(3)]
+        for lab in labels:
+            lab[tuple(rng.integers(0, 12, size=(3, 20)))] = 0
+        return [pair_from(lab * 10.0 + rng.normal(0, 2, lab.shape), lab) for lab in labels]
+
+    def test_matches_reference_byte_for_byte(self, frequency_calls):
+        pairs = self.atlases()
+        cfg = SegmenterConfig(prior_epsilon=1e-3)
+        expected = atlas_prior_reference([p.labels.data for p in pairs], 5, 1e-3)
+        cold = train(pairs, cfg).prior
+        warm = train(pairs, cfg).prior
+        assert frequency_calls == [3]
+        for got in (cold, warm, atlas_prior([p.labels for p in pairs], cfg)):
+            assert got.dtype == np.float32
+            assert got.tobytes() == expected.tobytes()
+        assert not warm.flags.writeable
+
+    def test_new_images_same_labels_reuse_prior(self, frequency_calls):
+        pairs = self.atlases()
+        brighter = [pair_from(p.image.data * 2.0, p.labels.data.copy()) for p in pairs]
+        first = train(pairs, NO_SMOOTH)
+        second = train(brighter, NO_SMOOTH)
+        assert frequency_calls == [3]
+        assert second.prior is first.prior
+        assert not np.array_equal(second.means, first.means)
+
+    def test_label_or_epsilon_change_recomputes(self, frequency_calls):
+        pairs = self.atlases()
+        train(pairs, NO_SMOOTH)
+        edited = pairs[1].labels.data.copy()
+        edited[6, 6, 6] = 1 if edited[6, 6, 6] != 1 else 2
+        changed = [pairs[0], pair_from(pairs[1].image.data, edited), pairs[2]]
+        got = train(changed, NO_SMOOTH).prior
+        assert frequency_calls == [3, 3]
+        fresh = atlas_prior_reference([p.labels.data for p in changed], 5, NO_SMOOTH.prior_epsilon)
+        assert got.tobytes() == fresh.tobytes()
+
+        eps = SegmenterConfig(prior_epsilon=1e-2, smoothing_weight=0.0)
+        got = train(changed, eps).prior
+        assert frequency_calls == [3, 3, 3]
+        fresh = atlas_prior_reference([p.labels.data for p in changed], 5, 1e-2)
+        assert got.tobytes() == fresh.tobytes()
 
 
 class TestPredict:
@@ -205,24 +267,6 @@ class TestPredict:
         err_plain = (plain.labels.data != labels).sum()
         err_smooth = (smoothed.labels.data != labels).sum()
         assert err_smooth <= err_plain
-
-
-def test_warm_start_is_noop_for_gaussian():
-    labels = five_class_labels()
-    image = labels * 10.0
-    m1 = train([pair_from(image, labels)], NO_SMOOTH)
-    m2 = train([pair_from(image + 1.0, labels)], NO_SMOOTH)
-    assert warm_start(m2, m1) is m2
-
-
-def test_warm_start_class_count_mismatch():
-    labels = five_class_labels()
-    image = labels * 10.0
-    m1 = train([pair_from(image, labels)], NO_SMOOTH)
-    labels3 = np.clip(labels, 0, 3)
-    m2 = train([pair_from(image, labels3, k=3)], NO_SMOOTH)
-    with pytest.raises(ArgumentError):
-        warm_start(m2, m1)
 
 
 def test_self_consistency_on_noiseless_phantom():
