@@ -48,7 +48,7 @@ from .phantom import (
     render,
     restrict_to_top_two,
 )
-from .pv import PvConfig, PvModel, class_means, estimate_pv, map_alpha, noise_sigma, second_class_map
+from .pv import PvConfig, class_means, estimate_pv, map_alpha, noise_sigma, second_class_map
 from .segmenter import (
     SegmenterConfig,
     SegmenterModel,

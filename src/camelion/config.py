@@ -41,15 +41,12 @@ DEFAULTS: dict[str, object] = {
     "segmenter.prior_epsilon": 1e-6,
     "segmenter.smoothing_weight": 0.5,
     "pv.beta": 0.1,
-    "pv.sigma_mode": "pooled",
-    "pv.grid_oracle_step": 1e-4,
     "synth.backend": "linear",
     "synth.patch_radius": 1,
     "synth.hidden_units": 64,
     "synth.epochs": 20,
     "synth.batch_size": 1024,
     "synth.learning_rate": 1e-3,
-    "synth.keep_best": True,
     "nhm.percentiles": DEFAULT_PERCENTILES,
     "nhm.reference_atlas": 0,
 }
@@ -169,13 +166,8 @@ def loop_config(cfg: dict) -> LoopConfig:
             epochs=cfg["synth.epochs"],
             batch_size=cfg["synth.batch_size"],
             learning_rate=cfg["synth.learning_rate"],
-            keep_best=cfg["synth.keep_best"],
         ),
-        pv=PvConfig(
-            beta=cfg["pv.beta"],
-            sigma_mode=cfg["pv.sigma_mode"],
-            grid_oracle_step=cfg["pv.grid_oracle_step"],
-        ),
+        pv=PvConfig(beta=cfg["pv.beta"]),
         seed=cfg["seed"],
         synth_noise=cfg["loop.synth_noise"],
         nhm_percentiles=cfg["nhm.percentiles"],

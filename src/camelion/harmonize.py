@@ -30,7 +30,6 @@ class LandmarkMap:
 
     source_landmarks: tuple[float, ...]
     reference_landmarks: tuple[float, ...]
-    percentiles: tuple[float, ...] = ()
 
     def __post_init__(self):
         src = tuple(float(v) for v in self.source_landmarks)
@@ -43,7 +42,6 @@ class LandmarkMap:
             raise ArgumentError("reference landmarks must be nondecreasing")
         object.__setattr__(self, "source_landmarks", src)
         object.__setattr__(self, "reference_landmarks", ref)
-        object.__setattr__(self, "percentiles", tuple(float(p) for p in self.percentiles))
 
 
 def _foreground(image: ScalarVolume, mask) -> np.ndarray:
@@ -77,9 +75,9 @@ def landmarks(image: ScalarVolume, mask=None, percentiles=DEFAULT_PERCENTILES) -
     return np.percentile(image.data[fg].astype(np.float64), pcts)
 
 
-def build_map(source, reference, percentiles=()) -> LandmarkMap:
+def build_map(source, reference) -> LandmarkMap:
     """Pair up landmark lists into a piecewise-linear intensity map."""
-    return LandmarkMap(tuple(source), tuple(reference), tuple(percentiles))
+    return LandmarkMap(tuple(source), tuple(reference))
 
 
 def apply(lmap: LandmarkMap, image: ScalarVolume, mask=None) -> ScalarVolume:

@@ -7,7 +7,7 @@ format, so identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +72,6 @@ class EvalReport:
     dice_per_class: np.ndarray                 # (K,)
     volume_mm3: np.ndarray                     # (K,)
     reference_volume_mm3: np.ndarray | None = None
-    change_fractions: list[float] = field(default_factory=list)
-    iterations_run: int = 0
 
 
 def _fmt(v: float) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import harmonize, metrics, synth
 from .errors import ArgumentError, CamelionError, PipelineError
-from .pv import PvConfig, estimate_pv, noise_sigma, present_class_means
+from .pv import PvConfig, class_means, estimate_pv, noise_sigma
 from .segmenter import SegmenterConfig, predict, train
 from .synth import SynthConfig, SynthModel, save_synth_model, synthesize
 from .util import LatestSetMemo, content_key, derived_seed
@@ -53,6 +53,9 @@ class LoopConfig:
             raise ArgumentError("change_threshold must be in (0, 1)")
         if self.seed < 0:
             raise ArgumentError("seed must be non-negative")
+        # in this range the mask always keeps the input's brightest voxel
+        if not 0 <= self.mask_rel_threshold < 1:
+            raise ArgumentError("mask_rel_threshold must be in [0, 1)")
 
 
 @dataclass
@@ -84,7 +87,11 @@ class LoopResult:
 
 
 class _Stage:
-    """Context manager that tags any toolkit error with the failing stage."""
+    """Context manager that tags any toolkit error with the failing stage.
+
+    partial, when given, is called only when the stage fails; its result
+    travels on the PipelineError so computed results are not lost.
+    """
 
     def __init__(self, name: str, partial=None):
         self.name = name
@@ -95,7 +102,8 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         if exc is not None and isinstance(exc, CamelionError) and not isinstance(exc, PipelineError):
-            raise PipelineError(self.name, str(exc), partial=self.partial) from exc
+            partial = self.partial() if self.partial is not None else None
+            raise PipelineError(self.name, str(exc), partial=partial) from exc
         return False
 
 
@@ -137,39 +145,41 @@ def _strip(labels: LabelVolume, fg: np.ndarray) -> LabelVolume:
     return LabelVolume(labels.header, data, num_classes=labels.num_classes)
 
 
+def _checked_foreground(input_image: ScalarVolume, atlases: list[AtlasPair],
+                        cfg: LoopConfig) -> np.ndarray:
+    """Input checks shared by every arm; returns the input's foreground."""
+    if not atlases:
+        raise ArgumentError("need at least one atlas")
+    require_same_header(input_image, *(a.image for a in atlases))
+    return foreground_mask(input_image, cfg.mask_rel_threshold)
+
+
 def _initial_segmentation(input_image: ScalarVolume, atlases: list[AtlasPair],
                           cfg: LoopConfig, fg: np.ndarray):
     with _Stage("train"):
         model = train(atlases, cfg.segmenter)
     with _Stage("segment"):
         out = predict(model, input_image)
-    return model, out, _strip(out.labels, fg)
+    return model, _strip(out.labels, fg)
 
 
 def run_direct(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) -> LabelVolume:
     """Comparison arm: train on the original atlas images and predict once."""
-    if not atlases:
-        raise ArgumentError("need at least one atlas")
-    require_same_header(input_image, *(a.image for a in atlases))
-    fg = foreground_mask(input_image, cfg.mask_rel_threshold)
-    _, _, labels = _initial_segmentation(input_image, atlases, cfg, fg)
-    return labels
+    fg = _checked_foreground(input_image, atlases, cfg)
+    return _initial_segmentation(input_image, atlases, cfg, fg)[1]
 
 
 def run_nhm(input_image: ScalarVolume, atlases: list[AtlasPair],
             reference_atlas_index: int, cfg: LoopConfig) -> LabelVolume:
     """Comparison arm: histogram-match the input to one designated atlas
     image, then segment directly."""
-    if not atlases:
-        raise ArgumentError("need at least one atlas")
+    src_mask = _checked_foreground(input_image, atlases, cfg)
     if not 0 <= reference_atlas_index < len(atlases):
         raise ArgumentError(
             f"reference_atlas_index {reference_atlas_index} out of range for {len(atlases)} atlases"
         )
-    require_same_header(input_image, *(a.image for a in atlases))
     ref = atlases[reference_atlas_index]
     with _Stage("histogram_match"):
-        src_mask = foreground_mask(input_image, cfg.mask_rel_threshold)
         src_lm = harmonize.landmarks(input_image, mask=src_mask, percentiles=cfg.nhm_percentiles)
         ref_lm = harmonize.landmarks(ref.image, mask=ref.labels, percentiles=cfg.nhm_percentiles)
         # quantized or noiseless histograms can plateau; collapse repeated
@@ -180,11 +190,7 @@ def run_nhm(input_image: ScalarVolume, atlases: list[AtlasPair],
             matched = harmonize.apply(lmap, input_image, mask=src_mask)
         else:
             matched = input_image
-    with _Stage("train"):
-        model = train(atlases, cfg.segmenter)
-    with _Stage("segment"):
-        out = predict(model, matched)
-    return _strip(out.labels, src_mask)
+    return _initial_segmentation(matched, atlases, cfg, src_mask)[1]
 
 
 def foreground_mask(image: ScalarVolume, rel_threshold: float) -> np.ndarray:
@@ -205,13 +211,10 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
     Deterministic for a given config seed. On non-convergence at the
     iteration cap the last labels are returned with converged = False.
     """
-    if not atlases:
-        raise ArgumentError("need at least one atlas")
-    require_same_header(input_image, *(a.image for a in atlases))
+    fg = _checked_foreground(input_image, atlases, cfg)
     atlases = precompute_atlas_pv(atlases, cfg.pv)
-    fg = foreground_mask(input_image, cfg.mask_rel_threshold)
 
-    model, seg_out, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
+    model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
     labels_history = [stripped]
     # intensities for classes that vanish from an intermediate segmentation:
     # start from the atlas-side class means, then carry the latest fit
@@ -233,16 +236,16 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
 
     for t in range(cfg.max_iterations):
         current = labels_history[-1]
-        with _Stage(f"estimate_pv[{t}]", partial()):
+        with _Stage(f"estimate_pv[{t}]", partial):
             input_pv = estimate_pv(input_image, current, cfg.pv)
-        with _Stage(f"fit_synth[{t}]", partial()):
+        with _Stage(f"fit_synth[{t}]", partial):
             synth_cfg = replace(cfg.synth, seed=derived_seed(cfg.seed, t, 101))
             model_t = synth.fit(
                 input_pv, input_image, synth_cfg, fallback_intensities=last_intensities
             )
             if model_t.class_intensities is not None:
                 last_intensities = model_t.class_intensities.copy()
-        with _Stage(f"synthesize[{t}]", partial()):
+        with _Stage(f"synthesize[{t}]", partial):
             new_images = [synthesize(model_t, a.precomputed_pv) for a in atlases]
             if cfg.synth_noise:
                 sigma = _spread_gap_sigma(input_image, current, new_images, atlases)
@@ -250,13 +253,13 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
                     _with_noise(img, sigma, derived_seed(cfg.seed, t, 211, i))
                     for i, img in enumerate(new_images)
                 ]
-        with _Stage(f"retrain[{t}]", partial()):
+        with _Stage(f"retrain[{t}]", partial):
             pairs = [
                 AtlasPair(img, a.labels, precomputed_pv=a.precomputed_pv)
                 for img, a in zip(new_images, atlases)
             ]
             model = train(pairs, cfg.segmenter)
-        with _Stage(f"segment[{t}]", partial()):
+        with _Stage(f"segment[{t}]", partial):
             seg_out = predict(model, input_image)
             new_labels = _strip(seg_out.labels, fg)
         change = metrics.label_change_fraction(current, new_labels)
@@ -275,14 +278,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
             converged = True
             break
 
-    return LoopResult(
-        final_labels=labels_history[-1],
-        labels_history=labels_history,
-        atlas_images_history=atlas_images_history,
-        synth_models=synth_models,
-        records=records,
-        converged=converged,
-    )
+    return partial()
 
 
 def _with_noise(image: ScalarVolume, sigma: float, seed: int) -> ScalarVolume:
@@ -303,12 +299,12 @@ def _spread_gap_sigma(input_image, current_labels, synthetic_images, atlases) ->
     widths realistic; without it the loop's likelihoods turn pathologically
     sharp and ignore the spatial prior.
     """
-    means_in = present_class_means(input_image, current_labels)
+    means_in = class_means(input_image, current_labels)
     pooled_in = noise_sigma(input_image, current_labels, means_in)
     total = 0.0
     count = 0
     for img, pair in zip(synthetic_images, atlases):
-        means_syn = present_class_means(img, pair.labels)
+        means_syn = class_means(img, pair.labels)
         mask = pair.labels.data > 0
         residual = img.data.astype(np.float64)[mask] - means_syn[pair.labels.data[mask] - 1]
         total += float(np.sum(residual**2))

@@ -29,7 +29,6 @@ from .errors import (
     EstimationError,
     GeometryError,
 )
-from . import tissues
 from .volumes import (
     LabelVolume,
     PartialVolumeSet,
@@ -46,50 +45,22 @@ class PvConfig:
 
     beta is a dimensionless prior weight; at estimation time the absolute
     weight entering J is beta / (2 sigma_hat^2), so its effect is invariant
-    to the intensity scale. grid_oracle_step only parameterizes the brute
-    force grid used by verification tests.
+    to the intensity scale.
     """
 
     beta: float = 0.1
-    sigma_mode: str = "pooled"
-    grid_oracle_step: float = 1e-4
 
     def __post_init__(self):
         if not np.isfinite(self.beta):
             raise ArgumentError("beta must be finite")
-        if self.sigma_mode not in ("pooled", "per-class-min"):
-            raise ArgumentError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if not 0 < self.grid_oracle_step <= 0.01:
-            raise ArgumentError("grid_oracle_step must be in (0, 0.01]")
-
-
-@dataclass
-class PvModel:
-    """Per-image mixture parameters: class means, noise level, second classes."""
-
-    class_means: np.ndarray
-    noise_sigma: float
-    second_class: LabelVolume
 
 
 def class_means(image: ScalarVolume, labels: LabelVolume) -> np.ndarray:
     """Mean intensity per tissue class, estimated from the hard segmentation.
 
-    Raises EstimationError naming the first class with no voxels.
+    A class with no voxels gets a 0.0 placeholder.
     """
     require_same_header(image, labels)
-    means = np.empty(labels.num_classes, dtype=np.float64)
-    data = image.data.astype(np.float64)
-    for k in range(1, labels.num_classes + 1):
-        sel = labels.data == k
-        if not sel.any():
-            raise EstimationError(f"class {tissues.class_name(k)} ({k}) has no voxels")
-        means[k - 1] = data[sel].mean()
-    return means
-
-
-def present_class_means(image: ScalarVolume, labels: LabelVolume) -> np.ndarray:
-    """Like class_means but absent classes get a 0.0 placeholder."""
     means = np.zeros(labels.num_classes, dtype=np.float64)
     data = image.data.astype(np.float64)
     for k in range(1, labels.num_classes + 1):
@@ -99,18 +70,10 @@ def present_class_means(image: ScalarVolume, labels: LabelVolume) -> np.ndarray:
     return means
 
 
-def noise_sigma(
-    image: ScalarVolume,
-    labels: LabelVolume,
-    means: np.ndarray,
-    mode: str = "pooled",
-) -> float:
-    """Noise scale from residuals against per-class means.
-
-    "pooled" takes the RMS residual over all non-background voxels;
-    "per-class-min" takes the smallest per-class RMS residual. Either way
-    the result is floored at SIGMA_FLOOR_FRACTION of the intensity range so
-    noiseless images do not produce a degenerate likelihood.
+def noise_sigma(image: ScalarVolume, labels: LabelVolume, means: np.ndarray) -> float:
+    """Noise scale: the RMS residual against per-class means over all
+    non-background voxels, floored at SIGMA_FLOOR_FRACTION of the intensity
+    range so noiseless images do not produce a degenerate likelihood.
     """
     require_same_header(image, labels)
     data = image.data.astype(np.float64)
@@ -118,18 +81,7 @@ def noise_sigma(
     if not mask.any():
         raise EstimationError("no non-background voxels")
     residuals = data[mask] - np.asarray(means, dtype=np.float64)[labels.data[mask] - 1]
-    if mode == "pooled":
-        sigma = float(np.sqrt(np.mean(residuals**2)))
-    elif mode == "per-class-min":
-        lab = labels.data[mask]
-        per_class = [
-            float(np.sqrt(np.mean(residuals[lab == k] ** 2)))
-            for k in range(1, labels.num_classes + 1)
-            if (lab == k).any()
-        ]
-        sigma = min(per_class)
-    else:
-        raise ArgumentError(f"unknown sigma mode {mode!r}")
+    sigma = float(np.sqrt(np.mean(residuals**2)))
     floor = SIGMA_FLOOR_FRACTION * float(data.max() - data.min())
     return max(sigma, floor, np.finfo(np.float64).tiny)
 
@@ -226,15 +178,6 @@ def map_alpha(f: float, c_a: float, c_b: float, sigma: float, beta: float) -> fl
     return float(_map_alpha_arrays(f, c_a, c_b, sigma, beta))
 
 
-def build_pv_model(image: ScalarVolume, labels: LabelVolume, cfg: PvConfig) -> PvModel:
-    """Estimate class means, noise sigma and the second-class geometry."""
-    require_same_header(image, labels)
-    means = present_class_means(image, labels)
-    sigma = noise_sigma(image, labels, means, mode=cfg.sigma_mode)
-    second = second_class_map(labels)
-    return PvModel(class_means=means, noise_sigma=sigma, second_class=second)
-
-
 def estimate_pv(image: ScalarVolume, labels: LabelVolume, cfg: PvConfig) -> PartialVolumeSet:
     """Full per-voxel two-class MAP partial volume estimation.
 
@@ -243,16 +186,17 @@ def estimate_pv(image: ScalarVolume, labels: LabelVolume, cfg: PvConfig) -> Part
     (alpha, 1 - alpha) with alpha the MAP mixing fraction. Background
     voxels get all-zero fractions.
     """
-    model = build_pv_model(image, labels, cfg)
-    sigma = model.noise_sigma
+    means = class_means(image, labels)
+    sigma = noise_sigma(image, labels, means)
+    second_class = second_class_map(labels)
     beta_abs = cfg.beta / (2.0 * sigma * sigma)
 
     mask = labels.data > 0
     idx = np.flatnonzero(mask)
     first = labels.data.reshape(-1)[idx].astype(np.int64)
-    second = model.second_class.data.reshape(-1)[idx].astype(np.int64)
-    c_a = model.class_means[first - 1]
-    c_b = model.class_means[second - 1]
+    second = second_class.data.reshape(-1)[idx].astype(np.int64)
+    c_a = means[first - 1]
+    c_b = means[second - 1]
     coincide = c_a == c_b
     if coincide.any():
         pairs = {(int(a), int(b)) for a, b in zip(first[coincide], second[coincide])}

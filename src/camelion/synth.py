@@ -46,7 +46,6 @@ class SynthConfig:
     batch_size: int = 1024
     learning_rate: float = 1e-3
     seed: int = 0
-    keep_best: bool = True
 
     def __post_init__(self):
         if self.backend not in (LINEAR_BACKEND, REGRESSOR_BACKEND):
@@ -145,9 +144,11 @@ def _patch_matrix(channels: np.ndarray, radius: int, flat_index: np.ndarray) -> 
     return np.moveaxis(out, 0, 1).reshape(len(flat_index), k * w**3).astype(np.float64)
 
 
-def _forward(reg: RegressorWeights, x_norm: np.ndarray) -> np.ndarray:
-    hidden = np.tanh(x_norm @ reg.w_hidden + reg.b_hidden)
-    return hidden @ reg.w_out + x_norm @ reg.w_skip + reg.b_out
+def _forward(w, x_norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and predictions for normalized patch rows; w maps
+    the RegressorWeights field names to their values."""
+    hidden = np.tanh(x_norm @ w["w_hidden"] + w["b_hidden"])
+    return hidden, hidden @ w["w_out"] + x_norm @ w["w_skip"] + w["b_out"]
 
 
 class _Adam:
@@ -172,9 +173,8 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
     """Train the patch regressor on the (partial volumes, image) pair.
 
     Mini-batch MSE training with seeded shuffling; fully deterministic for
-    a given config. With keep_best the returned weights are the best epoch
-    by training error, and train_mse is always recomputed from the weights
-    actually returned.
+    a given config. The returned weights are the best epoch by training
+    error, and train_mse is recomputed from the weights actually returned.
     """
     require_same_header(pv, image)
     k = pv.num_classes
@@ -205,13 +205,8 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
         "b_out": np.array([theta[d]]),
     }
 
-    def forward(batch):
-        hidden = np.tanh(batch @ params["w_hidden"] + params["b_hidden"])
-        pred = hidden @ params["w_out"] + batch @ params["w_skip"] + params["b_out"][0]
-        return hidden, pred
-
     def full_mse():
-        _, pred = forward(xn)
+        _, pred = _forward(params, xn)
         return float(np.mean((pred - y) ** 2))
 
     adam = _Adam(params, cfg.learning_rate)
@@ -223,7 +218,7 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             xb, yb = xn[sel], y[sel]
-            hidden, pred = forward(xb)
+            hidden, pred = _forward(params, xb)
             err = 2.0 * (pred - yb) / len(sel)
             d_hidden = np.outer(err, params["w_out"]) * (1.0 - hidden**2)
             grads = {
@@ -238,8 +233,7 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
         if mse < best_mse:
             best_mse = mse
             best = {p: v.copy() for p, v in params.items()}
-    if cfg.keep_best:
-        params = best
+    params = best
 
     # quantize to float32 up front so serialization is lossless and the
     # recorded train_mse matches what a reloaded model synthesizes
@@ -256,7 +250,7 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
         w_out=q(params["w_out"]),
         b_out=float(np.float32(params["b_out"][0])),
     )
-    final_pred = _forward(reg, (x - reg.input_mean) / reg.input_scale)
+    _, final_pred = _forward(vars(reg), (x - reg.input_mean) / reg.input_scale)
     final_mse = float(np.mean((final_pred - y) ** 2))
     return SynthModel(
         backend=REGRESSOR_BACKEND, num_classes=k, regressor=reg, train_mse=final_mse
@@ -296,7 +290,7 @@ def synthesize(model: SynthModel, pv: PartialVolumeSet, chunk: int = 32768) -> S
         sel = tissue_index[start : start + chunk]
         x = _patch_matrix(pv.channels, reg.patch_radius, sel)
         xn = (x - reg.input_mean) / reg.input_scale
-        out[sel] = _forward(reg, xn)
+        _, out[sel] = _forward(vars(reg), xn)
     return ScalarVolume(pv.header, out.reshape(pv.header.dims).astype(np.float32))
 
 

@@ -131,6 +131,17 @@ class TestRunCommand:
         assert (out_dir / "synth_1.bin").exists()
         assert (out_dir / "atlas0_1.mvf").exists()
 
+    @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
+    def test_out_of_range_mask_threshold_exits_2(self, cohort, tmp_path, method):
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", method, "--subject", "s002",
+            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+            "--set", "loop.mask_rel_threshold=2",
+        )
+        assert code == 2
+        assert not list(runs.rglob("labels*.mvf"))
+
     def test_nhm_runs(self, cohort, tmp_path):
         code = run_cli(
             "run", "--method", "nhm", "--subject", "s002",

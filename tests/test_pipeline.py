@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from camelion import metrics, pipeline, segmenter, tissues
-from camelion.errors import ArgumentError, PipelineError
+from camelion.errors import ArgumentError, CamelionError, PipelineError
 from camelion.phantom import (
     DEFAULT_PROTOCOL_A,
     DEFAULT_PROTOCOL_B,
@@ -252,6 +252,43 @@ class TestRun:
         )
         with pytest.raises(ArgumentError):
             run(other, atlases, LoopConfig())
+
+    @pytest.mark.parametrize("arm", [
+        lambda image, atlases: run(image, atlases, LoopConfig()),
+        lambda image, atlases: run_direct(image, atlases, LoopConfig()),
+        lambda image, atlases: run_nhm(image, atlases, 0, LoopConfig()),
+    ], ids=["camelion", "direct", "nhm"])
+    def test_all_zero_input_is_argument_error(self, small_cohort, arm):
+        atlases, input_image, _ = small_cohort
+        zero = ScalarVolume(input_image.header, np.zeros_like(input_image.data))
+        with pytest.raises(ArgumentError):
+            arm(zero, atlases)
+
+    @pytest.mark.parametrize("threshold", [2.0, -0.1])
+    def test_mask_threshold_out_of_range_rejected(self, threshold):
+        with pytest.raises(ArgumentError):
+            LoopConfig(mask_rel_threshold=threshold)
+
+    def test_failed_stage_keeps_partial_results(self, small_cohort, monkeypatch):
+        atlases, input_image, _ = small_cohort
+        real = pipeline.synthesize
+        calls = []
+
+        def synthesize_failing_in_iteration_1(model, pv):
+            # each iteration synthesizes every atlas once
+            calls.append(pv)
+            if len(calls) == len(atlases) + 1:
+                raise CamelionError("synthesis failed")
+            return real(model, pv)
+
+        monkeypatch.setattr(pipeline, "synthesize", synthesize_failing_in_iteration_1)
+        # iteration 0 changes more than this, so the loop reaches iteration 1
+        cfg = LoopConfig(max_iterations=3, change_threshold=0.0001)
+        with pytest.raises(PipelineError) as err:
+            run(input_image, atlases, cfg)
+        assert err.value.stage == "synthesize[1]"
+        assert len(err.value.partial.records) == 1
+        assert len(err.value.partial.labels_history) == 2
 
     def test_stage_error_is_tagged(self, small_cohort):
         atlases, input_image, _ = small_cohort
