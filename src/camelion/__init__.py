@@ -49,16 +49,7 @@ from .phantom import (
     restrict_to_top_two,
 )
 from .pv import PvConfig, class_means, estimate_pv, map_alpha, noise_sigma, second_class_map
-from .segmenter import (
-    SegmenterConfig,
-    SegmenterModel,
-    SegOutput,
-    atlas_prior,
-    load_segmenter,
-    predict,
-    save_segmenter,
-    train,
-)
+from .segmenter import SegmenterConfig, SegmenterModel, SegOutput, atlas_prior, predict, train
 from .synth import (
     SynthConfig,
     SynthModel,

@@ -71,7 +71,6 @@ def _echo_config(cfg: dict, out_dir: Path) -> None:
 def cmd_phantom(args) -> int:
     cfg = _merged_config(args)
     out_dir = Path(args.out)
-    _echo_config(cfg, out_dir)
     manifest = generate_cohort(
         cfgmod.phantom_params(cfg),
         cfg["phantom.n_atlas"],
@@ -80,6 +79,8 @@ def cmd_phantom(args) -> int:
         cfgmod.protocol(cfg, "b"),
         out_dir,
     )
+    # written last so that a rejected config leaves no output directory
+    _echo_config(cfg, out_dir)
     print(out_dir / "manifest.json")
     print(f"{len(manifest['subjects'])} subjects "
           f"({cfg['phantom.n_atlas']} atlas, {cfg['phantom.n_test']} test)")
@@ -111,6 +112,7 @@ def _load_atlases(manifest: dict) -> list[AtlasPair]:
 
 def cmd_run(args) -> int:
     cfg = _merged_config(args)
+    loop_cfg = cfgmod.loop_config(cfg)
     manifest = load_manifest(args.manifest)
     entry = _subject_entry(manifest, args.subject)
     root = Path(manifest["_dir"])
@@ -122,7 +124,6 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out) / args.subject / args.method
     _echo_config(cfg, out_dir)
-    loop_cfg = cfgmod.loop_config(cfg)
 
     if args.method == "camelion":
         result = run(input_image, atlases, loop_cfg)
@@ -143,12 +144,12 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _merged_config(args)
+    loop_cfg = cfgmod.loop_config(cfg)
     manifest = load_manifest(args.manifest)
     root = Path(manifest["_dir"])
     runs_dir = Path(args.runs)
     out_dir = Path(args.out)
     _echo_config(cfg, out_dir)
-    loop_cfg = cfgmod.loop_config(cfg)
 
     atlases = _load_atlases(manifest)
 
@@ -159,18 +160,17 @@ def cmd_eval(args) -> int:
         if entry["role"] != "test":
             continue
         sid = entry["id"]
-        found_any = False
+        done = [m for m in METHODS if (runs_dir / sid / m / "labels_final.mvf").exists()]
+        if not done:
+            continue
         truth = read_mvf(root / entry["labels"])
         image_a = read_mvf(root / entry["image_a"])
         # reference: the direct arm applied to the same-protocol image
         ref_labels = run_direct(image_a, atlases, loop_cfg)
         ref_vols = metrics.volumes(ref_labels)
-        for method in METHODS:
-            labels_path = runs_dir / sid / method / "labels_final.mvf"
-            if not labels_path.exists():
-                continue
-            found_any = True
-            labels = read_mvf(labels_path)
+        reference_volumes[sid] = ref_vols
+        for method in done:
+            labels = read_mvf(runs_dir / sid / method / "labels_final.mvf")
             dice_vec = np.array(
                 [metrics.dice(labels, truth, k) for k in range(1, truth.num_classes + 1)]
             )
@@ -185,8 +185,6 @@ def cmd_eval(args) -> int:
                 )
             )
             per_method_volumes[method][sid] = vols
-        if found_any:
-            reference_volumes[sid] = ref_vols
 
     if not reports:
         raise ConfigError(f"no completed runs found under {runs_dir}")

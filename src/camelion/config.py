@@ -36,7 +36,6 @@ DEFAULTS: dict[str, object] = {
     "protocol_b.bias_amplitude": DEFAULT_PROTOCOL_B.bias_amplitude,
     "loop.max_iterations": 5,
     "loop.change_threshold": 0.05,
-    "loop.synth_noise": True,
     "loop.mask_rel_threshold": 0.1,
     "segmenter.prior_epsilon": 1e-6,
     "segmenter.smoothing_weight": 0.5,
@@ -169,7 +168,6 @@ def loop_config(cfg: dict) -> LoopConfig:
         ),
         pv=PvConfig(beta=cfg["pv.beta"]),
         seed=cfg["seed"],
-        synth_noise=cfg["loop.synth_noise"],
         nhm_percentiles=cfg["nhm.percentiles"],
         mask_rel_threshold=cfg["loop.mask_rel_threshold"],
     )

@@ -60,17 +60,24 @@ def _foreground(image: ScalarVolume, mask) -> np.ndarray:
     return fg
 
 
+def check_percentiles(percentiles) -> np.ndarray:
+    """Landmark percentiles as float64, raising ArgumentError unless they
+    lie strictly inside (0, 100) and strictly increase."""
+    pcts = np.asarray(percentiles, dtype=np.float64)
+    if pcts.size < 1 or (pcts <= 0).any() or (pcts >= 100).any():
+        raise ArgumentError("percentiles must lie strictly inside (0, 100)")
+    if (np.diff(pcts) <= 0).any():
+        raise ArgumentError("percentiles must be strictly increasing")
+    return pcts
+
+
 def landmarks(image: ScalarVolume, mask=None, percentiles=DEFAULT_PERCENTILES) -> np.ndarray:
     """Interpolated percentile values of the masked intensities.
 
     mask may be a LabelVolume (foreground = nonzero label), a boolean
     array, or None (foreground = intensity > 0).
     """
-    pcts = np.asarray(percentiles, dtype=np.float64)
-    if pcts.size < 1 or (pcts <= 0).any() or (pcts >= 100).any():
-        raise ArgumentError("percentiles must lie strictly inside (0, 100)")
-    if (np.diff(pcts) <= 0).any():
-        raise ArgumentError("percentiles must be strictly increasing")
+    pcts = check_percentiles(percentiles)
     fg = _foreground(image, mask)
     return np.percentile(image.data[fg].astype(np.float64), pcts)
 

@@ -78,18 +78,16 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _eval_classes(num_classes: int, include_csf: bool):
-    if include_csf:
-        return [k for k in range(1, num_classes + 1)]
+def _eval_classes(num_classes: int):
     return [k for k in range(1, num_classes + 1) if k != tissues.CSF]
 
 
-def write_report(reports: list[EvalReport], path, include_csf: bool = False) -> None:
+def write_report(reports: list[EvalReport], path) -> None:
     """Write per-subject Dice/volume rows, ordered by subject, method, class."""
     lines = ["subject_id,method,class_name,dice,volume_mm3,reference_volume_mm3"]
     for rep in sorted(reports, key=lambda r: (r.subject_id, r.method)):
         k_max = len(rep.dice_per_class)
-        for k in _eval_classes(k_max, include_csf):
+        for k in _eval_classes(k_max):
             ref = (
                 _fmt(rep.reference_volume_mm3[k - 1])
                 if rep.reference_volume_mm3 is not None
@@ -110,14 +108,14 @@ def write_report(reports: list[EvalReport], path, include_csf: bool = False) -> 
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_trajectory(path, change_fractions, dice_rows=None, num_classes=tissues.NUM_CLASSES,
-                     include_csf: bool = False) -> None:
+def write_trajectory(path, change_fractions, dice_rows=None,
+                     num_classes=tissues.NUM_CLASSES) -> None:
     """Write the per-iteration convergence record.
 
     dice_rows, when given, is one per-class Dice-vs-truth vector per
     iteration, aligned with change_fractions.
     """
-    classes = _eval_classes(num_classes, include_csf)
+    classes = _eval_classes(num_classes)
     header = "iteration,label_change_fraction"
     if dice_rows is not None:
         header += "," + ",".join(f"dice_{tissues.class_name(k)}" for k in classes)

@@ -28,6 +28,7 @@ from .util import LatestSetMemo, content_key, derived_seed
 from .volumes import (
     AtlasPair,
     LabelVolume,
+    PartialVolumeSet,
     ScalarVolume,
     require_same_header,
     write_mvf,
@@ -42,7 +43,6 @@ class LoopConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     pv: PvConfig = field(default_factory=PvConfig)
     seed: int = 0
-    synth_noise: bool = True
     nhm_percentiles: tuple[float, ...] = harmonize.DEFAULT_PERCENTILES
     mask_rel_threshold: float = 0.1
 
@@ -56,6 +56,7 @@ class LoopConfig:
         # in this range the mask always keeps the input's brightest voxel
         if not 0 <= self.mask_rel_threshold < 1:
             raise ArgumentError("mask_rel_threshold must be in [0, 1)")
+        harmonize.check_percentiles(self.nhm_percentiles)
 
 
 @dataclass
@@ -111,26 +112,23 @@ class _Stage:
 _ATLAS_PV = LatestSetMemo()
 
 
-def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[AtlasPair]:
+def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[PartialVolumeSet]:
     """Estimate each atlas's partial volumes from its original image and
-    labels; pairs that already carry partial volumes are kept as they are.
+    labels.
 
     Computed once per atlas set per process: results are keyed by a digest
     of each atlas's header, image, labels and cfg, and only the latest set
     is kept, so a second run() on the same atlases reuses them and a new
     set evicts the old one before its own misses are computed.
     """
-    todo = [pair for pair in atlases if pair.precomputed_pv is None]
     keys = [
         content_key(pair.image.header, pair.labels.num_classes, pair.image.data,
                     pair.labels.data, cfg)
-        for pair in todo
+        for pair in atlases
     ]
     with _Stage("precompute_atlas_pv"):
-        pvs = _ATLAS_PV.lookup(keys, lambda i: estimate_pv(todo[i].image, todo[i].labels, cfg))
-    computed = {id(pair): AtlasPair(pair.image, pair.labels, precomputed_pv=pv)
-                for pair, pv in zip(todo, pvs)}
-    return [computed.get(id(pair), pair) for pair in atlases]
+        return _ATLAS_PV.lookup(
+            keys, lambda i: estimate_pv(atlases[i].image, atlases[i].labels, cfg))
 
 
 def _strip(labels: LabelVolume, fg: np.ndarray) -> LabelVolume:
@@ -212,7 +210,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
     iteration cap the last labels are returned with converged = False.
     """
     fg = _checked_foreground(input_image, atlases, cfg)
-    atlases = precompute_atlas_pv(atlases, cfg.pv)
+    atlas_pvs = precompute_atlas_pv(atlases, cfg.pv)
 
     model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
     labels_history = [stripped]
@@ -246,18 +244,14 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
             if model_t.class_intensities is not None:
                 last_intensities = model_t.class_intensities.copy()
         with _Stage(f"synthesize[{t}]", partial):
-            new_images = [synthesize(model_t, a.precomputed_pv) for a in atlases]
-            if cfg.synth_noise:
-                sigma = _spread_gap_sigma(input_image, current, new_images, atlases)
-                new_images = [
-                    _with_noise(img, sigma, derived_seed(cfg.seed, t, 211, i))
-                    for i, img in enumerate(new_images)
-                ]
-        with _Stage(f"retrain[{t}]", partial):
-            pairs = [
-                AtlasPair(img, a.labels, precomputed_pv=a.precomputed_pv)
-                for img, a in zip(new_images, atlases)
+            new_images = [synthesize(model_t, pv) for pv in atlas_pvs]
+            sigma = _spread_gap_sigma(input_image, current, new_images, atlases)
+            new_images = [
+                _with_noise(img, sigma, derived_seed(cfg.seed, t, 211, i))
+                for i, img in enumerate(new_images)
             ]
+        with _Stage(f"retrain[{t}]", partial):
+            pairs = [AtlasPair(img, a.labels) for img, a in zip(new_images, atlases)]
             model = train(pairs, cfg.segmenter)
         with _Stage(f"segment[{t}]", partial):
             seg_out = predict(model, input_image)
@@ -295,7 +289,7 @@ def _spread_gap_sigma(input_image, current_labels, synthetic_images, atlases) ->
 
     Synthesized atlases carry the partial-volume mixture spread structurally
     but none of the input's noise or bias-field spread. Matching the pooled
-    within-class variance keeps the retrained Gaussian backend's likelihood
+    within-class variance keeps the retrained Gaussian segmenter's likelihood
     widths realistic; without it the loop's likelihoods turn pathologically
     sharp and ignore the spatial prior.
     """

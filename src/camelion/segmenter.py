@@ -1,47 +1,29 @@
-"""Trainable segmentation backends: intensity image in, labels plus
-per-class posteriors out.
+"""Trainable segmenter: intensity image in, labels plus per-class
+posteriors out.
 
-The reference backend is a Gaussian intensity classifier with a spatial
-atlas prior: class k contributes N(f; mu_k, sigma_k^2) * pi_k(j), where pi
-is the smoothed per-voxel label frequency across the atlases. Training is
-exact and fast, which matters because the adaptation loop retrains the
-segmenter on every iteration. The spatial prior depends on the atlas
+A Gaussian intensity classifier with a spatial atlas prior: class k
+contributes N(f; mu_k, sigma_k^2) * pi_k(j), where pi is the smoothed
+per-voxel label frequency across the atlases. Training is exact and fast,
+which matters because the adaptation loop retrains the segmenter on every
+iteration. The spatial prior depends on the atlas
 labels only, which the loop never changes, so train reuses it across
-calls. The backend interface (train / predict plus serialization) is what
-an iterative network backend would have to provide to drop in.
+calls.
 """
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import uniform_filter
 
 from . import tissues
-from .errors import ArgumentError, FormatError, PersistenceError, TrainingError
-from .volumes import (
-    AtlasPair,
-    LabelVolume,
-    PartialVolumeSet,
-    ScalarVolume,
-    VolumeHeader,
-    decode_mvf,
-    encode_mvf,
-    require_same_header,
-)
+from .errors import ArgumentError, TrainingError
+from .volumes import AtlasPair, LabelVolume, ScalarVolume, VolumeHeader, require_same_header
 from .util import LatestSetMemo, content_key
 
-GAUSSIAN_BACKEND = "gaussian"
 PRIOR_SMOOTH_RADIUS = 3            # box filter radius in voxels
 VARIANCE_FLOOR_FRACTION = 1e-4     # of the squared global intensity range
-
-_SEGM_MAGIC = b"SEGM"
-_BACKEND_CODES = {GAUSSIAN_BACKEND: 1}
-_BACKEND_NAMES = {v: k for k, v in _BACKEND_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -60,12 +42,10 @@ class SegmenterConfig:
 class SegmenterModel:
     """Per-class intensity statistics plus the spatial prior stack."""
 
-    backend: str
     header: VolumeHeader
     means: np.ndarray          # (K,) float64
     variances: np.ndarray      # (K,) float64, all > 0
     prior: np.ndarray          # (K, *dims) float32, channel sums <= 1
-    prior_epsilon: float
     smoothing_weight: float
 
     @property
@@ -141,7 +121,7 @@ _PRIORS = LatestSetMemo()
 
 
 def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
-    """Fit the Gaussian backend on atlas image/label pairs.
+    """Fit the Gaussian classifier on atlas image/label pairs.
 
     Class statistics are pooled over every atlas voxel of the class; the
     spatial prior is atlas_prior of the atlas labels, reused from the
@@ -189,12 +169,10 @@ def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
     [prior] = _PRIORS.lookup([content_key(*parts)], lambda _: atlas_prior(labels, cfg))
 
     return SegmenterModel(
-        backend=GAUSSIAN_BACKEND,
         header=header,
         means=mean,
         variances=var,
         prior=prior,
-        prior_epsilon=cfg.prior_epsilon,
         smoothing_weight=cfg.smoothing_weight,
     )
 
@@ -223,8 +201,6 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
     6-neighborhood agreement bonus exp(w * n_k) into the posteriors and
     relabels from the adjusted stack, so labels stay the posterior argmax.
     """
-    if model.backend != GAUSSIAN_BACKEND:
-        raise ArgumentError(f"unknown backend {model.backend!r}")
     if image.header != model.header:
         raise ArgumentError(f"image header {image.header} does not match model {model.header}")
     k_max = model.num_classes
@@ -262,52 +238,3 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
         out_of_prior=out_of_prior,
     )
 
-
-def save_segmenter(model: SegmenterModel, path) -> None:
-    """Serialize a model: SEGM header, float64 statistics, prior as an
-    embedded partial-volume MVF block."""
-    code = _BACKEND_CODES.get(model.backend)
-    if code is None:
-        raise ArgumentError(f"cannot serialize backend {model.backend!r}")
-    buf = io.BytesIO()
-    buf.write(_SEGM_MAGIC)
-    buf.write(struct.pack("<BBdd", code, model.num_classes, model.prior_epsilon, model.smoothing_weight))
-    buf.write(model.means.astype("<f8").tobytes())
-    buf.write(model.variances.astype("<f8").tobytes())
-    buf.write(encode_mvf(PartialVolumeSet(model.header, model.prior)))
-    try:
-        Path(path).write_bytes(buf.getvalue())
-    except OSError as exc:
-        raise PersistenceError(f"cannot write {path}: {exc}") from exc
-
-
-def load_segmenter(path) -> SegmenterModel:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise PersistenceError(f"cannot read {path}: {exc}") from exc
-    head = struct.calcsize("<BBdd")
-    if len(blob) < 4 + head or blob[:4] != _SEGM_MAGIC:
-        raise FormatError(f"{path}: not a segmenter model file")
-    code, k, eps, smooth = struct.unpack_from("<BBdd", blob, 4)
-    backend = _BACKEND_NAMES.get(code)
-    if backend is None:
-        raise FormatError(f"{path}: unknown backend code {code}")
-    off = 4 + head
-    need = 2 * 8 * k
-    if len(blob) < off + need:
-        raise FormatError(f"{path}: truncated statistics block")
-    means = np.frombuffer(blob, dtype="<f8", count=k, offset=off).copy()
-    variances = np.frombuffer(blob, dtype="<f8", count=k, offset=off + 8 * k).copy()
-    pv = decode_mvf(blob[off + need:], source=f"{path} (embedded prior)")
-    if not isinstance(pv, PartialVolumeSet) or pv.num_classes != k:
-        raise FormatError(f"{path}: embedded prior block is inconsistent")
-    return SegmenterModel(
-        backend=backend,
-        header=pv.header,
-        means=means,
-        variances=variances,
-        prior=np.array(pv.channels),
-        prior_epsilon=float(eps),
-        smoothing_weight=float(smooth),
-    )

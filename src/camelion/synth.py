@@ -35,6 +35,7 @@ _BACKEND_CODES = {LINEAR_BACKEND: 1, REGRESSOR_BACKEND: 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_CODES.items()}
 
 _COND_LIMIT = 1e12
+SYNTH_CHUNK = 32768  # tissue voxels per regressor forward pass in synthesize
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def fit(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig,
     return fit_regressor(pv, image, cfg)
 
 
-def synthesize(model: SynthModel, pv: PartialVolumeSet, chunk: int = 32768) -> ScalarVolume:
+def synthesize(model: SynthModel, pv: PartialVolumeSet) -> ScalarVolume:
     """Render an intensity image from partial volumes with a fitted model.
 
     Background voxels (all-zero fractions) always synthesize to 0.
@@ -286,8 +287,8 @@ def synthesize(model: SynthModel, pv: PartialVolumeSet, chunk: int = 32768) -> S
     mask_flat = pv.channels.reshape(k, -1).any(axis=0)
     out = np.zeros(n, dtype=np.float64)
     tissue_index = np.flatnonzero(mask_flat)
-    for start in range(0, tissue_index.size, chunk):
-        sel = tissue_index[start : start + chunk]
+    for start in range(0, tissue_index.size, SYNTH_CHUNK):
+        sel = tissue_index[start : start + SYNTH_CHUNK]
         x = _patch_matrix(pv.channels, reg.patch_radius, sel)
         xn = (x - reg.input_mean) / reg.input_scale
         _, out[sel] = _forward(vars(reg), xn)

@@ -153,16 +153,13 @@ Volume = Union[ScalarVolume, LabelVolume, PartialVolumeSet]
 
 @dataclass(eq=False)
 class AtlasPair:
-    """An intensity image with its label map (and optionally its partial volumes)."""
+    """An intensity image with its label map."""
 
     image: ScalarVolume
     labels: LabelVolume
-    precomputed_pv: PartialVolumeSet | None = None
 
     def __post_init__(self):
         require_same_header(self.image, self.labels)
-        if self.precomputed_pv is not None:
-            require_same_header(self.image, self.precomputed_pv)
 
 
 def require_same_header(*volumes) -> VolumeHeader:

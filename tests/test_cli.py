@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from camelion import cli
 from camelion.cli import main
 from camelion.config import DEFAULTS, format_config, load_config, parse_config_text
 from camelion.errors import ConfigError
@@ -65,6 +66,9 @@ class TestConfig:
         cfg_file.write_text("nope = 1\n")
         assert run_cli("config", "--config", str(cfg_file)) == 2
 
+    def test_removed_synth_noise_key_exits_2(self):
+        assert run_cli("config", "--set", "loop.synth_noise=false") == 2
+
 
 class TestPhantomCommand:
     def test_manifest_contents(self, cohort):
@@ -86,6 +90,12 @@ class TestPhantomCommand:
 
     def test_bad_set_pair_is_exit_2(self, tmp_path):
         assert run_cli("phantom", "--out", str(tmp_path / "o"), "--set", "nope=1") == 2
+
+    @pytest.mark.parametrize("setting", ["phantom.supersample=1", "phantom.n_atlas=0"])
+    def test_rejected_config_writes_nothing(self, tmp_path, setting):
+        out = tmp_path / "o"
+        assert run_cli("phantom", "--out", str(out), *SMALL, "--set", setting) == 2
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -140,7 +150,19 @@ class TestRunCommand:
             "--set", "loop.mask_rel_threshold=2",
         )
         assert code == 2
-        assert not list(runs.rglob("labels*.mvf"))
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("percentiles", ["0 50 99", "50 20"])
+    @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
+    def test_bad_nhm_percentiles_exits_2(self, cohort, tmp_path, method, percentiles):
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", method, "--subject", "s002",
+            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+            "--set", f"nhm.percentiles={percentiles}",
+        )
+        assert code == 2
+        assert not runs.exists()
 
     def test_nhm_runs(self, cohort, tmp_path):
         code = run_cli(
@@ -191,6 +213,39 @@ class TestEvalCommand:
             "--runs", str(tmp_path / "empty"), "--out", str(tmp_path / "out"), *SMALL
         )
         assert code == 2
+
+    def test_rejected_config_writes_nothing(self, cohort, runs, tmp_path):
+        out = tmp_path / "eval"
+        code = run_cli(
+            "eval", "--manifest", str(cohort / "manifest.json"),
+            "--runs", str(runs), "--out", str(out), *SMALL,
+            "--set", "loop.mask_rel_threshold=2",
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_reference_runs_only_for_evaluated_subjects(self, tmp_path, monkeypatch):
+        cohort2 = tmp_path / "cohort"
+        two_test = [*SMALL, "--set", "phantom.n_test=2"]
+        assert run_cli("phantom", "--out", str(cohort2), *two_test) == 0
+        runs2 = tmp_path / "runs"
+        assert run_cli(
+            "run", "--method", "direct", "--subject", "s002",
+            "--manifest", str(cohort2 / "manifest.json"), "--out", str(runs2), *two_test
+        ) == 0
+        calls = []
+        real = cli.run_direct
+
+        def counting(image, atlases, cfg):
+            calls.append(image)
+            return real(image, atlases, cfg)
+
+        monkeypatch.setattr(cli, "run_direct", counting)
+        assert run_cli(
+            "eval", "--manifest", str(cohort2 / "manifest.json"),
+            "--runs", str(runs2), "--out", str(tmp_path / "eval"), *two_test
+        ) == 0
+        assert len(calls) == 1
 
 
 def test_every_subcommand_has_help(capsys):

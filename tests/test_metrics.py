@@ -181,18 +181,6 @@ class TestReports:
         assert p1.read_bytes() == p2.read_bytes()
         assert "csf" not in text
 
-    def test_csf_included_behind_flag(self, tmp_path):
-        rep = EvalReport(
-            subject_id="s0",
-            method="direct",
-            dice_per_class=np.ones(5),
-            volume_mm3=np.ones(5),
-        )
-        path = tmp_path / "c.csv"
-        write_report([rep], path, include_csf=True)
-        assert "csf" in path.read_text()
-        assert len(path.read_text().strip().splitlines()) == 6
-
     def test_trajectory_file(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trajectory(path, [0.2, 0.04], [np.ones(5) * 0.8, np.ones(5) * 0.9])

@@ -72,30 +72,23 @@ class TestPrecompute:
         pair = AtlasPair(
             ScalarVolume(header, image), LabelVolume(header, labels, num_classes=5)
         )
-        out = precompute_atlas_pv([pair], PvConfig(beta=0.0))
-        pv = out[0].precomputed_pv
+        [pv] = precompute_atlas_pv([pair], PvConfig(beta=0.0))
         validate_partial_volumes(pv)
         mask = labels > 0
         assert np.all(pv.channels.max(axis=0)[mask] == 1.0)
 
-    def test_existing_pv_kept(self, small_cohort):
-        atlases, _, _ = small_cohort
-        once = precompute_atlas_pv(atlases, PvConfig())
-        again = precompute_atlas_pv(once, PvConfig())
-        assert again[0].precomputed_pv is once[0].precomputed_pv
-
     def test_argmax_consistency_with_labels(self, small_cohort):
         atlases, _, _ = small_cohort
-        out = precompute_atlas_pv(atlases, PvConfig())
-        for pair in out:
-            validate_partial_volumes(pair.precomputed_pv)
+        pvs = precompute_atlas_pv(atlases, PvConfig())
+        for pair, pv in zip(atlases, pvs):
+            validate_partial_volumes(pv)
             own = np.take_along_axis(
-                pair.precomputed_pv.channels,
+                pv.channels,
                 np.maximum(pair.labels.data.astype(np.int64) - 1, 0)[None],
                 axis=0,
             )[0]
             dominant = (pair.labels.data > 0) & (own > 0.5)
-            hard = pv_to_labels(pair.precomputed_pv)
+            hard = pv_to_labels(pv)
             assert np.array_equal(hard.data[dominant], pair.labels.data[dominant])
 
 
@@ -126,7 +119,7 @@ class TestAtlasPvMemo:
         again = precompute_atlas_pv(self.copies(atlases), PvConfig())
         assert len(pv_calls) == len(atlases)
         for a, b in zip(first, again):
-            assert b.precomputed_pv is a.precomputed_pv
+            assert b is a
 
     def test_changed_voxel_recomputes_only_that_atlas(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
@@ -139,16 +132,16 @@ class TestAtlasPvMemo:
         assert len(pv_calls) == len(atlases) + 1
         assert pv_calls[-1] is atlases[1].labels
         fresh = estimate_pv(changed[1].image, changed[1].labels, PvConfig())
-        assert encode_mvf(out[1].precomputed_pv) == encode_mvf(fresh)
+        assert encode_mvf(out[1]) == encode_mvf(fresh)
 
     def test_config_change_recomputes(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
         precompute_atlas_pv(atlases, PvConfig())
         out = precompute_atlas_pv(atlases, PvConfig(beta=0.3))
         assert len(pv_calls) == 2 * len(atlases)
-        for pair in out:
+        for pair, pv in zip(atlases, out):
             fresh = estimate_pv(pair.image, pair.labels, PvConfig(beta=0.3))
-            assert encode_mvf(pair.precomputed_pv) == encode_mvf(fresh)
+            assert encode_mvf(pv) == encode_mvf(fresh)
 
     def test_only_latest_set_kept(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
@@ -232,16 +225,18 @@ class TestRun:
         for i, rec in enumerate(result.records):
             assert rec.index == i + 1
 
-    def test_linear_synthesis_is_pv_reassignment(self, small_cohort):
-        # gamma=1 noiseless: synthesized atlas intensity is exactly the
-        # class-intensity blend of that atlas's fixed partial volumes
+    def test_linear_synthesis_is_pv_reassignment(self, small_cohort, monkeypatch):
+        # gamma=1 noiseless: without the injected noise, synthesized atlas
+        # intensity is exactly the class-intensity blend of that atlas's
+        # fixed partial volumes
         atlases, input_image, _ = small_cohort
-        cfg = LoopConfig(max_iterations=1, synth_noise=False)
-        prepared = precompute_atlas_pv(atlases, cfg.pv)
-        result = run(input_image, prepared, cfg)
+        monkeypatch.setattr(pipeline, "_with_noise", lambda image, sigma, seed: image)
+        cfg = LoopConfig(max_iterations=1)
+        result = run(input_image, atlases, cfg)
         c = result.synth_models[0].class_intensities
-        for pair, synth_img in zip(prepared, result.atlas_images_history[0]):
-            expected = np.tensordot(c, pair.precomputed_pv.channels.astype(np.float64), axes=(0, 0))
+        pvs = precompute_atlas_pv(atlases, cfg.pv)
+        for pv, synth_img in zip(pvs, result.atlas_images_history[0]):
+            expected = np.tensordot(c, pv.channels.astype(np.float64), axes=(0, 0))
             assert np.allclose(synth_img.data, expected, atol=1e-3)
 
     def test_header_mismatch_rejected(self, small_cohort):
@@ -268,6 +263,11 @@ class TestRun:
     def test_mask_threshold_out_of_range_rejected(self, threshold):
         with pytest.raises(ArgumentError):
             LoopConfig(mask_rel_threshold=threshold)
+
+    @pytest.mark.parametrize("percentiles", [(0.0, 50.0, 99.0), (50.0, 20.0)])
+    def test_bad_nhm_percentiles_rejected(self, percentiles):
+        with pytest.raises(ArgumentError):
+            LoopConfig(nhm_percentiles=percentiles)
 
     def test_failed_stage_keeps_partial_results(self, small_cohort, monkeypatch):
         atlases, input_image, _ = small_cohort

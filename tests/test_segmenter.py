@@ -16,9 +16,7 @@ from camelion.segmenter import (
     SegmenterConfig,
     atlas_prior,
     label_frequency,
-    load_segmenter,
     predict,
-    save_segmenter,
     train,
 )
 from camelion.util import LatestSetMemo
@@ -239,12 +237,10 @@ class TestPredict:
         crop = (slice(0, 6), slice(0, 10), slice(0, 10))
         sub_header = VolumeHeader((6, 10, 10), model.header.voxel_size)
         sub_model = SegmenterModel(
-            backend=model.backend,
             header=sub_header,
             means=model.means,
             variances=model.variances,
             prior=np.ascontiguousarray(model.prior[(slice(None),) + crop]),
-            prior_epsilon=model.prior_epsilon,
             smoothing_weight=0.0,
         )
         sub = predict(sub_model, ScalarVolume(sub_header, probe[crop]))
@@ -300,25 +296,3 @@ def test_self_consistency_on_noiseless_phantom():
     agree_l = (out_l.labels.data[mask] == truth.data[mask]).mean()
     assert agree_l <= agree_t
 
-
-def test_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    labels = five_class_labels()
-    image = labels * 25.0 + rng.normal(0, 4, labels.shape)
-    model = train([pair_from(image, labels)], SegmenterConfig())
-    path = tmp_path / "model.segm"
-    save_segmenter(model, path)
-    loaded = load_segmenter(path)
-    assert loaded.backend == model.backend
-    assert np.array_equal(loaded.means, model.means)
-    assert np.array_equal(loaded.variances, model.variances)
-    assert np.array_equal(loaded.prior, model.prior)
-    assert loaded.header == model.header
-    path2 = tmp_path / "model2.segm"
-    save_segmenter(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-    probe = rng.normal(60, 40, size=(10, 10, 10)).astype(np.float32)
-    a = predict(model, ScalarVolume(model.header, probe))
-    b = predict(loaded, ScalarVolume(loaded.header, probe))
-    assert np.array_equal(a.labels.data, b.labels.data)
