@@ -27,7 +27,7 @@ from .errors import (
     PipelineError,
 )
 from .phantom import generate_cohort, load_manifest
-from .pipeline import run, run_direct, run_nhm, save_loop_artifacts
+from .pipeline import check_reference_atlas, run, run_direct, run_nhm, save_loop_artifacts
 from .volumes import AtlasPair, LabelVolume, ScalarVolume, read_mvf, write_mvf
 
 EXIT_OK = 0
@@ -121,6 +121,8 @@ def cmd_run(args) -> int:
     if not isinstance(input_image, ScalarVolume):
         raise ConfigError(f"input image for {args.subject} is not a scalar volume")
     truth = read_mvf(root / entry["labels"])
+    # checked on every arm, so that a rejected setting leaves no output behind
+    check_reference_atlas(cfg["nhm.reference_atlas"], len(atlases))
 
     out_dir = Path(args.out) / args.subject / args.method
     _echo_config(cfg, out_dir)

@@ -139,13 +139,41 @@ def _axis_coords(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * (2.0 / n) - 1.0
 
 
-def _ellipsoid(grids, center, radii) -> np.ndarray:
-    x, y, z = grids
-    return (
-        ((x - center[0]) / radii[0]) ** 2
-        + ((y - center[1]) / radii[1]) ** 2
-        + ((z - center[2]) / radii[2]) ** 2
-    ) <= 1.0
+def _ellipsoid_terms(coords, center, radii) -> tuple[np.ndarray, ...]:
+    # per-axis 1-D terms ((x - c) / r)^2 of the ellipsoid test
+    return tuple(((c - m) / r) ** 2 for c, m, r in zip(coords, center, radii))
+
+
+def _box(terms) -> tuple[slice, ...]:
+    """Index range, per axis, where that axis's 1-D term is <= 1.
+
+    Every voxel outside this box is outside the structure: one of its terms
+    exceeds 1, the others are >= 0, and IEEE addition is monotone, so the
+    rounded sum exceeds 1 too. The box is empty along an axis the structure
+    does not reach.
+    """
+    box = []
+    for t in terms:
+        inside = np.flatnonzero(t <= 1.0)
+        box.append(slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0))
+    return tuple(box)
+
+
+def _inside(terms, box) -> np.ndarray:
+    # the full-grid test (tx + ty) + tz <= 1, restricted to the box: the
+    # same operations on the same values, hence the same bits
+    tx, ty, tz = (t[s] for t, s in zip(terms, box))
+    return (tx[:, None, None] + ty[None, :, None]) + tz[None, None, :] <= 1.0
+
+
+def _paint(labels: np.ndarray, label: int, terms, clip=None) -> None:
+    """Set ``label`` where the structure's test holds (and the clip test,
+    evaluated on the structure's own box, also holds)."""
+    box = _box(terms)
+    mask = _inside(terms, box)
+    if clip is not None:
+        mask &= _inside(clip, box)
+    labels[box][mask] = label
 
 
 def generate_label_phantom(params: PhantomParams, subject_index: int) -> LabelVolume:
@@ -154,7 +182,8 @@ def generate_label_phantom(params: PhantomParams, subject_index: int) -> LabelVo
     Deterministic in (params.seed, subject_index). All five tissue classes
     are present, and ventricles are clipped to the eroded white-matter
     interior so every ventricle voxel's neighborhood holds only ventricle
-    or white matter.
+    or white matter. Each structure is evaluated only inside its bounding
+    box, with the same result as a full-grid test.
     """
     if subject_index < 0:
         raise ArgumentError("subject_index must be non-negative")
@@ -172,27 +201,27 @@ def generate_label_phantom(params: PhantomParams, subject_index: int) -> LabelVo
     bs_half = 0.5 * (_BS_SEGMENT_Z[1] - _BS_SEGMENT_Z[0]) * (1.0 + 0.5 * j * u[13])
     bs_mid = 0.5 * (_BS_SEGMENT_Z[0] + _BS_SEGMENT_Z[1])
 
-    x = _axis_coords(dims[0])[:, None, None]
-    y = _axis_coords(dims[1])[None, :, None]
-    z = _axis_coords(dims[2])[None, None, :]
-    grids = (x, y, z)
+    coords = tuple(_axis_coords(n) for n in dims)
+    x, y, z = coords
     origin = _SHELL_CENTER
 
     labels = np.zeros(dims, dtype=np.uint8)
-    labels[_ellipsoid(grids, origin, head)] = tissues.CSF
-    labels[_ellipsoid(grids, origin, gm)] = tissues.GRAY_MATTER
-    labels[_ellipsoid(grids, origin, wm)] = tissues.WHITE_MATTER
+    _paint(labels, tissues.CSF, _ellipsoid_terms(coords, origin, head))
+    _paint(labels, tissues.GRAY_MATTER, _ellipsoid_terms(coords, origin, gm))
+    _paint(labels, tissues.WHITE_MATTER, _ellipsoid_terms(coords, origin, wm))
 
-    radial = ((x - _BS_CENTER_XY[0]) / bs_radius) ** 2 + ((y - _BS_CENTER_XY[1]) / bs_radius) ** 2
-    axial = (np.maximum(np.abs(z - bs_mid) - bs_half, 0.0) / _BS_CAP_RZ) ** 2
-    bs = (radial + axial) <= 1.0
-    bs &= _ellipsoid(grids, origin, wm * _BS_CLIP_SCALE)
-    labels[bs] = tissues.BRAINSTEM
+    capsule = (
+        ((x - _BS_CENTER_XY[0]) / bs_radius) ** 2,
+        ((y - _BS_CENTER_XY[1]) / bs_radius) ** 2,
+        (np.maximum(np.abs(z - bs_mid) - bs_half, 0.0) / _BS_CAP_RZ) ** 2,
+    )
+    _paint(labels, tissues.BRAINSTEM, capsule,
+           clip=_ellipsoid_terms(coords, origin, wm * _BS_CLIP_SCALE))
 
-    wm_interior = _ellipsoid(grids, origin, wm * _VENT_CLIP_SCALE)
+    wm_interior = _ellipsoid_terms(coords, origin, wm * _VENT_CLIP_SCALE)
     for center in _VENT_CENTERS:
-        v = _ellipsoid(grids, center, vent) & wm_interior
-        labels[v] = tissues.VENTRICLES
+        _paint(labels, tissues.VENTRICLES, _ellipsoid_terms(coords, center, vent),
+               clip=wm_interior)
 
     voxel = tuple(LOW_RES_VOXEL_MM / ss for _ in range(3))
     return LabelVolume(VolumeHeader(dims, voxel), labels, num_classes=tissues.NUM_CLASSES)
@@ -215,13 +244,19 @@ def downsample_to_pv(hr: LabelVolume, factor: int) -> PartialVolumeSet:
     if any(d % factor != 0 for d in dims):
         raise ArgumentError(f"dims {dims} not divisible by factor {factor}")
     out_dims = tuple(d // factor for d in dims)
-    blocks = hr.data.reshape(
-        out_dims[0], factor, out_dims[1], factor, out_dims[2], factor
-    )
-    k_max = hr.num_classes
-    counts = np.empty((k_max + 1,) + out_dims, dtype=np.int64)
-    for k in range(k_max + 1):
-        counts[k] = (blocks == k).sum(axis=(1, 3, 5))
+    n_codes = hr.num_classes + 1
+    # label counts per low-res cell, one bincount per low-res x slab over
+    # codes cell * n_codes + label (cell indexed within the slab); slabs
+    # keep the code array small
+    cell_y = np.arange(dims[1]) // factor
+    cell_z = np.arange(dims[2]) // factor
+    slab_base = ((cell_y[:, None] * out_dims[2] + cell_z[None, :]) * n_codes).astype(np.int32)
+    slab_cells = out_dims[1] * out_dims[2]
+    counts = np.empty((n_codes,) + out_dims, dtype=np.int64)
+    for i in range(out_dims[0]):
+        codes = slab_base + hr.data[i * factor:(i + 1) * factor]
+        per_cell = np.bincount(codes.ravel(), minlength=slab_cells * n_codes)
+        counts[:, i] = per_cell.reshape(out_dims[1], out_dims[2], n_codes).transpose(2, 0, 1)
     cell = factor**3
     tissue_total = cell - counts[0]
     keep = (2 * tissue_total) >= cell

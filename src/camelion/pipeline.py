@@ -167,15 +167,20 @@ def run_direct(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopCon
     return _initial_segmentation(input_image, atlases, cfg, fg)[1]
 
 
+def check_reference_atlas(reference_atlas_index: int, n_atlases: int) -> None:
+    """Raise ArgumentError unless the index names one of n_atlases atlases."""
+    if not 0 <= reference_atlas_index < n_atlases:
+        raise ArgumentError(
+            f"reference_atlas_index {reference_atlas_index} out of range for {n_atlases} atlases"
+        )
+
+
 def run_nhm(input_image: ScalarVolume, atlases: list[AtlasPair],
             reference_atlas_index: int, cfg: LoopConfig) -> LabelVolume:
     """Comparison arm: histogram-match the input to one designated atlas
     image, then segment directly."""
     src_mask = _checked_foreground(input_image, atlases, cfg)
-    if not 0 <= reference_atlas_index < len(atlases):
-        raise ArgumentError(
-            f"reference_atlas_index {reference_atlas_index} out of range for {len(atlases)} atlases"
-        )
+    check_reference_atlas(reference_atlas_index, len(atlases))
     ref = atlases[reference_atlas_index]
     with _Stage("histogram_match"):
         src_lm = harmonize.landmarks(input_image, mask=src_mask, percentiles=cfg.nhm_percentiles)

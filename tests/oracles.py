@@ -8,6 +8,8 @@ the implementations under test.
 import numpy as np
 from scipy.ndimage import uniform_filter
 
+from camelion import phantom, tissues
+
 
 def grid_objective(alpha, f, c_a, c_b, sigma, beta):
     """Negative log posterior of the two-class mixture, evaluated directly."""
@@ -127,6 +129,59 @@ def block_label_fractions(hr_labels, factor, num_classes):
                     for k in range(1, num_classes + 1):
                         channels[k - 1, i, j, l] = (block == k).sum() / tissue
     return channels
+
+
+def _ellipsoid_full_grid(grids, center, radii):
+    x, y, z = grids
+    return (
+        ((x - center[0]) / radii[0]) ** 2
+        + ((y - center[1]) / radii[1]) ** 2
+        + ((z - center[2]) / radii[2]) ** 2
+    ) <= 1.0
+
+
+def label_phantom_reference(params, index):
+    """One subject's supersampled labels, every structure test evaluated on
+    the full grid (the rasterizer before bounding boxes). Returns the uint8
+    label array; the geometry constants come from ``camelion.phantom``."""
+    ss = params.supersample
+    dims = tuple(d * ss for d in params.base_dims)
+    rng = np.random.default_rng(np.random.SeedSequence([params.seed, index, 0]))
+    u = rng.uniform(-1.0, 1.0, size=14)
+    j = params.shape_jitter
+
+    head = phantom._HEAD_RADII * (1.0 + j * u[0:3])
+    gm = phantom._GM_RADII * (1.0 + j * u[3:6])
+    wm = phantom._WM_RADII * (1.0 + j * u[6:9])
+    vent = phantom._VENT_RADII * (1.0 + j * u[9:12])
+    bs_radius = phantom._BS_RADIUS * (1.0 + j * u[12])
+    seg_z = phantom._BS_SEGMENT_Z
+    bs_half = 0.5 * (seg_z[1] - seg_z[0]) * (1.0 + 0.5 * j * u[13])
+    bs_mid = 0.5 * (seg_z[0] + seg_z[1])
+
+    axes = [(np.arange(n) + 0.5) * (2.0 / n) - 1.0 for n in dims]
+    x = axes[0][:, None, None]
+    y = axes[1][None, :, None]
+    z = axes[2][None, None, :]
+    grids = (x, y, z)
+    origin = phantom._SHELL_CENTER
+
+    labels = np.zeros(dims, dtype=np.uint8)
+    labels[_ellipsoid_full_grid(grids, origin, head)] = tissues.CSF
+    labels[_ellipsoid_full_grid(grids, origin, gm)] = tissues.GRAY_MATTER
+    labels[_ellipsoid_full_grid(grids, origin, wm)] = tissues.WHITE_MATTER
+
+    cx, cy = phantom._BS_CENTER_XY
+    radial = ((x - cx) / bs_radius) ** 2 + ((y - cy) / bs_radius) ** 2
+    axial = (np.maximum(np.abs(z - bs_mid) - bs_half, 0.0) / phantom._BS_CAP_RZ) ** 2
+    bs = (radial + axial) <= 1.0
+    bs &= _ellipsoid_full_grid(grids, origin, wm * phantom._BS_CLIP_SCALE)
+    labels[bs] = tissues.BRAINSTEM
+
+    wm_interior = _ellipsoid_full_grid(grids, origin, wm * phantom._VENT_CLIP_SCALE)
+    for center in phantom._VENT_CENTERS:
+        labels[_ellipsoid_full_grid(grids, center, vent) & wm_interior] = tissues.VENTRICLES
+    return labels
 
 
 def pearson_direct(x, y):

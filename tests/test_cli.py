@@ -164,6 +164,18 @@ class TestRunCommand:
         assert code == 2
         assert not runs.exists()
 
+    @pytest.mark.parametrize("index", ["99", "-1"])
+    @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
+    def test_out_of_range_reference_atlas_exits_2(self, cohort, tmp_path, method, index):
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", method, "--subject", "s002",
+            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+            "--set", f"nhm.reference_atlas={index}",
+        )
+        assert code == 2
+        assert not runs.exists()
+
     def test_nhm_runs(self, cohort, tmp_path):
         code = run_cli(
             "run", "--method", "nhm", "--subject", "s002",

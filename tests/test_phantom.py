@@ -9,6 +9,9 @@ from camelion.phantom import (
     DEFAULT_PROTOCOL_B,
     PhantomParams,
     ProtocolParams,
+    _axis_coords,
+    _box,
+    _ellipsoid_terms,
     bias_field,
     downsample_to_pv,
     generate_cohort,
@@ -25,9 +28,19 @@ from camelion.volumes import (
     read_mvf,
     validate_partial_volumes,
 )
-from oracles import block_label_fractions
+from oracles import block_label_fractions, label_phantom_reference
 
 SMALL = PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=7)
+
+# (params, subject) pairs checked against the full-grid rasterizer
+RASTER_CASES = {
+    # the head reaches all six grid faces, so its box spans every axis
+    "jitter_0.3_head_at_faces": (
+        PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=7, shape_jitter=0.3), 9),
+    "jitter_0": (PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=7, shape_jitter=0.0), 2),
+    "non_cubic_ss3": (PhantomParams(base_dims=(16, 20, 24), supersample=3, seed=12345), 1),
+    "default_48_ss4": (PhantomParams(seed=12345), 0),
+}
 
 
 class TestLabelPhantom:
@@ -61,6 +74,32 @@ class TestLabelPhantom:
         shell = binary_dilation(vent, structure=np.ones((3, 3, 3), dtype=bool)) & ~vent
         neighbors = set(np.unique(vol.data[shell]))
         assert neighbors == {tissues.WHITE_MATTER}
+
+    @pytest.mark.parametrize("case", sorted(RASTER_CASES))
+    def test_matches_full_grid_reference(self, case):
+        params, subject = RASTER_CASES[case]
+        vol = generate_label_phantom(params, subject)
+        expected = label_phantom_reference(params, subject)
+        assert vol.data.dtype == expected.dtype
+        assert vol.data.tobytes() == expected.tobytes()
+        if case == "jitter_0.3_head_at_faces":
+            faces = [vol.data.take(i, axis=a) for a in range(3) for i in (0, -1)]
+            assert all(face.any() for face in faces)
+
+    def test_box_of_structure_off_grid_is_empty(self):
+        coords = tuple(_axis_coords(n) for n in (10, 12, 14))
+        box = _box(_ellipsoid_terms(coords, (3.0, 0.0, 0.0), (0.5, 0.5, 0.5)))
+        assert box[0] == slice(0, 0)
+        labels = np.zeros((10, 12, 14), dtype=np.uint8)
+        assert labels[box].size == 0
+
+    def test_box_of_structure_spanning_axis_is_whole_axis(self):
+        coords = tuple(_axis_coords(n) for n in (10, 12, 14))
+        box = _box(_ellipsoid_terms(coords, (0.0, 0.0, 0.0), (2.0, 0.5, 1.0)))
+        assert box[0] == slice(0, 10)
+        assert box[2] == slice(0, 14)
+        # |y| <= 0.5 holds on the middle 6 of 12 voxel centers
+        assert box[1] == slice(3, 9)
 
     def test_jitter_bounds_respected(self):
         params = PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=7, shape_jitter=0.3)
@@ -100,6 +139,17 @@ class TestDownsample:
         pv = downsample_to_pv(hr, 3)
         expected = block_label_fractions(data, 3, 5)
         assert np.allclose(pv.channels, expected, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "case", ["jitter_0.3_head_at_faces", "jitter_0", "non_cubic_ss3"]
+    )
+    def test_phantom_against_counting_oracle(self, case):
+        params, subject = RASTER_CASES[case]
+        hr = generate_label_phantom(params, subject)
+        pv = downsample_to_pv(hr, params.supersample)
+        expected = block_label_fractions(hr.data, params.supersample, tissues.NUM_CLASSES)
+        assert pv.header.dims == params.base_dims
+        assert np.array_equal(pv.channels, expected.astype(np.float32))
 
     def test_non_divisible_dims(self):
         data = np.zeros((5, 4, 4), dtype=np.uint8)
