@@ -151,20 +151,24 @@ def cmd_eval(args) -> int:
     root = Path(manifest["_dir"])
     runs_dir = Path(args.runs)
     out_dir = Path(args.out)
-    _echo_config(cfg, out_dir)
-
+    completed = []
+    for entry in manifest["subjects"]:
+        if entry["role"] != "test":
+            continue
+        done = [m for m in METHODS if (runs_dir / entry["id"] / m / "labels_final.mvf").exists()]
+        if done:
+            completed.append((entry, done))
+    # checked before the echo, so that a rejected call leaves no output behind
+    if not completed:
+        raise ConfigError(f"no completed runs found under {runs_dir}")
     atlases = _load_atlases(manifest)
+    _echo_config(cfg, out_dir)
 
     reports = []
     per_method_volumes: dict[str, dict[str, np.ndarray]] = {m: {} for m in METHODS}
     reference_volumes: dict[str, np.ndarray] = {}
-    for entry in manifest["subjects"]:
-        if entry["role"] != "test":
-            continue
+    for entry, done in completed:
         sid = entry["id"]
-        done = [m for m in METHODS if (runs_dir / sid / m / "labels_final.mvf").exists()]
-        if not done:
-            continue
         truth = read_mvf(root / entry["labels"])
         image_a = read_mvf(root / entry["image_a"])
         # reference: the direct arm applied to the same-protocol image
@@ -187,9 +191,6 @@ def cmd_eval(args) -> int:
                 )
             )
             per_method_volumes[method][sid] = vols
-
-    if not reports:
-        raise ConfigError(f"no completed runs found under {runs_dir}")
 
     metrics.write_report(reports, out_dir / "report.csv")
     print(out_dir / "report.csv")

@@ -22,7 +22,7 @@ import numpy as np
 from . import harmonize, metrics, synth
 from .errors import ArgumentError, CamelionError, PipelineError
 from .pv import PvConfig, class_means, estimate_pv, noise_sigma
-from .segmenter import SegmenterConfig, predict, train
+from .segmenter import AtlasSide, SegmenterConfig, atlas_side, predict, train
 from .synth import SynthConfig, SynthModel, save_synth_model, synthesize
 from .util import LatestSetMemo, content_key, derived_seed
 from .volumes import (
@@ -218,6 +218,8 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
     atlas_pvs = precompute_atlas_pv(atlases, cfg.pv)
 
     model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
+    # the atlas-label indices train just built; the spread gap reads them
+    side = atlas_side([a.labels for a in atlases], cfg.segmenter)
     labels_history = [stripped]
     # intensities for classes that vanish from an intermediate segmentation:
     # start from the atlas-side class means, then carry the latest fit
@@ -250,7 +252,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
                 last_intensities = model_t.class_intensities.copy()
         with _Stage(f"synthesize[{t}]", partial):
             new_images = [synthesize(model_t, pv) for pv in atlas_pvs]
-            sigma = _spread_gap_sigma(input_image, current, new_images, atlases)
+            sigma = _spread_gap_sigma(input_image, current, new_images, side)
             new_images = [
                 _with_noise(img, sigma, derived_seed(cfg.seed, t, 211, i))
                 for i, img in enumerate(new_images)
@@ -284,11 +286,13 @@ def _with_noise(image: ScalarVolume, sigma: float, seed: int) -> ScalarVolume:
     if sigma <= 0:
         return image
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    data = image.data.astype(np.float64) + rng.normal(0.0, sigma, size=image.header.dims)
+    data = rng.normal(0.0, sigma, size=image.header.dims)
+    data += image.data
     return ScalarVolume(image.header, data.astype(np.float32))
 
 
-def _spread_gap_sigma(input_image, current_labels, synthetic_images, atlases) -> float:
+def _spread_gap_sigma(input_image: ScalarVolume, current_labels: LabelVolume,
+                      synthetic_images: list[ScalarVolume], side: AtlasSide) -> float:
     """Noise level that closes the within-class spread gap between the input
     and the synthesized atlases.
 
@@ -296,18 +300,24 @@ def _spread_gap_sigma(input_image, current_labels, synthetic_images, atlases) ->
     but none of the input's noise or bias-field spread. Matching the pooled
     within-class variance keeps the retrained Gaussian segmenter's likelihood
     widths realistic; without it the loop's likelihoods turn pathologically
-    sharp and ignore the spatial prior.
+    sharp and ignore the spatial prior. The synthesized side is read through
+    the atlas side's class and tissue indices (side holds the atlases of
+    synthetic_images, in the same order).
     """
     means_in = class_means(input_image, current_labels)
     pooled_in = noise_sigma(input_image, current_labels, means_in)
     total = 0.0
     count = 0
-    for img, pair in zip(synthetic_images, atlases):
-        means_syn = class_means(img, pair.labels)
-        mask = pair.labels.data > 0
-        residual = img.data.astype(np.float64)[mask] - means_syn[pair.labels.data[mask] - 1]
+    for img, classes, tissue, tissue_class in zip(
+            synthetic_images, side.classes, side.tissue, side.tissue_class):
+        flat = img.data.reshape(-1)
+        means_syn = np.zeros(len(classes), dtype=np.float64)
+        for k, index in enumerate(classes):
+            if index.size:
+                means_syn[k] = flat[index].astype(np.float64).mean()
+        residual = flat[tissue].astype(np.float64) - means_syn[tissue_class]
         total += float(np.sum(residual**2))
-        count += int(mask.sum())
+        count += tissue.size
     pooled_syn_sq = total / max(count, 1)
     return float(np.sqrt(max(pooled_in**2 - pooled_syn_sq, 0.0)))
 

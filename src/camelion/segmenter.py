@@ -5,9 +5,12 @@ A Gaussian intensity classifier with a spatial atlas prior: class k
 contributes N(f; mu_k, sigma_k^2) * pi_k(j), where pi is the smoothed
 per-voxel label frequency across the atlases. Training is exact and fast,
 which matters because the adaptation loop retrains the segmenter on every
-iteration. The spatial prior depends on the atlas
-labels only, which the loop never changes, so train reuses it across
-calls.
+iteration. Everything that depends on the atlas labels only, which the
+loop never changes, is built once per atlas label set (AtlasSide): the
+spatial prior, its support (the brain mask) as flat voxel indices with
+the log-prior on it, and each atlas's class and tissue voxel indices.
+train gathers class statistics through those indices, and predict
+classifies the support voxels only: no other voxel can get a label.
 """
 
 from __future__ import annotations
@@ -38,15 +41,53 @@ class SegmenterConfig:
             raise ArgumentError(f"smoothing_weight must be >= 0, got {self.smoothing_weight}")
 
 
+@dataclass(frozen=True)
+class PriorSupport:
+    """The voxels a prior stack can label, as flat C-order indices.
+
+    index lists the voxels where any channel is positive (the brain mask)
+    in ascending order; log_prior is the float64 log of the prior there
+    (-inf where a channel is zero); padded is each index voxel's flat index
+    in the grid grown by one zero voxel on every side, which lets predict
+    read 6-neighbors without border cases. The arrays are read-only.
+    """
+
+    index: np.ndarray          # (n,) intp
+    log_prior: np.ndarray      # (K, n) float64
+    padded: np.ndarray         # (n,) intp
+
+
+def prior_support(prior: np.ndarray) -> PriorSupport:
+    """Support indices and log-prior of a (K, *dims) prior stack."""
+    index = np.flatnonzero(prior.any(axis=0))
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior.reshape(prior.shape[0], -1)[:, index].astype(np.float64))
+    coords = np.unravel_index(index, prior.shape[1:])
+    padded = np.ravel_multi_index(tuple(c + 1 for c in coords),
+                                  tuple(d + 2 for d in prior.shape[1:]))
+    for arr in (index, log_prior, padded):
+        arr.flags.writeable = False
+    return PriorSupport(index=index, log_prior=log_prior, padded=padded)
+
+
 @dataclass
 class SegmenterModel:
-    """Per-class intensity statistics plus the spatial prior stack."""
+    """Per-class intensity statistics plus the spatial prior stack.
+
+    support is derived from prior when not given; train passes the one
+    built with the atlas side.
+    """
 
     header: VolumeHeader
     means: np.ndarray          # (K,) float64
     variances: np.ndarray      # (K,) float64, all > 0
     prior: np.ndarray          # (K, *dims) float32, channel sums <= 1
     smoothing_weight: float
+    support: PriorSupport | None = None
+
+    def __post_init__(self):
+        if self.support is None:
+            self.support = prior_support(self.prior)
 
     @property
     def num_classes(self) -> int:
@@ -62,8 +103,9 @@ class SegOutput:
     """Hard labels with the posterior stack they were taken from.
 
     labels is always the per-voxel argmax of posteriors (ties to the
-    smaller class); out_of_prior counts voxels with positive intensity that
-    were forced to background because no atlas prior covers them.
+    smaller class) on the prior's support and background elsewhere, where
+    posteriors are zero; out_of_prior counts voxels with positive intensity
+    that were forced to background because no atlas prior covers them.
     """
 
     labels: LabelVolume
@@ -115,24 +157,65 @@ def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.nda
     return prior
 
 
-# the prior of the latest atlas label set, keyed by label content and
+@dataclass(frozen=True)
+class AtlasSide:
+    """What the segmenter and the loop read from a fixed atlas label set.
+
+    classes[i][k - 1] are the flat indices of atlas i's class-k voxels,
+    tissue[i] those of its non-background voxels and tissue_class[i] their
+    labels minus one, all in ascending (C) order, so that a gather through
+    them yields the values of a boolean-mask selection in the same order.
+    """
+
+    prior: np.ndarray                              # (K, *dims) float32
+    support: PriorSupport
+    classes: tuple[tuple[np.ndarray, ...], ...]    # [atlas][k - 1] -> intp
+    tissue: tuple[np.ndarray, ...]                 # [atlas] -> intp
+    tissue_class: tuple[np.ndarray, ...]           # [atlas] -> uint8
+
+
+def _atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> AtlasSide:
+    prior = atlas_prior(atlas_labels, cfg)
+    classes, tissue, tissue_class = [], [], []
+    for lab in atlas_labels:
+        flat = lab.data.reshape(-1)
+        classes.append(tuple(np.flatnonzero(flat == k) for k in range(1, lab.num_classes + 1)))
+        tissue.append(np.flatnonzero(flat))
+        tissue_class.append(flat[tissue[-1]] - 1)
+    for arr in (*(a for c in classes for a in c), *tissue, *tissue_class):
+        arr.flags.writeable = False
+    return AtlasSide(prior=prior, support=prior_support(prior), classes=tuple(classes),
+                     tissue=tuple(tissue), tissue_class=tuple(tissue_class))
+
+
+# the atlas side of the latest atlas label set, keyed by label content and
 # prior_epsilon
-_PRIORS = LatestSetMemo()
+_ATLAS_SIDES = LatestSetMemo()
+
+
+def atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> AtlasSide:
+    """The AtlasSide of these labels, reused from the previous call when the
+    labels (in this order) and prior_epsilon are unchanged."""
+    parts = [cfg.prior_epsilon]
+    for lab in atlas_labels:
+        parts += [lab.header, lab.num_classes, lab.data]
+    [side] = _ATLAS_SIDES.lookup([content_key(*parts)], lambda _: _atlas_side(atlas_labels, cfg))
+    return side
 
 
 def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
     """Fit the Gaussian classifier on atlas image/label pairs.
 
-    Class statistics are pooled over every atlas voxel of the class; the
-    spatial prior is atlas_prior of the atlas labels, reused from the
-    previous call when the labels and prior_epsilon are unchanged. Per-atlas
-    partial sums are reduced in sorted order, so the result is invariant to
-    atlas ordering.
+    Class statistics are pooled over every atlas voxel of the class,
+    gathered through the atlas side's class indices; the spatial prior and
+    its support come from atlas_side. Per-atlas partial sums are reduced in
+    sorted order, so the result is invariant to atlas ordering.
     """
     if not atlases:
         raise ArgumentError("need at least one atlas")
     header = require_same_header(*(a.image for a in atlases), *(a.labels for a in atlases))
     k_max = atlases[0].labels.num_classes
+    side = atlas_side([a.labels for a in atlases], cfg)
 
     counts = np.zeros((len(atlases), k_max), dtype=np.float64)
     sums = np.zeros((len(atlases), k_max), dtype=np.float64)
@@ -140,15 +223,14 @@ def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
     lo = np.empty(len(atlases))
     hi = np.empty(len(atlases))
     for i, pair in enumerate(atlases):
-        data = pair.image.data.astype(np.float64)
-        lo[i], hi[i] = data.min(), data.max()
-        for k in range(1, k_max + 1):
-            sel = pair.labels.data == k
-            if sel.any():
-                vals = data[sel]
-                counts[i, k - 1] = vals.size
-                sums[i, k - 1] = vals.sum()
-                sq_sums[i, k - 1] = np.sum(vals * vals)
+        flat = pair.image.data.reshape(-1)
+        lo[i], hi[i] = flat.min(), flat.max()
+        for k, index in enumerate(side.classes[i]):
+            if index.size:
+                vals = flat[index].astype(np.float64)
+                counts[i, k] = vals.size
+                sums[i, k] = vals.sum()
+                sq_sums[i, k] = np.sum(vals * vals)
 
     total = np.sort(counts, axis=0).sum(axis=0)
     for k in range(k_max):
@@ -162,79 +244,74 @@ def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
     floor = VARIANCE_FLOOR_FRACTION * intensity_range**2
     var = np.maximum(var, max(floor, np.finfo(np.float64).tiny))
 
-    labels = [a.labels for a in atlases]
-    parts = [cfg.prior_epsilon]
-    for lab in labels:
-        parts += [lab.header, lab.num_classes, lab.data]
-    [prior] = _PRIORS.lookup([content_key(*parts)], lambda _: atlas_prior(labels, cfg))
-
     return SegmenterModel(
         header=header,
         means=mean,
         variances=var,
-        prior=prior,
+        prior=side.prior,
         smoothing_weight=cfg.smoothing_weight,
+        support=side.support,
     )
 
 
-def _neighbor_counts(labels: np.ndarray, k_max: int) -> np.ndarray:
-    """Count of 6-neighbors carrying each class; borders count as none."""
-    counts = np.zeros((k_max,) + labels.shape, dtype=np.float64)
-    for k in range(1, k_max + 1):
-        onehot = (labels == k).astype(np.float64)
-        acc = counts[k - 1]
-        acc[1:, :, :] += onehot[:-1, :, :]
-        acc[:-1, :, :] += onehot[1:, :, :]
-        acc[:, 1:, :] += onehot[:, :-1, :]
-        acc[:, :-1, :] += onehot[:, 1:, :]
-        acc[:, :, 1:] += onehot[:, :, :-1]
-        acc[:, :, :-1] += onehot[:, :, 1:]
+def _neighbor_counts(labels: np.ndarray, support: PriorSupport, dims, k_max: int) -> np.ndarray:
+    """Per support voxel, the count of 6-neighbors carrying each class;
+    voxels off the support are background and borders count as none."""
+    padded = np.zeros(tuple(d + 2 for d in dims), dtype=np.uint8)
+    flat = padded.reshape(-1)
+    flat[support.padded] = labels
+    classes = np.arange(1, k_max + 1, dtype=np.uint8)[:, None]
+    counts = np.zeros((k_max, labels.size), dtype=np.float64)
+    # uint8, so the byte strides are the flat index steps along each axis
+    for step in padded.strides:
+        for offset in (-step, step):
+            counts += flat[support.padded + offset] == classes
     return counts
+
+
+def _normalize(log_w: np.ndarray) -> np.ndarray:
+    q = np.exp(log_w - log_w.max(axis=0))
+    q /= q.sum(axis=0)
+    return q
 
 
 def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
     """Per-voxel Bayes classification under the trained model.
 
-    Posterior(k | f) is proportional to N(f; mu_k, sigma_k^2) * pi_k.
-    Voxels without any prior support are background. When smoothing_weight
-    is positive, one synchronous iterated-conditional-modes pass folds a
-    6-neighborhood agreement bonus exp(w * n_k) into the posteriors and
-    relabels from the adjusted stack, so labels stay the posterior argmax.
+    Posterior(k | f) is proportional to N(f; mu_k, sigma_k^2) * pi_k, and
+    is evaluated on the prior's support only: voxels without any prior
+    support are background. When smoothing_weight is positive, one
+    synchronous iterated-conditional-modes pass folds a 6-neighborhood
+    agreement bonus exp(w * n_k) into the posteriors and relabels from the
+    adjusted stack, so labels stay the posterior argmax.
     """
     if image.header != model.header:
         raise ArgumentError(f"image header {image.header} does not match model {model.header}")
     k_max = model.num_classes
-    f = image.data.astype(np.float64)
-    mask = model.brain_mask
+    support = model.support
+    f = image.data.reshape(-1)[support.index].astype(np.float64)
 
-    log_w = np.empty((k_max,) + image.header.dims, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(model.prior.astype(np.float64))
+    log_w = np.empty((k_max, f.size), dtype=np.float64)
     for k in range(k_max):
         mu, var = model.means[k], model.variances[k]
         log_w[k] = -0.5 * np.log(2.0 * np.pi * var) - (f - mu) ** 2 / (2.0 * var)
-    log_w += log_prior
+    log_w += support.log_prior
 
-    def normalize(log_stack):
-        top = log_stack.max(axis=0)
-        q = np.exp(log_stack - np.where(mask, top, 0.0), where=mask[None], out=np.zeros_like(log_stack))
-        q[:, ~mask] = 0.0
-        denom = q.sum(axis=0)
-        np.divide(q, denom, where=mask[None], out=q)
-        return q
-
-    posteriors = normalize(log_w)
-    labels = np.where(mask, posteriors.argmax(axis=0) + 1, 0).astype(np.uint8)
-
+    posteriors = _normalize(log_w)
+    labels = (posteriors.argmax(axis=0) + 1).astype(np.uint8)
     if model.smoothing_weight > 0:
-        bonus = model.smoothing_weight * _neighbor_counts(labels, k_max)
-        posteriors = normalize(log_w + bonus)
-        labels = np.where(mask, posteriors.argmax(axis=0) + 1, 0).astype(np.uint8)
+        bonus = model.smoothing_weight * _neighbor_counts(labels, support, image.header.dims, k_max)
+        posteriors = _normalize(log_w + bonus)
+        labels = (posteriors.argmax(axis=0) + 1).astype(np.uint8)
 
-    out_of_prior = int(np.count_nonzero((image.data > 0) & ~mask))
+    n_voxels = image.header.n_voxels
+    full_labels = np.zeros(n_voxels, dtype=np.uint8)
+    full_labels[support.index] = labels
+    full_posteriors = np.zeros((k_max, n_voxels), dtype=np.float64)
+    full_posteriors[:, support.index] = posteriors
+    out_of_prior = int(np.count_nonzero(image.data > 0)) - int(np.count_nonzero(f > 0))
     return SegOutput(
-        labels=LabelVolume(image.header, labels, num_classes=k_max),
-        posteriors=posteriors,
+        labels=LabelVolume(image.header, full_labels.reshape(image.header.dims), num_classes=k_max),
+        posteriors=full_posteriors.reshape((k_max,) + image.header.dims),
         out_of_prior=out_of_prior,
     )
-

@@ -8,7 +8,7 @@ the implementations under test.
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from camelion import phantom, tissues
+from camelion import phantom, pv, segmenter, tissues
 
 
 def grid_objective(alpha, f, c_a, c_b, sigma, beta):
@@ -218,3 +218,110 @@ def atlas_prior_reference(label_arrays, num_classes, prior_epsilon, radius=3):
     if over.any():
         prior = np.where(over, prior / np.maximum(channel_sum, 1.0), prior)
     return np.ascontiguousarray(prior, dtype=np.float32)
+
+
+def _full_grid_neighbor_counts(labels, k_max):
+    counts = np.zeros((k_max,) + labels.shape, dtype=np.float64)
+    for k in range(1, k_max + 1):
+        onehot = (labels == k).astype(np.float64)
+        acc = counts[k - 1]
+        acc[1:, :, :] += onehot[:-1, :, :]
+        acc[:-1, :, :] += onehot[1:, :, :]
+        acc[:, 1:, :] += onehot[:, :-1, :]
+        acc[:, :-1, :] += onehot[:, 1:, :]
+        acc[:, :, 1:] += onehot[:, :, :-1]
+        acc[:, :, :-1] += onehot[:, :, 1:]
+    return counts
+
+
+def predict_reference(model, image):
+    """The Gaussian classifier evaluated on the whole grid, as predict did it
+    before it worked on the prior's support: the likelihood, the masked
+    exp/normalize, the argmax and the one-pass ICM bonus on every voxel.
+    Returns (labels, posteriors, out_of_prior)."""
+    k_max = model.prior.shape[0]
+    f = image.data.astype(np.float64)
+    mask = model.prior.any(axis=0)
+    log_w = np.empty((k_max,) + f.shape, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(model.prior.astype(np.float64))
+    for k in range(k_max):
+        mu, var = model.means[k], model.variances[k]
+        log_w[k] = -0.5 * np.log(2.0 * np.pi * var) - (f - mu) ** 2 / (2.0 * var)
+    log_w += log_prior
+
+    def normalize(log_stack):
+        top = log_stack.max(axis=0)
+        q = np.exp(log_stack - np.where(mask, top, 0.0), where=mask[None], out=np.zeros_like(log_stack))
+        q[:, ~mask] = 0.0
+        denom = q.sum(axis=0)
+        np.divide(q, denom, where=mask[None], out=q)
+        return q
+
+    posteriors = normalize(log_w)
+    labels = np.where(mask, posteriors.argmax(axis=0) + 1, 0).astype(np.uint8)
+    if model.smoothing_weight > 0:
+        bonus = model.smoothing_weight * _full_grid_neighbor_counts(labels, k_max)
+        posteriors = normalize(log_w + bonus)
+        labels = np.where(mask, posteriors.argmax(axis=0) + 1, 0).astype(np.uint8)
+    out_of_prior = int(np.count_nonzero((image.data > 0) & ~mask))
+    return labels, posteriors, out_of_prior
+
+
+def train_statistics_reference(atlases):
+    """Pooled class means and floored variances, each class selected with a
+    full-grid ``labels == k`` scan per atlas, as train did it before it
+    gathered through fixed class indices. Returns (means, variances)."""
+    k_max = atlases[0].labels.num_classes
+    counts = np.zeros((len(atlases), k_max))
+    sums = np.zeros((len(atlases), k_max))
+    sq_sums = np.zeros((len(atlases), k_max))
+    lo = np.empty(len(atlases))
+    hi = np.empty(len(atlases))
+    for i, pair in enumerate(atlases):
+        data = pair.image.data.astype(np.float64)
+        lo[i], hi[i] = data.min(), data.max()
+        for k in range(1, k_max + 1):
+            sel = pair.labels.data == k
+            if sel.any():
+                vals = data[sel]
+                counts[i, k - 1] = vals.size
+                sums[i, k - 1] = vals.sum()
+                sq_sums[i, k - 1] = np.sum(vals * vals)
+    total = np.sort(counts, axis=0).sum(axis=0)
+    mean = np.sort(sums, axis=0).sum(axis=0) / total
+    var = np.sort(sq_sums, axis=0).sum(axis=0) / total - mean**2
+    floor = segmenter.VARIANCE_FLOOR_FRACTION * float(hi.max() - lo.min()) ** 2
+    return mean, np.maximum(var, max(floor, np.finfo(np.float64).tiny))
+
+
+def _class_means_by_scan(data, labels, k_max):
+    means = np.zeros(k_max, dtype=np.float64)
+    for k in range(1, k_max + 1):
+        sel = labels == k
+        if sel.any():
+            means[k - 1] = data[sel].mean()
+    return means
+
+
+def spread_gap_sigma_reference(input_image, current_labels, synthetic_images, atlases):
+    """The loop's spread-gap noise level with boolean-mask scans of every
+    label volume, as the loop computed it before it read the atlas side's
+    class and tissue indices."""
+    k_max = current_labels.num_classes
+    data = input_image.data.astype(np.float64)
+    means_in = _class_means_by_scan(data, current_labels.data, k_max)
+    mask = current_labels.data > 0
+    residual = data[mask] - means_in[current_labels.data[mask] - 1]
+    floor = pv.SIGMA_FLOOR_FRACTION * float(data.max() - data.min())
+    pooled_in = max(float(np.sqrt(np.mean(residual**2))), floor, np.finfo(np.float64).tiny)
+    total = 0.0
+    count = 0
+    for img, pair in zip(synthetic_images, atlases):
+        syn = img.data.astype(np.float64)
+        means_syn = _class_means_by_scan(syn, pair.labels.data, k_max)
+        mask = pair.labels.data > 0
+        residual = syn[mask] - means_syn[pair.labels.data[mask] - 1]
+        total += float(np.sum(residual**2))
+        count += int(mask.sum())
+    return float(np.sqrt(max(pooled_in**2 - total / max(count, 1), 0.0)))

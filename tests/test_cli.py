@@ -226,6 +226,17 @@ class TestEvalCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("runs_dir", ["empty", "missing"])
+    def test_no_runs_writes_nothing(self, cohort, tmp_path, runs_dir):
+        (tmp_path / "empty").mkdir()
+        out = tmp_path / "out"
+        code = run_cli(
+            "eval", "--manifest", str(cohort / "manifest.json"),
+            "--runs", str(tmp_path / runs_dir), "--out", str(out), *SMALL
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_rejected_config_writes_nothing(self, cohort, runs, tmp_path):
         out = tmp_path / "eval"
         code = run_cli(

@@ -36,6 +36,7 @@ from camelion.volumes import (
     encode_mvf,
     validate_partial_volumes,
 )
+from oracles import spread_gap_sigma_reference
 
 NOISELESS_A = ProtocolParams((25.0, 15.0, 60.0, 100.0, 80.0))
 PARAMS = PhantomParams(base_dims=(24, 24, 24), supersample=4, seed=99)
@@ -194,7 +195,7 @@ class TestRun:
         atlases, input_image, _ = small_cohort
         cfg = LoopConfig(max_iterations=2)
         monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestSetMemo())
-        monkeypatch.setattr(segmenter, "_PRIORS", LatestSetMemo())
+        monkeypatch.setattr(segmenter, "_ATLAS_SIDES", LatestSetMemo())
         r1 = run(input_image, atlases, cfg)
         r2 = run(input_image, atlases, cfg)
 
@@ -378,6 +379,61 @@ class TestRunNhm:
         atlases, input_image, _ = small_cohort
         with pytest.raises(ArgumentError):
             run_nhm(input_image, atlases, 7, LoopConfig())
+
+
+class TestSpreadGapAndNoise:
+    """The spread gap read through the atlas side's indices, and the noise
+    drawn before the image is added, give the bytes of the former code."""
+
+    @staticmethod
+    def scene(voxel=(1.0, 2.0, 0.5), seed=4):
+        rng = np.random.default_rng(seed)
+        dims = (20, 24, 16)
+        header = VolumeHeader(dims, voxel)
+
+        def labels(missing=None):
+            data = np.zeros(dims, dtype=np.uint8)
+            data[1:-1, 2:-2, 1:-1] = rng.integers(1, 6, size=(18, 20, 14))
+            if missing is not None:
+                data[data == missing] = 1
+            return LabelVolume(header, data, num_classes=5)
+
+        def image(lab, scale):
+            base = np.where(lab.data > 0, lab.data * 25.0, 0.0)
+            # heavy-tailed noise, so that a change of summation order shows
+            noise = rng.normal(0, scale, dims) * rng.lognormal(0, 1.5, dims)
+            return ScalarVolume(header, base + noise)
+
+        atlas_labels = [labels(), labels(missing=4), labels()]
+        atlases = [AtlasPair(image(lab, 2.0), lab) for lab in atlas_labels]
+        synthetic = [image(lab, 1.0) for lab in atlas_labels]
+        current = labels(missing=2)
+        return image(current, 1.3), current, synthetic, atlases
+
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5)])
+    def test_spread_gap_matches_full_scan(self, voxel):
+        input_image, current, synthetic, atlases = self.scene(voxel)
+        side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
+        got = pipeline._spread_gap_sigma(input_image, current, synthetic, side)
+        assert got > 0
+        assert got == spread_gap_sigma_reference(input_image, current, synthetic, atlases)
+
+    def test_spread_gap_zero_when_synthetic_spread_is_wider(self):
+        input_image, current, synthetic, atlases = self.scene()
+        side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
+        got = pipeline._spread_gap_sigma(synthetic[0], atlases[0].labels, [input_image] * 3, side)
+        assert got == 0.0
+        assert got == spread_gap_sigma_reference(synthetic[0], atlases[0].labels,
+                                                 [input_image] * 3, atlases)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noise_matches_image_plus_draw(self, seed):
+        input_image = self.scene()[0]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        expected = input_image.data.astype(np.float64) + rng.normal(
+            0.0, 3.5, size=input_image.header.dims)
+        got = pipeline._with_noise(input_image, 3.5, seed)
+        assert got.data.tobytes() == expected.astype(np.float32).tobytes()
 
 
 class TestArtifacts:

@@ -14,14 +14,21 @@ from camelion.phantom import (
 from camelion import segmenter
 from camelion.segmenter import (
     SegmenterConfig,
+    SegmenterModel,
     atlas_prior,
+    atlas_side,
     label_frequency,
     predict,
     train,
 )
 from camelion.util import LatestSetMemo
 from camelion.volumes import AtlasPair, LabelVolume, ScalarVolume, VolumeHeader
-from oracles import atlas_prior_reference, bayes_labels
+from oracles import (
+    atlas_prior_reference,
+    bayes_labels,
+    predict_reference,
+    train_statistics_reference,
+)
 
 NO_SMOOTH = SegmenterConfig(smoothing_weight=0.0)
 
@@ -113,7 +120,7 @@ class TestPriorMemo:
             calls.append(len(atlas_labels))
             return label_frequency(atlas_labels)
 
-        monkeypatch.setattr(segmenter, "_PRIORS", LatestSetMemo())
+        monkeypatch.setattr(segmenter, "_ATLAS_SIDES", LatestSetMemo())
         monkeypatch.setattr(segmenter, "label_frequency", counting)
         return calls
 
@@ -162,6 +169,30 @@ class TestPriorMemo:
         assert frequency_calls == [3, 3, 3]
         fresh = atlas_prior_reference([p.labels.data for p in changed], 5, 1e-2)
         assert got.tobytes() == fresh.tobytes()
+
+    def test_same_labels_as_new_objects_hit(self, frequency_calls):
+        pairs = self.atlases()
+        side = atlas_side([p.labels for p in pairs], NO_SMOOTH)
+        copies = [pair_from(p.image.data.copy(), p.labels.data.copy()) for p in pairs]
+        model = train(copies, NO_SMOOTH)
+        assert frequency_calls == [3]
+        assert atlas_side([p.labels for p in copies], NO_SMOOTH) is side
+        assert model.support is side.support
+        for i, p in enumerate(pairs):
+            flat = p.labels.data.reshape(-1)
+            assert np.array_equal(side.tissue[i], np.flatnonzero(flat > 0))
+            for k in range(1, 6):
+                assert np.array_equal(side.classes[i][k - 1], np.flatnonzero(flat == k))
+
+    def test_new_label_set_evicts_the_old_one(self, frequency_calls):
+        first = self.atlases(seed=5)
+        second = self.atlases(seed=6)
+        side = atlas_side([p.labels for p in first], NO_SMOOTH)
+        atlas_side([p.labels for p in second], NO_SMOOTH)
+        again = atlas_side([p.labels for p in first], NO_SMOOTH)
+        assert frequency_calls == [3, 3, 3]
+        assert again is not side
+        assert again.prior.tobytes() == side.prior.tobytes()
 
 
 class TestPredict:
@@ -232,8 +263,6 @@ class TestPredict:
         probe = rng.normal(60, 40, size=(10, 10, 10)).astype(np.float32)
         full = predict(model, ScalarVolume(model.header, probe))
 
-        from camelion.segmenter import SegmenterModel
-
         crop = (slice(0, 6), slice(0, 10), slice(0, 10))
         sub_header = VolumeHeader((6, 10, 10), model.header.voxel_size)
         sub_model = SegmenterModel(
@@ -245,6 +274,7 @@ class TestPredict:
         )
         sub = predict(sub_model, ScalarVolume(sub_header, probe[crop]))
         assert np.array_equal(sub.labels.data, full.labels.data[crop])
+        assert_matches_full_grid(sub_model, probe[crop])
 
     def test_smoothing_removes_salt_noise(self):
         rng = np.random.default_rng(12)
@@ -263,6 +293,76 @@ class TestPredict:
         err_plain = (plain.labels.data != labels).sum()
         err_smooth = (smoothed.labels.data != labels).sum()
         assert err_smooth <= err_plain
+
+
+def varied_atlases(dims=(12, 14, 10), voxel=(1.0, 2.0, 0.5), seed=0):
+    """Three atlases on an anisotropic grid: noisy class blocks inside a
+    box that differs per atlas, with class 4 missing from the second."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(3):
+        labels = np.zeros(dims, dtype=np.uint8)
+        inner = (slice(2 + i % 2, -2), slice(2, -2 - i), slice(1, -1))
+        block = np.repeat(rng.integers(1, 6, size=(3, 10, 8)), 3, axis=0)
+        labels[inner] = block[tuple(slice(0, n) for n in labels[inner].shape)]
+        flip = (rng.random(dims) < 0.1) & (labels > 0)
+        labels[flip] = rng.integers(1, 6, size=dims)[flip]
+        if i == 1:
+            labels[labels == 4] = 3
+        image = np.where(labels > 0, labels * 20.0 + rng.normal(0, 6, dims), 0.0)
+        pairs.append(pair_from(image, labels, voxel=voxel))
+    return pairs
+
+
+def probe_image(shape, seed):
+    """Positive intensities off the prior's support, and mostly positive
+    ones on it, with every seventh voxel zero and every eleventh negative."""
+    probe = np.abs(np.random.default_rng(seed).normal(60, 40, size=shape)) + 1.0
+    probe.flat[::7] = 0.0
+    probe.flat[::11] = -5.0
+    return probe.astype(np.float32)
+
+
+def assert_matches_full_grid(model, probe):
+    out = predict(model, ScalarVolume(model.header, probe))
+    labels, posteriors, out_of_prior = predict_reference(model, ScalarVolume(model.header, probe))
+    assert out.labels.data.tobytes() == labels.tobytes()
+    assert out.posteriors.tobytes() == posteriors.tobytes()
+    assert out.out_of_prior == out_of_prior
+    return out
+
+
+class TestSupportMatchesFullGrid:
+    """predict on the prior's support and train through the atlas side's
+    class indices give the bytes of the full-grid versions in oracles.py."""
+
+    def test_train_statistics(self):
+        pairs = varied_atlases()
+        model = train(pairs, NO_SMOOTH)
+        means, variances = train_statistics_reference(pairs)
+        assert model.means.tobytes() == means.tobytes()
+        assert model.variances.tobytes() == variances.tobytes()
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    def test_trained_model_on_anisotropic_grid(self, weight):
+        pairs = varied_atlases()
+        model = train(pairs, SegmenterConfig(smoothing_weight=weight))
+        out = assert_matches_full_grid(model, probe_image(model.header.dims, seed=1))
+        assert out.out_of_prior > 0
+        assert np.all(out.posteriors[:, ~model.brain_mask] == 0.0)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    def test_prior_with_zero_support_holes(self, weight):
+        base = train(varied_atlases(), NO_SMOOTH)
+        rng = np.random.default_rng(2)
+        prior = base.prior.copy()
+        prior[:, rng.random(base.header.dims) < 0.15] = 0.0      # holes in the support
+        prior[2, rng.random(base.header.dims) < 0.3] = 0.0       # one class blocked
+        prior[:, rng.random(base.header.dims) < 0.1] = 1e-7      # faint but supported
+        model = SegmenterModel(base.header, base.means, base.variances, prior, weight)
+        out = assert_matches_full_grid(model, probe_image(model.header.dims, seed=3))
+        assert out.out_of_prior > 0
+        assert np.all(out.labels.data[prior[2] == 0] != 3)
 
 
 def test_self_consistency_on_noiseless_phantom():
