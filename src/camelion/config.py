@@ -55,13 +55,6 @@ def _parse_value(key: str, raw: str):
     default = DEFAULTS[key]
     raw = raw.strip()
     try:
-        if isinstance(default, bool):
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -119,9 +112,7 @@ def format_config(cfg: dict) -> str:
     lines = []
     for key in sorted(cfg):
         value = cfg[key]
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             text = " ".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, float):
             text = f"{value:g}"

@@ -334,12 +334,10 @@ def _build_subject(params: PhantomParams, index: int, proto_a, proto_b, out_dir:
         "image_a": f"{sid}_image_a.mvf",
         "image_b": f"{sid}_image_b.mvf",
         "labels": f"{sid}_labels.mvf",
-        "pv": f"{sid}_pv.mvf",
     }
     write_mvf(img_a, out_dir / files["image_a"])
     write_mvf(img_b, out_dir / files["image_b"])
     write_mvf(labels, out_dir / files["labels"])
-    write_mvf(pv, out_dir / files["pv"])
     return files
 
 
@@ -353,9 +351,11 @@ def generate_cohort(
 ) -> dict:
     """Generate a full cohort and write it under ``out_dir``.
 
-    Every subject gets four files (protocol-A image, protocol-B image,
-    truth labels, truth partial volumes); the manifest lists them with
-    relative paths so a cohort directory is relocatable. Subjects are
+    Every subject gets three files (protocol-A image, protocol-B image,
+    truth labels); the manifest lists them with relative paths so a cohort
+    directory is relocatable. The truth partial volumes are not written:
+    generate_label_phantom, downsample_to_pv and restrict_to_top_two
+    rebuild them from the seed. Subjects are
     rendered in parallel (capped by CAMELION_THREADS) but the output is
     byte-identical for a given seed regardless of worker count.
     """

@@ -108,8 +108,27 @@ class _Stage:
         return False
 
 
-# atlas partial volumes of the latest atlas set, keyed by atlas content
+# the fixed atlas side, each cache keyed by content and holding the latest
+# atlas set only: the segmenter's AtlasSide (from the labels) and the atlas
+# partial volumes (from images and labels)
+_ATLAS_SIDES = LatestSetMemo()
 _ATLAS_PV = LatestSetMemo()
+
+
+def precompute_atlas_side(atlases: list[AtlasPair], cfg: SegmenterConfig) -> AtlasSide:
+    """The segmenter's AtlasSide of the atlas labels.
+
+    Computed once per atlas label set per process: the side is keyed by a
+    digest of prior_epsilon and of each atlas's label header, class count
+    and label bytes (in atlas order), and only the latest set is kept. The
+    atlas images play no part, so every retrain of one loop shares it.
+    """
+    parts = [cfg.prior_epsilon]
+    for pair in atlases:
+        parts += [pair.labels.header, pair.labels.num_classes, pair.labels.data]
+    [side] = _ATLAS_SIDES.lookup(
+        [content_key(*parts)], lambda _: atlas_side([a.labels for a in atlases], cfg))
+    return side
 
 
 def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[PartialVolumeSet]:
@@ -154,17 +173,20 @@ def _checked_foreground(input_image: ScalarVolume, atlases: list[AtlasPair],
 
 def _initial_segmentation(input_image: ScalarVolume, atlases: list[AtlasPair],
                           cfg: LoopConfig, fg: np.ndarray):
+    """Train on the original atlas images and segment the input; returns
+    the atlas side, the model and the stripped labels."""
     with _Stage("train"):
-        model = train(atlases, cfg.segmenter)
+        side = precompute_atlas_side(atlases, cfg.segmenter)
+        model = train([a.image for a in atlases], side, cfg.segmenter)
     with _Stage("segment"):
         out = predict(model, input_image)
-    return model, _strip(out.labels, fg)
+    return side, model, _strip(out.labels, fg)
 
 
 def run_direct(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) -> LabelVolume:
     """Comparison arm: train on the original atlas images and predict once."""
     fg = _checked_foreground(input_image, atlases, cfg)
-    return _initial_segmentation(input_image, atlases, cfg, fg)[1]
+    return _initial_segmentation(input_image, atlases, cfg, fg)[2]
 
 
 def check_reference_atlas(reference_atlas_index: int, n_atlases: int) -> None:
@@ -193,7 +215,7 @@ def run_nhm(input_image: ScalarVolume, atlases: list[AtlasPair],
             matched = harmonize.apply(lmap, input_image, mask=src_mask)
         else:
             matched = input_image
-    return _initial_segmentation(matched, atlases, cfg, src_mask)[1]
+    return _initial_segmentation(matched, atlases, cfg, src_mask)[2]
 
 
 def foreground_mask(image: ScalarVolume, rel_threshold: float) -> np.ndarray:
@@ -217,9 +239,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
     fg = _checked_foreground(input_image, atlases, cfg)
     atlas_pvs = precompute_atlas_pv(atlases, cfg.pv)
 
-    model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
-    # the atlas-label indices train just built; the spread gap reads them
-    side = atlas_side([a.labels for a in atlases], cfg.segmenter)
+    side, model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
     labels_history = [stripped]
     # intensities for classes that vanish from an intermediate segmentation:
     # start from the atlas-side class means, then carry the latest fit
@@ -258,8 +278,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
                 for i, img in enumerate(new_images)
             ]
         with _Stage(f"retrain[{t}]", partial):
-            pairs = [AtlasPair(img, a.labels) for img, a in zip(new_images, atlases)]
-            model = train(pairs, cfg.segmenter)
+            model = train(new_images, side, cfg.segmenter)
         with _Stage(f"segment[{t}]", partial):
             seg_out = predict(model, input_image)
             new_labels = _strip(seg_out.labels, fg)

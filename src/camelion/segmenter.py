@@ -1,16 +1,17 @@
-"""Trainable segmenter: intensity image in, labels plus per-class
-posteriors out.
+"""Trainable segmenter: intensity image in, labels out.
 
 A Gaussian intensity classifier with a spatial atlas prior: class k
 contributes N(f; mu_k, sigma_k^2) * pi_k(j), where pi is the smoothed
 per-voxel label frequency across the atlases. Training is exact and fast,
 which matters because the adaptation loop retrains the segmenter on every
 iteration. Everything that depends on the atlas labels only, which the
-loop never changes, is built once per atlas label set (AtlasSide): the
-spatial prior, its support (the brain mask) as flat voxel indices with
-the log-prior on it, and each atlas's class and tissue voxel indices.
-train gathers class statistics through those indices, and predict
-classifies the support voxels only: no other voxel can get a label.
+loop never changes, is built by atlas_side (AtlasSide): the support of
+the spatial prior (the brain mask) as flat voxel indices with the
+log-prior on it, and each atlas's class and tissue voxel indices. train
+fits class statistics of a set of atlas images through those indices,
+and predict classifies the support voxels only: no other voxel can get a
+label. Nothing here is cached: the pipeline keeps the side of its atlas
+label set and passes it to every train call.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from scipy.ndimage import uniform_filter
 
 from . import tissues
 from .errors import ArgumentError, TrainingError
-from .volumes import AtlasPair, LabelVolume, ScalarVolume, VolumeHeader, require_same_header
-from .util import LatestSetMemo, content_key
+from .volumes import LabelVolume, ScalarVolume, VolumeHeader, require_same_header
 
 PRIOR_SMOOTH_RADIUS = 3            # box filter radius in voxels
 VARIANCE_FLOOR_FRACTION = 1e-4     # of the squared global intensity range
@@ -72,44 +72,30 @@ def prior_support(prior: np.ndarray) -> PriorSupport:
 
 @dataclass
 class SegmenterModel:
-    """Per-class intensity statistics plus the spatial prior stack.
-
-    support is derived from prior when not given; train passes the one
-    built with the atlas side.
-    """
+    """Per-class intensity statistics plus the support of the spatial prior."""
 
     header: VolumeHeader
     means: np.ndarray          # (K,) float64
     variances: np.ndarray      # (K,) float64, all > 0
-    prior: np.ndarray          # (K, *dims) float32, channel sums <= 1
+    support: PriorSupport
     smoothing_weight: float
-    support: PriorSupport | None = None
-
-    def __post_init__(self):
-        if self.support is None:
-            self.support = prior_support(self.prior)
 
     @property
     def num_classes(self) -> int:
-        return self.prior.shape[0]
-
-    @property
-    def brain_mask(self) -> np.ndarray:
-        return self.prior.any(axis=0)
+        return self.support.log_prior.shape[0]
 
 
 @dataclass
 class SegOutput:
-    """Hard labels with the posterior stack they were taken from.
+    """Hard labels and the count of voxels no prior covers.
 
-    labels is always the per-voxel argmax of posteriors (ties to the
-    smaller class) on the prior's support and background elsewhere, where
-    posteriors are zero; out_of_prior counts voxels with positive intensity
-    that were forced to background because no atlas prior covers them.
+    labels is the per-voxel posterior argmax (ties to the smaller class) on
+    the prior's support and background elsewhere; out_of_prior counts
+    voxels with positive intensity that were forced to background because
+    no atlas prior covers them.
     """
 
     labels: LabelVolume
-    posteriors: np.ndarray
     out_of_prior: int
 
 
@@ -161,20 +147,22 @@ def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.nda
 class AtlasSide:
     """What the segmenter and the loop read from a fixed atlas label set.
 
+    support is that of the atlas prior on the atlases' shared header.
     classes[i][k - 1] are the flat indices of atlas i's class-k voxels,
     tissue[i] those of its non-background voxels and tissue_class[i] their
     labels minus one, all in ascending (C) order, so that a gather through
     them yields the values of a boolean-mask selection in the same order.
     """
 
-    prior: np.ndarray                              # (K, *dims) float32
+    header: VolumeHeader
     support: PriorSupport
     classes: tuple[tuple[np.ndarray, ...], ...]    # [atlas][k - 1] -> intp
     tissue: tuple[np.ndarray, ...]                 # [atlas] -> intp
     tissue_class: tuple[np.ndarray, ...]           # [atlas] -> uint8
 
 
-def _atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> AtlasSide:
+def atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> AtlasSide:
+    """Build the AtlasSide of these atlas labels (in this order)."""
     prior = atlas_prior(atlas_labels, cfg)
     classes, tissue, tissue_class = [], [], []
     for lab in atlas_labels:
@@ -184,46 +172,35 @@ def _atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> AtlasS
         tissue_class.append(flat[tissue[-1]] - 1)
     for arr in (*(a for c in classes for a in c), *tissue, *tissue_class):
         arr.flags.writeable = False
-    return AtlasSide(prior=prior, support=prior_support(prior), classes=tuple(classes),
-                     tissue=tuple(tissue), tissue_class=tuple(tissue_class))
+    return AtlasSide(header=atlas_labels[0].header, support=prior_support(prior),
+                     classes=tuple(classes), tissue=tuple(tissue), tissue_class=tuple(tissue_class))
 
 
-# the atlas side of the latest atlas label set, keyed by label content and
-# prior_epsilon
-_ATLAS_SIDES = LatestSetMemo()
-
-
-def atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> AtlasSide:
-    """The AtlasSide of these labels, reused from the previous call when the
-    labels (in this order) and prior_epsilon are unchanged."""
-    parts = [cfg.prior_epsilon]
-    for lab in atlas_labels:
-        parts += [lab.header, lab.num_classes, lab.data]
-    [side] = _ATLAS_SIDES.lookup([content_key(*parts)], lambda _: _atlas_side(atlas_labels, cfg))
-    return side
-
-
-def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
-    """Fit the Gaussian classifier on atlas image/label pairs.
+def train(images: list[ScalarVolume], side: AtlasSide, cfg: SegmenterConfig) -> SegmenterModel:
+    """Fit the Gaussian classifier on atlas images, image i labelled by the
+    atlas side's atlas i.
 
     Class statistics are pooled over every atlas voxel of the class,
-    gathered through the atlas side's class indices; the spatial prior and
-    its support come from atlas_side. Per-atlas partial sums are reduced in
-    sorted order, so the result is invariant to atlas ordering.
+    gathered through the side's class indices; the prior support is the
+    side's. Per-atlas partial sums are reduced in sorted order, so the
+    result is invariant to atlas ordering.
     """
-    if not atlases:
-        raise ArgumentError("need at least one atlas")
-    header = require_same_header(*(a.image for a in atlases), *(a.labels for a in atlases))
-    k_max = atlases[0].labels.num_classes
-    side = atlas_side([a.labels for a in atlases], cfg)
+    if len(images) != len(side.classes):
+        raise ArgumentError(
+            f"{len(images)} atlas images for an atlas side of {len(side.classes)} atlases")
+    for image in images:
+        if image.header != side.header:
+            raise ArgumentError(
+                f"atlas image header {image.header} does not match the atlas side's {side.header}")
+    k_max = len(side.classes[0])
 
-    counts = np.zeros((len(atlases), k_max), dtype=np.float64)
-    sums = np.zeros((len(atlases), k_max), dtype=np.float64)
-    sq_sums = np.zeros((len(atlases), k_max), dtype=np.float64)
-    lo = np.empty(len(atlases))
-    hi = np.empty(len(atlases))
-    for i, pair in enumerate(atlases):
-        flat = pair.image.data.reshape(-1)
+    counts = np.zeros((len(images), k_max), dtype=np.float64)
+    sums = np.zeros((len(images), k_max), dtype=np.float64)
+    sq_sums = np.zeros((len(images), k_max), dtype=np.float64)
+    lo = np.empty(len(images))
+    hi = np.empty(len(images))
+    for i, image in enumerate(images):
+        flat = image.data.reshape(-1)
         lo[i], hi[i] = flat.min(), flat.max()
         for k, index in enumerate(side.classes[i]):
             if index.size:
@@ -245,12 +222,11 @@ def train(atlases: list[AtlasPair], cfg: SegmenterConfig) -> SegmenterModel:
     var = np.maximum(var, max(floor, np.finfo(np.float64).tiny))
 
     return SegmenterModel(
-        header=header,
+        header=side.header,
         means=mean,
         variances=var,
-        prior=side.prior,
-        smoothing_weight=cfg.smoothing_weight,
         support=side.support,
+        smoothing_weight=cfg.smoothing_weight,
     )
 
 
@@ -283,7 +259,7 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
     support are background. When smoothing_weight is positive, one
     synchronous iterated-conditional-modes pass folds a 6-neighborhood
     agreement bonus exp(w * n_k) into the posteriors and relabels from the
-    adjusted stack, so labels stay the posterior argmax.
+    adjusted posteriors.
     """
     if image.header != model.header:
         raise ArgumentError(f"image header {image.header} does not match model {model.header}")
@@ -297,21 +273,15 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
         log_w[k] = -0.5 * np.log(2.0 * np.pi * var) - (f - mu) ** 2 / (2.0 * var)
     log_w += support.log_prior
 
-    posteriors = _normalize(log_w)
-    labels = (posteriors.argmax(axis=0) + 1).astype(np.uint8)
+    labels = (_normalize(log_w).argmax(axis=0) + 1).astype(np.uint8)
     if model.smoothing_weight > 0:
         bonus = model.smoothing_weight * _neighbor_counts(labels, support, image.header.dims, k_max)
-        posteriors = _normalize(log_w + bonus)
-        labels = (posteriors.argmax(axis=0) + 1).astype(np.uint8)
+        labels = (_normalize(log_w + bonus).argmax(axis=0) + 1).astype(np.uint8)
 
-    n_voxels = image.header.n_voxels
-    full_labels = np.zeros(n_voxels, dtype=np.uint8)
+    full_labels = np.zeros(image.header.n_voxels, dtype=np.uint8)
     full_labels[support.index] = labels
-    full_posteriors = np.zeros((k_max, n_voxels), dtype=np.float64)
-    full_posteriors[:, support.index] = posteriors
     out_of_prior = int(np.count_nonzero(image.data > 0)) - int(np.count_nonzero(f > 0))
     return SegOutput(
         labels=LabelVolume(image.header, full_labels.reshape(image.header.dims), num_classes=k_max),
-        posteriors=full_posteriors.reshape((k_max,) + image.header.dims),
         out_of_prior=out_of_prior,
     )

@@ -234,17 +234,17 @@ def _full_grid_neighbor_counts(labels, k_max):
     return counts
 
 
-def predict_reference(model, image):
-    """The Gaussian classifier evaluated on the whole grid, as predict did it
-    before it worked on the prior's support: the likelihood, the masked
-    exp/normalize, the argmax and the one-pass ICM bonus on every voxel.
-    Returns (labels, posteriors, out_of_prior)."""
-    k_max = model.prior.shape[0]
+def predict_reference(model, prior, image):
+    """The Gaussian classifier under a (K, *dims) prior stack evaluated on
+    the whole grid, as predict did it before it worked on the prior's
+    support: the likelihood, the masked exp/normalize, the argmax and the
+    one-pass ICM bonus on every voxel. Returns (labels, out_of_prior)."""
+    k_max = prior.shape[0]
     f = image.data.astype(np.float64)
-    mask = model.prior.any(axis=0)
+    mask = prior.any(axis=0)
     log_w = np.empty((k_max,) + f.shape, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        log_prior = np.log(model.prior.astype(np.float64))
+        log_prior = np.log(prior.astype(np.float64))
     for k in range(k_max):
         mu, var = model.means[k], model.variances[k]
         log_w[k] = -0.5 * np.log(2.0 * np.pi * var) - (f - mu) ** 2 / (2.0 * var)
@@ -265,7 +265,7 @@ def predict_reference(model, image):
         posteriors = normalize(log_w + bonus)
         labels = np.where(mask, posteriors.argmax(axis=0) + 1, 0).astype(np.uint8)
     out_of_prior = int(np.count_nonzero((image.data > 0) & ~mask))
-    return labels, posteriors, out_of_prior
+    return labels, out_of_prior
 
 
 def train_statistics_reference(atlases):

@@ -24,7 +24,6 @@ from camelion.phantom import (
 )
 from camelion.pipeline import LoopConfig, run, run_direct, run_nhm
 from camelion.pv import PvConfig, _map_alpha_arrays, _objective, estimate_pv, second_class_map
-from camelion.segmenter import train
 from camelion.synth import fit_linear
 from camelion.volumes import (
     AtlasPair,

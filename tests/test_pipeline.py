@@ -154,6 +154,52 @@ class TestAtlasPvMemo:
         assert len(pv_calls) == 2 * len(atlases) + 1
 
 
+ARMS = {
+    "camelion": lambda image, atlases, cfg: run(image, atlases, cfg),
+    "direct": lambda image, atlases, cfg: run_direct(image, atlases, cfg),
+    "nhm": lambda image, atlases, cfg: run_nhm(image, atlases, 0, cfg),
+}
+
+
+class TestAtlasSideLookup:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"lookups": 0, "builds": 0}
+
+        class CountingMemo(LatestSetMemo):
+            def lookup(self, keys, compute):
+                counts["lookups"] += 1
+                return super().lookup(keys, compute)
+
+        def counting_build(atlas_labels, cfg):
+            counts["builds"] += 1
+            return segmenter.atlas_side(atlas_labels, cfg)
+
+        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", CountingMemo())
+        monkeypatch.setattr(pipeline, "atlas_side", counting_build)
+        return counts
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_one_lookup_per_arm_call(self, small_cohort, counts, arm):
+        atlases, input_image, _ = small_cohort
+        cfg = LoopConfig(max_iterations=3, change_threshold=0.0001)
+        out = ARMS[arm](input_image, atlases, cfg)
+        if arm == "camelion":
+            assert out.iterations_run == 3
+        assert counts == {"lookups": 1, "builds": 1}
+        ARMS[arm](input_image, atlases, cfg)
+        assert counts == {"lookups": 2, "builds": 1}
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_class_count_disagreement_fails_in_train(self, small_cohort, arm):
+        atlases, input_image, _ = small_cohort
+        six = LabelVolume(atlases[1].labels.header, atlases[1].labels.data, num_classes=6)
+        bad = [atlases[0], AtlasPair(atlases[1].image, six)]
+        with pytest.raises(PipelineError, match="disagree on the number of classes") as err:
+            ARMS[arm](input_image, bad, LoopConfig())
+        assert err.value.stage == "train"
+
+
 def checksum(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
@@ -195,7 +241,7 @@ class TestRun:
         atlases, input_image, _ = small_cohort
         cfg = LoopConfig(max_iterations=2)
         monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestSetMemo())
-        monkeypatch.setattr(segmenter, "_ATLAS_SIDES", LatestSetMemo())
+        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestSetMemo())
         r1 = run(input_image, atlases, cfg)
         r2 = run(input_image, atlases, cfg)
 

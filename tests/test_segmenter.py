@@ -11,7 +11,8 @@ from camelion.phantom import (
     render,
     restrict_to_top_two,
 )
-from camelion import segmenter
+from camelion import pipeline, segmenter
+from camelion.pipeline import precompute_atlas_side
 from camelion.segmenter import (
     SegmenterConfig,
     SegmenterModel,
@@ -19,6 +20,7 @@ from camelion.segmenter import (
     atlas_side,
     label_frequency,
     predict,
+    prior_support,
     train,
 )
 from camelion.util import LatestSetMemo
@@ -41,6 +43,19 @@ def pair_from(image, labels, k=5, voxel=(1.0, 1.0, 1.0)):
     )
 
 
+def fit(pairs, cfg):
+    """train on the pairs' images with the atlas side of their labels."""
+    return train([p.image for p in pairs], atlas_side([p.labels for p in pairs], cfg), cfg)
+
+
+def prior_of(pairs, cfg):
+    return atlas_prior([p.labels for p in pairs], cfg)
+
+
+def on_support(model, volume):
+    return volume.data.reshape(-1)[model.support.index]
+
+
 def five_class_labels(dims=(10, 10, 10)):
     labels = np.zeros(dims, dtype=np.uint8)
     edges = np.linspace(0, dims[0], 6).astype(int)
@@ -52,7 +67,7 @@ def five_class_labels(dims=(10, 10, 10)):
 def test_constant_class_mean_and_variance_floor():
     labels = five_class_labels()
     image = np.where(labels == 5, 80.0, labels * 10.0)
-    model = train([pair_from(image, labels)], NO_SMOOTH)
+    model = fit([pair_from(image, labels)], NO_SMOOTH)
     assert model.means[4] == pytest.approx(80.0)
     intensity_range = image.max() - image.min()
     assert model.variances[4] == pytest.approx(1e-4 * intensity_range**2)
@@ -62,7 +77,7 @@ def test_pooled_mean_across_atlases():
     labels = five_class_labels()
     img_a = np.where(labels == 1, 80.0, labels * 30.0)
     img_b = np.where(labels == 1, 100.0, labels * 30.0)
-    model = train([pair_from(img_a, labels), pair_from(img_b, labels)], NO_SMOOTH)
+    model = fit([pair_from(img_a, labels), pair_from(img_b, labels)], NO_SMOOTH)
     assert model.means[0] == pytest.approx(90.0)  # equal counts, pooled
 
 
@@ -71,7 +86,7 @@ def test_missing_class_raises_named_error():
     labels[labels == 2] = 1  # class 2 gone
     image = labels * 10.0
     with pytest.raises(TrainingError, match="ventricles"):
-        train([pair_from(image, labels)], NO_SMOOTH)
+        fit([pair_from(image, labels)], NO_SMOOTH)
 
 
 def test_label_frequency_before_smoothing():
@@ -92,26 +107,49 @@ def test_atlas_order_invariance():
     pairs = [
         pair_from(labels * 10.0 + rng.normal(0, 2, labels.shape), labels) for _ in range(4)
     ]
-    m1 = train(pairs, NO_SMOOTH)
-    m2 = train(pairs[::-1], NO_SMOOTH)
+    m1 = fit(pairs, NO_SMOOTH)
+    m2 = fit(pairs[::-1], NO_SMOOTH)
     assert np.array_equal(m1.means, m2.means)
     assert np.array_equal(m1.variances, m2.variances)
-    assert np.array_equal(m1.prior, m2.prior)
+    assert m1.support.log_prior.tobytes() == m2.support.log_prior.tobytes()
 
 
 def test_prior_sums_bounded():
     labels = five_class_labels()
+    labels[:, :2] = 0
     cfg = SegmenterConfig(prior_epsilon=0.01, smoothing_weight=0.0)
-    model = train([pair_from(labels * 10.0, labels)], cfg)
-    sums = model.prior.sum(axis=0, dtype=np.float64)
+    prior = prior_of([pair_from(labels * 10.0, labels)], cfg)
+    mask = labels > 0
+    sums = prior.sum(axis=0, dtype=np.float64)
     assert sums.max() <= 1.0 + 1e-6
-    assert np.all(model.prior[:, ~model.brain_mask] == 0)
+    assert np.all(prior[:, ~mask] == 0)
     # floored at epsilon, up to the rescaling that keeps channel sums <= 1
     floor = 0.01 / (1.0 + 5 * 0.01)
-    assert np.all(model.prior[:, model.brain_mask] >= floor - 1e-7)
+    assert np.all(prior[:, mask] >= floor - 1e-7)
+
+
+class TestTrainChecksSide:
+    def test_rejects_side_of_other_headers(self):
+        labels = five_class_labels()
+        side = atlas_side([pair_from(labels * 10.0, labels).labels], NO_SMOOTH)
+        for image, voxel in ((labels * 10.0, (2.0, 1.0, 1.0)), (labels[:8] * 10.0, (1.0, 1.0, 1.0))):
+            other = pair_from(image, image / 10.0, voxel=voxel).image
+            with pytest.raises(ArgumentError, match="header"):
+                train([other], side, NO_SMOOTH)
+
+    def test_rejects_side_of_other_atlas_count(self):
+        labels = five_class_labels()
+        pair = pair_from(labels * 10.0, labels)
+        side = atlas_side([pair.labels, pair.labels], NO_SMOOTH)
+        for images in ([pair.image], [pair.image] * 3, []):
+            with pytest.raises(ArgumentError, match="atlas side of 2 atlases"):
+                train(images, side, NO_SMOOTH)
 
 
 class TestPriorMemo:
+    """The pipeline's atlas-side lookup: the segmenter's prior and atlas
+    indices are built once per atlas label set and prior_epsilon."""
+
     @pytest.fixture
     def frequency_calls(self, monkeypatch):
         calls = []
@@ -120,9 +158,15 @@ class TestPriorMemo:
             calls.append(len(atlas_labels))
             return label_frequency(atlas_labels)
 
-        monkeypatch.setattr(segmenter, "_ATLAS_SIDES", LatestSetMemo())
+        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestSetMemo())
         monkeypatch.setattr(segmenter, "label_frequency", counting)
         return calls
+
+    @staticmethod
+    def assert_support_of(side, prior):
+        expected = prior_support(prior)
+        assert side.support.index.tobytes() == expected.index.tobytes()
+        assert side.support.log_prior.tobytes() == expected.log_prior.tobytes()
 
     @staticmethod
     def atlases(seed=5):
@@ -136,47 +180,51 @@ class TestPriorMemo:
         pairs = self.atlases()
         cfg = SegmenterConfig(prior_epsilon=1e-3)
         expected = atlas_prior_reference([p.labels.data for p in pairs], 5, 1e-3)
-        cold = train(pairs, cfg).prior
-        warm = train(pairs, cfg).prior
+        cold = precompute_atlas_side(pairs, cfg)
+        warm = precompute_atlas_side(pairs, cfg)
         assert frequency_calls == [3]
-        for got in (cold, warm, atlas_prior([p.labels for p in pairs], cfg)):
-            assert got.dtype == np.float32
-            assert got.tobytes() == expected.tobytes()
-        assert not warm.flags.writeable
+        assert warm is cold
+        self.assert_support_of(cold, expected)
+        got = atlas_prior([p.labels for p in pairs], cfg)
+        assert got.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+        assert not cold.support.log_prior.flags.writeable
 
     def test_new_images_same_labels_reuse_prior(self, frequency_calls):
         pairs = self.atlases()
         brighter = [pair_from(p.image.data * 2.0, p.labels.data.copy()) for p in pairs]
-        first = train(pairs, NO_SMOOTH)
-        second = train(brighter, NO_SMOOTH)
+        first = precompute_atlas_side(pairs, NO_SMOOTH)
+        second = precompute_atlas_side(brighter, NO_SMOOTH)
         assert frequency_calls == [3]
-        assert second.prior is first.prior
-        assert not np.array_equal(second.means, first.means)
+        assert second is first
+        means = [train([p.image for p in pp], first, NO_SMOOTH).means for pp in (pairs, brighter)]
+        assert not np.array_equal(means[0], means[1])
 
     def test_label_or_epsilon_change_recomputes(self, frequency_calls):
         pairs = self.atlases()
-        train(pairs, NO_SMOOTH)
+        precompute_atlas_side(pairs, NO_SMOOTH)
         edited = pairs[1].labels.data.copy()
         edited[6, 6, 6] = 1 if edited[6, 6, 6] != 1 else 2
         changed = [pairs[0], pair_from(pairs[1].image.data, edited), pairs[2]]
-        got = train(changed, NO_SMOOTH).prior
+        got = precompute_atlas_side(changed, NO_SMOOTH)
         assert frequency_calls == [3, 3]
-        fresh = atlas_prior_reference([p.labels.data for p in changed], 5, NO_SMOOTH.prior_epsilon)
-        assert got.tobytes() == fresh.tobytes()
+        self.assert_support_of(got, atlas_prior_reference(
+            [p.labels.data for p in changed], 5, NO_SMOOTH.prior_epsilon))
 
         eps = SegmenterConfig(prior_epsilon=1e-2, smoothing_weight=0.0)
-        got = train(changed, eps).prior
+        got = precompute_atlas_side(changed, eps)
         assert frequency_calls == [3, 3, 3]
-        fresh = atlas_prior_reference([p.labels.data for p in changed], 5, 1e-2)
-        assert got.tobytes() == fresh.tobytes()
+        self.assert_support_of(got, atlas_prior_reference(
+            [p.labels.data for p in changed], 5, 1e-2))
 
     def test_same_labels_as_new_objects_hit(self, frequency_calls):
         pairs = self.atlases()
-        side = atlas_side([p.labels for p in pairs], NO_SMOOTH)
+        side = precompute_atlas_side(pairs, NO_SMOOTH)
         copies = [pair_from(p.image.data.copy(), p.labels.data.copy()) for p in pairs]
-        model = train(copies, NO_SMOOTH)
+        assert precompute_atlas_side(copies, NO_SMOOTH) is side
         assert frequency_calls == [3]
-        assert atlas_side([p.labels for p in copies], NO_SMOOTH) is side
+        model = train([p.image for p in copies], side, NO_SMOOTH)
         assert model.support is side.support
         for i, p in enumerate(pairs):
             flat = p.labels.data.reshape(-1)
@@ -187,37 +235,42 @@ class TestPriorMemo:
     def test_new_label_set_evicts_the_old_one(self, frequency_calls):
         first = self.atlases(seed=5)
         second = self.atlases(seed=6)
-        side = atlas_side([p.labels for p in first], NO_SMOOTH)
-        atlas_side([p.labels for p in second], NO_SMOOTH)
-        again = atlas_side([p.labels for p in first], NO_SMOOTH)
+        side = precompute_atlas_side(first, NO_SMOOTH)
+        precompute_atlas_side(second, NO_SMOOTH)
+        again = precompute_atlas_side(first, NO_SMOOTH)
         assert frequency_calls == [3, 3, 3]
         assert again is not side
-        assert again.prior.tobytes() == side.prior.tobytes()
+        assert again.support.log_prior.tobytes() == side.support.log_prior.tobytes()
 
 
 class TestPredict:
     def test_nearest_mean_under_uniform_prior(self):
         labels = five_class_labels()
         image = np.where(labels > 0, labels * 30.0, 0.0)
-        model = train([pair_from(image, labels)], NO_SMOOTH)
+        model = fit([pair_from(image, labels)], NO_SMOOTH)
         probe = np.full(labels.shape, 60.0, dtype=np.float32)
         out = predict(model, ScalarVolume(model.header, probe))
-        assert np.all(out.labels.data[model.brain_mask] == 2)
+        assert np.all(on_support(model, out.labels) == 2)
 
     def test_zero_prior_blocks_class(self):
         labels = five_class_labels()
-        image = np.where(labels > 0, labels * 30.0, 0.0)
-        model = train([pair_from(image, labels)], NO_SMOOTH)
-        out = predict(model, ScalarVolume(model.header, image.astype(np.float32)))
-        # far from the class-5 stripe its prior is exactly zero
+        pairs = [pair_from(np.where(labels > 0, labels * 30.0, 0.0), labels)]
+        base = fit(pairs, NO_SMOOTH)
         far = np.zeros(labels.shape, dtype=bool)
         far[:2] = True  # class-1 stripe, > 3 voxels from the class-5 stripe
-        assert np.all(out.posteriors[4][far] == 0.0)
+        prior = prior_of(pairs, NO_SMOOTH).copy()
+        prior[4][far] = 0.0
+        model = SegmenterModel(base.header, base.means, base.variances, prior_support(prior), 0.0)
+        # every voxel at the class-5 mean
+        probe = np.full(labels.shape, 150.0, dtype=np.float32)
+        out = predict(model, ScalarVolume(model.header, probe))
+        assert np.all(out.labels.data[~far] == 5)
+        assert not np.any(out.labels.data[far] == 5)
 
     def test_header_mismatch(self):
         labels = five_class_labels()
         image = labels * 30.0
-        model = train([pair_from(image, labels)], NO_SMOOTH)
+        model = fit([pair_from(image, labels)], NO_SMOOTH)
         other = ScalarVolume(VolumeHeader((10, 10, 10), (2.0, 1.0, 1.0)), image.astype(np.float32))
         with pytest.raises(ArgumentError):
             predict(model, other)
@@ -226,55 +279,46 @@ class TestPredict:
         rng = np.random.default_rng(8)
         labels = five_class_labels((8, 8, 8))
         image = labels * 25.0 + rng.normal(0, 4, labels.shape)
-        model = train([pair_from(image, labels)], NO_SMOOTH)
+        model = fit([pair_from(image, labels)], NO_SMOOTH)
         probe = rng.normal(60, 40, size=(8, 8, 8)).astype(np.float32)
         out = predict(model, ScalarVolume(model.header, probe))
-        expected = bayes_labels(probe, model.means, model.variances, model.prior.astype(np.float64))
+        prior = prior_of([pair_from(image, labels)], NO_SMOOTH)
+        expected = bayes_labels(probe, model.means, model.variances, prior.astype(np.float64))
         assert np.array_equal(out.labels.data, expected)
 
-    def test_posteriors_sum_to_one_in_mask(self):
-        rng = np.random.default_rng(9)
-        labels = five_class_labels()
-        image = labels * 25.0 + rng.normal(0, 4, labels.shape)
-        model = train([pair_from(image, labels)], SegmenterConfig())
-        probe = rng.normal(60, 40, size=(10, 10, 10)).astype(np.float32)
-        out = predict(model, ScalarVolume(model.header, probe))
-        sums = out.posteriors.sum(axis=0)
-        assert np.allclose(sums[model.brain_mask], 1.0, atol=1e-6)
-        assert np.all(sums[~model.brain_mask] == 0.0)
-
     def test_labels_are_posterior_argmax_with_smoothing(self):
+        # predict_reference takes the argmax of the full-grid posterior stack
         rng = np.random.default_rng(10)
         labels = five_class_labels()
-        image = labels * 25.0 + rng.normal(0, 4, labels.shape)
-        model = train([pair_from(image, labels)], SegmenterConfig(smoothing_weight=0.7))
+        pairs = [pair_from(labels * 25.0 + rng.normal(0, 4, labels.shape), labels)]
+        cfg = SegmenterConfig(smoothing_weight=0.7)
+        model = fit(pairs, cfg)
         probe = (labels * 25.0 + rng.normal(0, 10, labels.shape)).astype(np.float32)
-        out = predict(model, ScalarVolume(model.header, probe))
-        mask = model.brain_mask
-        assert np.array_equal(
-            out.labels.data[mask], out.posteriors.argmax(axis=0)[mask] + 1
-        )
+        out = assert_matches_full_grid(model, prior_of(pairs, cfg), probe)
+        assert np.all(on_support(model, out.labels) > 0)
 
     def test_crop_separability_without_smoothing(self):
         rng = np.random.default_rng(11)
         labels = five_class_labels()
         image = labels * 25.0 + rng.normal(0, 4, labels.shape)
-        model = train([pair_from(image, labels)], NO_SMOOTH)
+        pairs = [pair_from(image, labels)]
+        model = fit(pairs, NO_SMOOTH)
         probe = rng.normal(60, 40, size=(10, 10, 10)).astype(np.float32)
         full = predict(model, ScalarVolume(model.header, probe))
 
         crop = (slice(0, 6), slice(0, 10), slice(0, 10))
         sub_header = VolumeHeader((6, 10, 10), model.header.voxel_size)
+        sub_prior = np.ascontiguousarray(prior_of(pairs, NO_SMOOTH)[(slice(None),) + crop])
         sub_model = SegmenterModel(
             header=sub_header,
             means=model.means,
             variances=model.variances,
-            prior=np.ascontiguousarray(model.prior[(slice(None),) + crop]),
+            support=prior_support(sub_prior),
             smoothing_weight=0.0,
         )
         sub = predict(sub_model, ScalarVolume(sub_header, probe[crop]))
         assert np.array_equal(sub.labels.data, full.labels.data[crop])
-        assert_matches_full_grid(sub_model, probe[crop])
+        assert_matches_full_grid(sub_model, sub_prior, probe[crop])
 
     def test_smoothing_removes_salt_noise(self):
         rng = np.random.default_rng(12)
@@ -283,11 +327,11 @@ class TestPredict:
         probe = image + rng.normal(0, 9, labels.shape)
         probe[labels == 0] = 0.0
         plain = predict(
-            train([pair_from(image, labels)], NO_SMOOTH),
+            fit([pair_from(image, labels)], NO_SMOOTH),
             ScalarVolume(VolumeHeader((10, 10, 10)), probe.astype(np.float32)),
         )
         smoothed = predict(
-            train([pair_from(image, labels)], SegmenterConfig(smoothing_weight=0.5)),
+            fit([pair_from(image, labels)], SegmenterConfig(smoothing_weight=0.5)),
             ScalarVolume(VolumeHeader((10, 10, 10)), probe.astype(np.float32)),
         )
         err_plain = (plain.labels.data != labels).sum()
@@ -323,11 +367,10 @@ def probe_image(shape, seed):
     return probe.astype(np.float32)
 
 
-def assert_matches_full_grid(model, probe):
+def assert_matches_full_grid(model, prior, probe):
     out = predict(model, ScalarVolume(model.header, probe))
-    labels, posteriors, out_of_prior = predict_reference(model, ScalarVolume(model.header, probe))
+    labels, out_of_prior = predict_reference(model, prior, ScalarVolume(model.header, probe))
     assert out.labels.data.tobytes() == labels.tobytes()
-    assert out.posteriors.tobytes() == posteriors.tobytes()
     assert out.out_of_prior == out_of_prior
     return out
 
@@ -338,7 +381,7 @@ class TestSupportMatchesFullGrid:
 
     def test_train_statistics(self):
         pairs = varied_atlases()
-        model = train(pairs, NO_SMOOTH)
+        model = fit(pairs, NO_SMOOTH)
         means, variances = train_statistics_reference(pairs)
         assert model.means.tobytes() == means.tobytes()
         assert model.variances.tobytes() == variances.tobytes()
@@ -346,21 +389,24 @@ class TestSupportMatchesFullGrid:
     @pytest.mark.parametrize("weight", [0.0, 0.5])
     def test_trained_model_on_anisotropic_grid(self, weight):
         pairs = varied_atlases()
-        model = train(pairs, SegmenterConfig(smoothing_weight=weight))
-        out = assert_matches_full_grid(model, probe_image(model.header.dims, seed=1))
+        cfg = SegmenterConfig(smoothing_weight=weight)
+        model = fit(pairs, cfg)
+        prior = prior_of(pairs, cfg)
+        out = assert_matches_full_grid(model, prior, probe_image(model.header.dims, seed=1))
         assert out.out_of_prior > 0
-        assert np.all(out.posteriors[:, ~model.brain_mask] == 0.0)
+        assert np.all(out.labels.data[~prior.any(axis=0)] == 0)
 
     @pytest.mark.parametrize("weight", [0.0, 0.5])
     def test_prior_with_zero_support_holes(self, weight):
-        base = train(varied_atlases(), NO_SMOOTH)
+        pairs = varied_atlases()
+        base = fit(pairs, NO_SMOOTH)
         rng = np.random.default_rng(2)
-        prior = base.prior.copy()
+        prior = prior_of(pairs, NO_SMOOTH).copy()
         prior[:, rng.random(base.header.dims) < 0.15] = 0.0      # holes in the support
         prior[2, rng.random(base.header.dims) < 0.3] = 0.0       # one class blocked
         prior[:, rng.random(base.header.dims) < 0.1] = 1e-7      # faint but supported
-        model = SegmenterModel(base.header, base.means, base.variances, prior, weight)
-        out = assert_matches_full_grid(model, probe_image(model.header.dims, seed=3))
+        model = SegmenterModel(base.header, base.means, base.variances, prior_support(prior), weight)
+        out = assert_matches_full_grid(model, prior, probe_image(model.header.dims, seed=3))
         assert out.out_of_prior > 0
         assert np.all(out.labels.data[prior[2] == 0] != 3)
 
@@ -374,9 +420,9 @@ def test_self_consistency_on_noiseless_phantom():
     # well-separated class contrasts: training and predicting on the same
     # noiseless image recovers the truth almost everywhere
     wide = render(pv, ProtocolParams((10.0, 40.0, 90.0, 140.0, 65.0)), seed=0)
-    model = train([AtlasPair(wide, truth)], SegmenterConfig())
+    model = fit([AtlasPair(wide, truth)], SegmenterConfig())
     out = predict(model, wide)
-    mask = model.brain_mask
+    mask = truth.data > 0  # the prior's support
     agree = (out.labels.data[mask] == truth.data[mask]).mean()
     assert agree >= 0.99
 
@@ -384,14 +430,14 @@ def test_self_consistency_on_noiseless_phantom():
     # of the moment-contaminated Gaussians concede a little more of the
     # partial-volume band
     tight = render(pv, ProtocolParams((25.0, 15.0, 60.0, 100.0, 45.0)), seed=0)
-    model_t = train([AtlasPair(tight, truth)], SegmenterConfig())
+    model_t = fit([AtlasPair(tight, truth)], SegmenterConfig())
     out_t = predict(model_t, tight)
     agree_t = (out_t.labels.data[mask] == truth.data[mask]).mean()
     assert agree_t >= 0.985
 
     # a loose prior floor (0.01) opens the prior off atlas support and pays
     # with capture of mixed-intensity interface voxels
-    loose = train([AtlasPair(tight, truth)], SegmenterConfig(prior_epsilon=0.01))
+    loose = fit([AtlasPair(tight, truth)], SegmenterConfig(prior_epsilon=0.01))
     out_l = predict(loose, tight)
     agree_l = (out_l.labels.data[mask] == truth.data[mask]).mean()
     assert agree_l <= agree_t
