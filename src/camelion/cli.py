@@ -23,6 +23,7 @@ from .errors import (
     ArgumentError,
     CamelionError,
     ConfigError,
+    CorrelationError,
     PersistenceError,
     PipelineError,
 )
@@ -94,16 +95,22 @@ def _subject_entry(manifest: dict, subject_id: str) -> dict:
     raise ConfigError(f"subject {subject_id!r} not in manifest")
 
 
+def _read_volume(path: Path, kind: type):
+    """Read one cohort or run volume; a file of another kind is a config error."""
+    volume = read_mvf(path)
+    if not isinstance(volume, kind):
+        raise ConfigError(f"{path} holds a {type(volume).__name__}, expected a {kind.__name__}")
+    return volume
+
+
 def _load_atlases(manifest: dict) -> list[AtlasPair]:
     root = Path(manifest["_dir"])
     pairs = []
     for entry in manifest["subjects"]:
         if entry["role"] != "atlas":
             continue
-        image = read_mvf(root / entry["image_a"])
-        labels = read_mvf(root / entry["labels"])
-        if not isinstance(image, ScalarVolume) or not isinstance(labels, LabelVolume):
-            raise ConfigError(f"atlas files for {entry['id']} have unexpected kinds")
+        image = _read_volume(root / entry["image_a"], ScalarVolume)
+        labels = _read_volume(root / entry["labels"], LabelVolume)
         pairs.append(AtlasPair(image, labels))
     if not pairs:
         raise ConfigError("manifest contains no atlas subjects")
@@ -117,10 +124,10 @@ def cmd_run(args) -> int:
     entry = _subject_entry(manifest, args.subject)
     root = Path(manifest["_dir"])
     atlases = _load_atlases(manifest)
-    input_image = read_mvf(root / entry["image_b"])
-    if not isinstance(input_image, ScalarVolume):
-        raise ConfigError(f"input image for {args.subject} is not a scalar volume")
-    truth = read_mvf(root / entry["labels"])
+    input_image = _read_volume(root / entry["image_b"], ScalarVolume)
+    if args.method == "camelion":
+        # only the loop's trajectory is scored against the truth labels
+        truth = _read_volume(root / entry["labels"], LabelVolume)
     # checked on every arm, so that a rejected setting leaves no output behind
     check_reference_atlas(cfg["nhm.reference_atlas"], len(atlases))
 
@@ -158,53 +165,52 @@ def cmd_eval(args) -> int:
         done = [m for m in METHODS if (runs_dir / entry["id"] / m / "labels_final.mvf").exists()]
         if done:
             completed.append((entry, done))
-    # checked before the echo, so that a rejected call leaves no output behind
     if not completed:
         raise ConfigError(f"no completed runs found under {runs_dir}")
     atlases = _load_atlases(manifest)
-    _echo_config(cfg, out_dir)
 
     reports = []
-    per_method_volumes: dict[str, dict[str, np.ndarray]] = {m: {} for m in METHODS}
-    reference_volumes: dict[str, np.ndarray] = {}
     for entry, done in completed:
         sid = entry["id"]
-        truth = read_mvf(root / entry["labels"])
-        image_a = read_mvf(root / entry["image_a"])
+        truth = _read_volume(root / entry["labels"], LabelVolume)
+        image_a = _read_volume(root / entry["image_a"], ScalarVolume)
         # reference: the direct arm applied to the same-protocol image
-        ref_labels = run_direct(image_a, atlases, loop_cfg)
-        ref_vols = metrics.volumes(ref_labels)
-        reference_volumes[sid] = ref_vols
+        ref_vols = metrics.volumes(run_direct(image_a, atlases, loop_cfg))
         for method in done:
-            labels = read_mvf(runs_dir / sid / method / "labels_final.mvf")
+            labels = _read_volume(runs_dir / sid / method / "labels_final.mvf", LabelVolume)
             dice_vec = np.array(
                 [metrics.dice(labels, truth, k) for k in range(1, truth.num_classes + 1)]
             )
-            vols = metrics.volumes(labels)
             reports.append(
                 metrics.EvalReport(
                     subject_id=sid,
                     method=method,
                     dice_per_class=dice_vec,
-                    volume_mm3=vols,
+                    volume_mm3=metrics.volumes(labels),
                     reference_volume_mm3=ref_vols,
                 )
             )
-            per_method_volumes[method][sid] = vols
 
+    # echoed only once every input has been read, so that a rejected call
+    # leaves no output behind
+    _echo_config(cfg, out_dir)
     metrics.write_report(reports, out_dir / "report.csv")
     print(out_dir / "report.csv")
 
     corr_rows = []
     for method in METHODS:
-        subjects = sorted(per_method_volumes[method])
-        if len(subjects) < 3:
+        rows = sorted((rep for rep in reports if rep.method == method),
+                      key=lambda rep: rep.subject_id)
+        if len(rows) < 3:
             continue
-        ref = np.array([reference_volumes[s] for s in subjects])
-        got = np.array([per_method_volumes[method][s] for s in subjects])
+        got = np.array([rep.volume_mm3 for rep in rows])
+        ref = np.array([rep.reference_volume_mm3 for rep in rows])
         for k in tissues.DEFAULT_EVAL_CLASSES:
-            r = metrics.pearson(got[:, k - 1], ref[:, k - 1])
-            corr_rows.append((method, tissues.class_name(k), r, len(subjects)))
+            try:
+                r = metrics.pearson(got[:, k - 1], ref[:, k - 1])
+            except CorrelationError:
+                r = None  # zero variance on either side: written as an empty field
+            corr_rows.append((method, tissues.class_name(k), r, len(rows)))
     if corr_rows:
         metrics.write_correlations(corr_rows, out_dir / "correlations.csv")
         print(out_dir / "correlations.csv")
@@ -268,10 +274,7 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"pipeline failure at {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
-    except PersistenceError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (PersistenceError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except CamelionError as exc:

@@ -9,44 +9,43 @@ for provenance.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .harmonize import DEFAULT_PERCENTILES
 from .phantom import DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, PhantomParams, ProtocolParams
 from .pipeline import LoopConfig
 from .pv import PvConfig
 from .segmenter import SegmenterConfig
 from .synth import SynthConfig
 
+_LOOP = LoopConfig()
+_PHANTOM = PhantomParams()
+_PROTOCOL_FIELDS = tuple(f.name for f in fields(ProtocolParams))
+_SYNTH_KEYS = ("backend", "patch_radius", "hidden_units", "epochs", "batch_size", "learning_rate")
+
+# Values come from the dataclass defaults; only the master seed, the cohort
+# sizes and the nhm reference atlas have none there and are stated here.
 DEFAULTS: dict[str, object] = {
     "seed": 12345,
-    "phantom.base_dims": (48, 48, 48),
-    "phantom.supersample": 4,
-    "phantom.shape_jitter": 0.05,
+    "phantom.base_dims": _PHANTOM.base_dims,
+    "phantom.supersample": _PHANTOM.supersample,
+    "phantom.shape_jitter": _PHANTOM.shape_jitter,
     "phantom.n_atlas": 10,
     "phantom.n_test": 8,
-    "protocol_a.class_means": DEFAULT_PROTOCOL_A.class_means,
-    "protocol_a.noise_sigma": DEFAULT_PROTOCOL_A.noise_sigma,
-    "protocol_a.gamma": DEFAULT_PROTOCOL_A.gamma,
-    "protocol_a.bias_amplitude": DEFAULT_PROTOCOL_A.bias_amplitude,
-    "protocol_b.class_means": DEFAULT_PROTOCOL_B.class_means,
-    "protocol_b.noise_sigma": DEFAULT_PROTOCOL_B.noise_sigma,
-    "protocol_b.gamma": DEFAULT_PROTOCOL_B.gamma,
-    "protocol_b.bias_amplitude": DEFAULT_PROTOCOL_B.bias_amplitude,
-    "loop.max_iterations": 5,
-    "loop.change_threshold": 0.05,
-    "loop.mask_rel_threshold": 0.1,
-    "segmenter.prior_epsilon": 1e-6,
-    "segmenter.smoothing_weight": 0.5,
-    "pv.beta": 0.1,
-    "synth.backend": "linear",
-    "synth.patch_radius": 1,
-    "synth.hidden_units": 64,
-    "synth.epochs": 20,
-    "synth.batch_size": 1024,
-    "synth.learning_rate": 1e-3,
-    "nhm.percentiles": DEFAULT_PERCENTILES,
+    **{
+        f"protocol_{which}.{name}": getattr(proto, name)
+        for which, proto in (("a", DEFAULT_PROTOCOL_A), ("b", DEFAULT_PROTOCOL_B))
+        for name in _PROTOCOL_FIELDS
+    },
+    "loop.max_iterations": _LOOP.max_iterations,
+    "loop.change_threshold": _LOOP.change_threshold,
+    "loop.mask_rel_threshold": _LOOP.mask_rel_threshold,
+    "segmenter.prior_epsilon": _LOOP.segmenter.prior_epsilon,
+    "segmenter.smoothing_weight": _LOOP.segmenter.smoothing_weight,
+    "pv.beta": _LOOP.pv.beta,
+    **{f"synth.{name}": getattr(_LOOP.synth, name) for name in _SYNTH_KEYS},
+    "nhm.percentiles": _LOOP.nhm_percentiles,
     "nhm.reference_atlas": 0,
 }
 
@@ -132,13 +131,7 @@ def phantom_params(cfg: dict) -> PhantomParams:
 
 
 def protocol(cfg: dict, which: str) -> ProtocolParams:
-    prefix = f"protocol_{which}"
-    return ProtocolParams(
-        class_means=cfg[f"{prefix}.class_means"],
-        noise_sigma=cfg[f"{prefix}.noise_sigma"],
-        gamma=cfg[f"{prefix}.gamma"],
-        bias_amplitude=cfg[f"{prefix}.bias_amplitude"],
-    )
+    return ProtocolParams(**{name: cfg[f"protocol_{which}.{name}"] for name in _PROTOCOL_FIELDS})
 
 
 def loop_config(cfg: dict) -> LoopConfig:
@@ -149,14 +142,7 @@ def loop_config(cfg: dict) -> LoopConfig:
             prior_epsilon=cfg["segmenter.prior_epsilon"],
             smoothing_weight=cfg["segmenter.smoothing_weight"],
         ),
-        synth=SynthConfig(
-            backend=cfg["synth.backend"],
-            patch_radius=cfg["synth.patch_radius"],
-            hidden_units=cfg["synth.hidden_units"],
-            epochs=cfg["synth.epochs"],
-            batch_size=cfg["synth.batch_size"],
-            learning_rate=cfg["synth.learning_rate"],
-        ),
+        synth=SynthConfig(**{name: cfg[f"synth.{name}"] for name in _SYNTH_KEYS}),
         pv=PvConfig(beta=cfg["pv.beta"]),
         seed=cfg["seed"],
         nhm_percentiles=cfg["nhm.percentiles"],

@@ -132,11 +132,12 @@ def write_correlations(rows, path) -> None:
     """Write cross-subject volume correlation rows.
 
     rows are (method, class_name, r, n_subjects) tuples; output is sorted
-    by method then class name.
+    by method then class name. An r of None (correlation undefined) is
+    written as an empty field.
     """
     lines = ["method,class_name,pearson_r,n_subjects"]
     for method, cname, r, n in sorted(rows):
-        lines.append(f"{method},{cname},{_fmt(r)},{n}")
+        lines.append(f"{method},{cname},{'' if r is None else _fmt(r)},{n}")
     _write_text(path, "\n".join(lines) + "\n")
 
 

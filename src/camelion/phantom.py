@@ -361,6 +361,12 @@ def generate_cohort(
     """
     if n_atlas < 1 or n_test < 1:
         raise ArgumentError("need at least one atlas and one test subject")
+    for proto in (proto_a, proto_b):
+        if len(proto.class_means) != tissues.NUM_CLASSES:
+            raise ArgumentError(
+                f"protocol has {len(proto.class_means)} class means, "
+                f"the phantom has {tissues.NUM_CLASSES} classes"
+            )
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -130,9 +130,7 @@ def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.nda
         prior[k] = uniform_filter(freq[k], size=size, mode="constant")
     np.clip(prior, 0.0, 1.0, out=prior)
 
-    mask = np.zeros(freq.shape[1:], dtype=bool)
-    for lab in atlas_labels:
-        mask |= lab.data > 0
+    mask = freq.any(axis=0)
     prior = np.where(mask, np.maximum(prior, np.float32(cfg.prior_epsilon)), 0.0).astype(np.float32)
     channel_sum = prior.sum(axis=0)
     over = channel_sum > 1.0

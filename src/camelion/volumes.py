@@ -243,12 +243,7 @@ def decode_mvf(buf: bytes, source: str = "<bytes>") -> Volume:
     if kind not in (KIND_SCALAR, KIND_LABEL, KIND_PV):
         raise FormatError(f"{source}: unknown volume kind {kind}")
     dims = (d0, d1, d2)
-    if any(d == 0 for d in dims):
-        raise FormatError(f"{source}: zero dimension in {dims}")
-    if any(not np.isfinite(v) or v <= 0 for v in (v0, v1, v2)):
-        raise FormatError(f"{source}: invalid voxel size {(v0, v1, v2)}")
-    header = VolumeHeader(dims, (v0, v1, v2))
-    n = header.n_voxels
+    n = d0 * d1 * d2
 
     if kind == KIND_SCALAR:
         if k_byte != 0:
@@ -257,30 +252,25 @@ def decode_mvf(buf: bytes, source: str = "<bytes>") -> Volume:
     elif kind == KIND_LABEL:
         expected = n
     else:
-        if k_byte < 1:
-            raise FormatError(f"{source}: partial volume data with zero channels")
         expected = 4 * k_byte * n
     got = len(buf) - HEADER_SIZE
     if got != expected:
         raise FormatError(f"{source}: payload is {got} bytes, header promises {expected}")
 
+    # geometry, finiteness and value ranges are checked by the constructors
     raw = buf[HEADER_SIZE:]
-    if kind == KIND_SCALAR:
-        data = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-        if not np.isfinite(data).all():
-            raise FormatError(f"{source}: non-finite intensities")
-        return ScalarVolume(header, data)
-    if kind == KIND_LABEL:
-        data = np.frombuffer(raw, dtype=np.uint8).reshape(dims).copy()
-        if data.max(initial=0) > k_byte:
-            raise FormatError(f"{source}: label value exceeds declared num_classes {k_byte}")
-        return LabelVolume(header, data, num_classes=k_byte)
-    channels = np.frombuffer(raw, dtype="<f4").reshape((k_byte,) + dims).copy()
-    if not np.isfinite(channels).all():
-        raise FormatError(f"{source}: non-finite partial volumes")
-    if (channels < 0).any() or (channels > 1).any():
-        raise FormatError(f"{source}: partial volumes outside [0, 1]")
-    return PartialVolumeSet(header, channels)
+    try:
+        header = VolumeHeader(dims, (v0, v1, v2))
+        if kind == KIND_SCALAR:
+            data = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            return ScalarVolume(header, data)
+        if kind == KIND_LABEL:
+            data = np.frombuffer(raw, dtype=np.uint8).reshape(dims).copy()
+            return LabelVolume(header, data, num_classes=k_byte)
+        channels = np.frombuffer(raw, dtype="<f4").reshape((k_byte,) + dims).copy()
+        return PartialVolumeSet(header, channels)
+    except ArgumentError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
 
 
 def write_mvf(volume: Volume, path) -> None:

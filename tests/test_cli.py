@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,12 @@ class TestPhantomCommand:
     def test_bad_set_pair_is_exit_2(self, tmp_path):
         assert run_cli("phantom", "--out", str(tmp_path / "o"), "--set", "nope=1") == 2
 
-    @pytest.mark.parametrize("setting", ["phantom.supersample=1", "phantom.n_atlas=0"])
+    @pytest.mark.parametrize("setting", [
+        "phantom.supersample=1",
+        "phantom.n_atlas=0",
+        "protocol_b.class_means=1 2 3",
+        "protocol_a.class_means=1 2 3 4 5 6",
+    ])
     def test_rejected_config_writes_nothing(self, tmp_path, setting):
         out = tmp_path / "o"
         assert run_cli("phantom", "--out", str(out), *SMALL, "--set", setting) == 2
@@ -183,6 +189,40 @@ class TestRunCommand:
         )
         assert code == 0
 
+    # s000 is an atlas, s002 the test subject; each file is replaced by one of
+    # another kind (an image by a label map, a label map by an image)
+    @pytest.mark.parametrize("method, subject, key", [
+        ("camelion", "s002", "labels"),
+        ("direct", "s002", "image_b"),
+        ("nhm", "s000", "labels"),
+        ("camelion", "s000", "image_a"),
+    ])
+    def test_wrong_kind_cohort_file_exits_2(self, cohort, tmp_path, method, subject, key):
+        copy = tmp_path / "cohort"
+        shutil.copytree(cohort, copy)
+        other = "image_a" if key == "labels" else "labels"
+        shutil.copyfile(copy / f"{subject}_{other}.mvf", copy / f"{subject}_{key}.mvf")
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", method, "--subject", "s002",
+            "--manifest", str(copy / "manifest.json"), "--out", str(runs), *SMALL
+        )
+        assert code == 2
+        assert not (runs / "s002" / method).exists()
+
+    @pytest.mark.parametrize("method", ["direct", "nhm"])
+    def test_baseline_arms_run_without_truth_labels(self, cohort, tmp_path, method):
+        copy = tmp_path / "cohort"
+        shutil.copytree(cohort, copy)
+        (copy / "s002_labels.mvf").unlink()
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", method, "--subject", "s002",
+            "--manifest", str(copy / "manifest.json"), "--out", str(runs), *SMALL
+        )
+        assert code == 0
+        assert (runs / "s002" / method / "labels_final.mvf").exists()
+
 
 @pytest.fixture(scope="module")
 def runs(cohort, tmp_path_factory):
@@ -246,6 +286,43 @@ class TestEvalCommand:
         )
         assert code == 2
         assert not out.exists()
+
+    def test_wrong_kind_run_labels_exits_2(self, cohort, runs, tmp_path):
+        runs_copy = tmp_path / "runs"
+        shutil.copytree(runs, runs_copy)
+        labels = runs_copy / "s002" / "nhm" / "labels_final.mvf"
+        shutil.copyfile(cohort / "s002_image_a.mvf", labels)
+        out = tmp_path / "eval"
+        code = run_cli(
+            "eval", "--manifest", str(cohort / "manifest.json"),
+            "--runs", str(runs_copy), "--out", str(out), *SMALL
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_undefined_correlation_is_an_empty_field(self, tmp_path):
+        # at this seed no 16^3 subject has a brainstem, so every brainstem
+        # volume is 0 and its correlation is undefined
+        cohort3 = tmp_path / "cohort"
+        three_test = [*SMALL, "--set", "phantom.n_test=3"]
+        assert run_cli("phantom", "--out", str(cohort3), *three_test) == 0
+        runs3 = tmp_path / "runs"
+        for sid in ("s002", "s003", "s004"):
+            assert run_cli(
+                "run", "--method", "direct", "--subject", sid,
+                "--manifest", str(cohort3 / "manifest.json"), "--out", str(runs3), *three_test
+            ) == 0
+        out = tmp_path / "eval"
+        assert run_cli(
+            "eval", "--manifest", str(cohort3 / "manifest.json"),
+            "--runs", str(runs3), "--out", str(out), *three_test
+        ) == 0
+        rows = (out / "correlations.csv").read_text().splitlines()
+        assert rows[0] == "method,class_name,pearson_r,n_subjects"
+        fields = {row.split(",")[1]: row.split(",")[2] for row in rows[1:]}
+        assert sorted(fields) == ["brainstem", "gray_matter", "ventricles", "white_matter"]
+        assert fields.pop("brainstem") == ""
+        assert all(-1 <= float(r) <= 1 for r in fields.values())
 
     def test_reference_runs_only_for_evaluated_subjects(self, tmp_path, monkeypatch):
         cohort2 = tmp_path / "cohort"

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from camelion.errors import ArgumentError, FormatError, PersistenceError, ValidationError
 from camelion.volumes import (
+    HEADER_SIZE,
     AtlasPair,
     LabelVolume,
     PartialVolumeSet,
     ScalarVolume,
     VolumeHeader,
+    decode_mvf,
+    encode_mvf,
     read_mvf,
     require_same_header,
     validate_partial_volumes,
@@ -174,6 +177,41 @@ class TestReadErrors:
         with pytest.raises(FormatError):
             read_mvf(path)
 
+    # the payload value checks are the volume constructors'; decoding turns
+    # their ArgumentError into a FormatError naming the source. The voxel
+    # sizes are the header's last 12 bytes.
+    @pytest.mark.parametrize(
+        "volume, offset, packed",
+        [
+            (ScalarVolume(VolumeHeader((2, 2, 2)), np.zeros((2, 2, 2))),
+             HEADER_SIZE, struct.pack("<f", np.nan)),
+            (ScalarVolume(VolumeHeader((2, 2, 2)), np.zeros((2, 2, 2))),
+             HEADER_SIZE + 4, struct.pack("<f", np.inf)),
+            (LabelVolume(VolumeHeader((2, 2, 2)), np.zeros((2, 2, 2), np.uint8), 2),
+             HEADER_SIZE + 3, bytes([3])),
+            (PartialVolumeSet(VolumeHeader((2, 2, 2)), np.zeros((2, 2, 2, 2))),
+             HEADER_SIZE, struct.pack("<f", 1.5)),
+            (PartialVolumeSet(VolumeHeader((2, 2, 2)), np.zeros((2, 2, 2, 2))),
+             HEADER_SIZE + 8, struct.pack("<f", -0.25)),
+            (ScalarVolume(VolumeHeader((2, 2, 2)), np.zeros((2, 2, 2))),
+             HEADER_SIZE - 12, struct.pack("<f", 0.0)),
+            (ScalarVolume(VolumeHeader((2, 2, 2)), np.zeros((2, 2, 2))),
+             HEADER_SIZE - 8, struct.pack("<f", -1.0)),
+        ],
+        ids=["nan_scalar", "inf_scalar", "label_above_k", "fraction_above_1",
+             "fraction_below_0", "zero_voxel_size", "negative_voxel_size"],
+    )
+    def test_invalid_payload_or_geometry(self, volume, offset, packed):
+        blob = bytearray(encode_mvf(volume))
+        blob[offset:offset + len(packed)] = packed
+        with pytest.raises(FormatError, match="^bad.mvf: "):
+            decode_mvf(bytes(blob), source="bad.mvf")
+
+    def test_zero_channel_pv(self):
+        blob = b"MVF1" + bytes([3, 0]) + struct.pack("<3I3f", 1, 1, 1, 1.0, 1.0, 1.0)
+        with pytest.raises(FormatError, match="at least one channel"):
+            decode_mvf(blob)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(PersistenceError):
             read_mvf(tmp_path / "nope.mvf")
@@ -207,3 +245,9 @@ class TestPvValidation:
     def test_background_all_zero_is_fine(self):
         ch = np.zeros((2, 2, 2, 2), dtype=np.float32)
         validate_partial_volumes(PartialVolumeSet(VolumeHeader((2, 2, 2)), ch))
+
+
+def test_volumes_submodule_is_not_shadowed():
+    import camelion.volumes
+
+    assert camelion.volumes.read_mvf is read_mvf
