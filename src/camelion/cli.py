@@ -2,8 +2,9 @@
 
 Subcommands: phantom (generate a cohort), run (one arm on one subject),
 eval (collect metrics CSVs), config (inspect defaults). Exit codes are
-fixed for scripting: 0 success, 2 configuration error, 3 I/O error,
-4 pipeline failure.
+fixed for scripting: 0 success, 2 configuration or input error (a bad
+setting, or a malformed manifest or volume file), 3 I/O error, 4 pipeline
+failure.
 
 Every command is deterministic given the same config and seed, and echoes
 the merged effective configuration into its output directory.
@@ -24,6 +25,7 @@ from .errors import (
     CamelionError,
     ConfigError,
     CorrelationError,
+    FormatError,
     PersistenceError,
     PipelineError,
 )
@@ -268,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ArgumentError) as exc:
+    except (ConfigError, ArgumentError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PipelineError as exc:

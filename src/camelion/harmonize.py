@@ -82,11 +82,6 @@ def landmarks(image: ScalarVolume, mask=None, percentiles=DEFAULT_PERCENTILES) -
     return np.percentile(image.data[fg].astype(np.float64), pcts)
 
 
-def build_map(source, reference) -> LandmarkMap:
-    """Pair up landmark lists into a piecewise-linear intensity map."""
-    return LandmarkMap(tuple(source), tuple(reference))
-
-
 def apply(lmap: LandmarkMap, image: ScalarVolume, mask=None) -> ScalarVolume:
     """Transform masked voxels through the landmark map; background unchanged."""
     fg = _foreground(image, mask)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tissues
-from .errors import ArgumentError, PersistenceError
+from .errors import ArgumentError, FormatError, PersistenceError
 from .util import derived_seed, worker_count
 from .volumes import (
     LabelVolume,
@@ -31,6 +31,8 @@ from .volumes import (
 LOW_RES_VOXEL_MM = 1.0
 
 MANIFEST_NAME = "manifest.json"
+# the string fields of every manifest subject entry, besides its role
+_ENTRY_STRINGS = ("id", "image_a", "image_b", "labels")
 
 
 @dataclass(frozen=True)
@@ -356,8 +358,9 @@ def generate_cohort(
     directory is relocatable. The truth partial volumes are not written:
     generate_label_phantom, downsample_to_pv and restrict_to_top_two
     rebuild them from the seed. Subjects are
-    rendered in parallel (capped by CAMELION_THREADS) but the output is
-    byte-identical for a given seed regardless of worker count.
+    rendered in parallel, one worker per CPU the process may run on, but
+    the output is byte-identical for a given seed regardless of worker
+    count.
     """
     if n_atlas < 1 or n_test < 1:
         raise ArgumentError("need at least one atlas and one test subject")
@@ -403,11 +406,29 @@ def generate_cohort(
 
 
 def load_manifest(path) -> dict:
-    """Read a cohort manifest, attaching the directory for path resolution."""
+    """Read a cohort manifest, attaching the directory for path resolution.
+
+    Raises FormatError naming the file unless it is a JSON object whose
+    "subjects" list gives each subject a string id, a role of "atlas" or
+    "test", and string image_a, image_b and labels file names.
+    """
     path = Path(path)
     try:
-        manifest = json.loads(path.read_text())
+        raw = path.read_bytes()
     except OSError as exc:
         raise PersistenceError(f"cannot read {path}: {exc}") from exc
+    try:
+        manifest = json.loads(raw)
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("subjects"), list):
+        raise FormatError(f"{path} is not a manifest object with a 'subjects' list")
+    for i, entry in enumerate(manifest["subjects"]):
+        if not (isinstance(entry, dict) and entry.get("role") in ("atlas", "test")
+                and all(isinstance(entry.get(key), str) for key in _ENTRY_STRINGS)):
+            raise FormatError(
+                f"{path}: subject {i} needs string {', '.join(_ENTRY_STRINGS)} "
+                "and a role of 'atlas' or 'test'"
+            )
     manifest["_dir"] = str(path.parent)
     return manifest

@@ -24,7 +24,7 @@ from .errors import ArgumentError, CamelionError, PipelineError
 from .pv import PvConfig, class_means, estimate_pv, noise_sigma
 from .segmenter import AtlasSide, SegmenterConfig, atlas_side, predict, train
 from .synth import SynthConfig, SynthModel, save_synth_model, synthesize
-from .util import LatestSetMemo, content_key, derived_seed
+from .util import LatestMemo, content_key, derived_seed
 from .volumes import (
     AtlasPair,
     LabelVolume,
@@ -108,11 +108,11 @@ class _Stage:
         return False
 
 
-# the fixed atlas side, each cache keyed by content and holding the latest
-# atlas set only: the segmenter's AtlasSide (from the labels) and the atlas
-# partial volumes (from images and labels)
-_ATLAS_SIDES = LatestSetMemo()
-_ATLAS_PV = LatestSetMemo()
+# the fixed atlas side, each cache holding one atlas set under one content
+# key: the segmenter's AtlasSide (from the labels) and the atlas partial
+# volumes (from images and labels)
+_ATLAS_SIDES = LatestMemo()
+_ATLAS_PV = LatestMemo()
 
 
 def precompute_atlas_side(atlases: list[AtlasPair], cfg: SegmenterConfig) -> AtlasSide:
@@ -126,28 +126,26 @@ def precompute_atlas_side(atlases: list[AtlasPair], cfg: SegmenterConfig) -> Atl
     parts = [cfg.prior_epsilon]
     for pair in atlases:
         parts += [pair.labels.header, pair.labels.num_classes, pair.labels.data]
-    [side] = _ATLAS_SIDES.lookup(
-        [content_key(*parts)], lambda _: atlas_side([a.labels for a in atlases], cfg))
-    return side
+    return _ATLAS_SIDES.lookup(
+        content_key(*parts), lambda: atlas_side([a.labels for a in atlases], cfg))
 
 
 def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[PartialVolumeSet]:
     """Estimate each atlas's partial volumes from its original image and
     labels.
 
-    Computed once per atlas set per process: results are keyed by a digest
-    of each atlas's header, image, labels and cfg, and only the latest set
-    is kept, so a second run() on the same atlases reuses them and a new
-    set evicts the old one before its own misses are computed.
+    Computed once per atlas set per process: the set is keyed by a digest
+    of cfg and of each atlas's image header, class count, image and labels
+    (in atlas order), and only the latest set is kept, so a second run() on
+    the same atlases reuses it and a new set evicts the old one before it
+    is computed.
     """
-    keys = [
-        content_key(pair.image.header, pair.labels.num_classes, pair.image.data,
-                    pair.labels.data, cfg)
-        for pair in atlases
-    ]
+    parts = [cfg]
+    for pair in atlases:
+        parts += [pair.image.header, pair.labels.num_classes, pair.image.data, pair.labels.data]
     with _Stage("precompute_atlas_pv"):
         return _ATLAS_PV.lookup(
-            keys, lambda i: estimate_pv(atlases[i].image, atlases[i].labels, cfg))
+            content_key(*parts), lambda: [estimate_pv(a.image, a.labels, cfg) for a in atlases])
 
 
 def _strip(labels: LabelVolume, fg: np.ndarray) -> LabelVolume:
@@ -211,7 +209,7 @@ def run_nhm(input_image: ScalarVolume, atlases: list[AtlasPair],
         # source landmarks so the piecewise-linear map stays well defined
         keep = np.concatenate([[True], np.diff(src_lm) > 0])
         if keep.sum() >= 2:
-            lmap = harmonize.build_map(src_lm[keep], ref_lm[keep])
+            lmap = harmonize.LandmarkMap(src_lm[keep], ref_lm[keep])
             matched = harmonize.apply(lmap, input_image, mask=src_mask)
         else:
             matched = input_image

@@ -8,19 +8,11 @@ import threading
 
 import numpy as np
 
-THREADS_ENV = "CAMELION_THREADS"
-
 
 def worker_count() -> int:
-    """Worker cap for parallel sections: CAMELION_THREADS or the CPU count."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
+    """Worker cap for parallel sections: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -51,24 +43,24 @@ def content_key(*parts) -> bytes:
     return digest.digest()
 
 
-class LatestSetMemo:
-    """Content-keyed results of the most recent set of keys looked up.
+class LatestMemo:
+    """The value of the most recent key looked up.
 
-    Each lookup first drops every entry whose key is not in the new set,
-    then computes the misses, so the process never holds two sets at once.
-    Cached values are shared between callers and must be immutable.
+    A lookup of another key first drops the held value, then computes the
+    new one, so the process never holds two values at once. The held value
+    is shared between callers and must be immutable.
     """
 
     def __init__(self):
-        self._entries: dict[bytes, object] = {}
+        self._key: bytes | None = None
+        self._value = None
         self._lock = threading.Lock()
 
-    def lookup(self, keys: list[bytes], compute) -> list:
-        """Values for keys, calling compute(i) for each missing keys[i]."""
+    def lookup(self, key: bytes, compute):
+        """The value for key, calling compute() unless key is held."""
         with self._lock:
-            wanted = set(keys)
-            self._entries = {k: v for k, v in self._entries.items() if k in wanted}
-            for i, key in enumerate(keys):
-                if key not in self._entries:
-                    self._entries[key] = compute(i)
-            return [self._entries[key] for key in keys]
+            if key != self._key:
+                self._key = self._value = None
+                self._value = compute()
+                self._key = key
+            return self._value

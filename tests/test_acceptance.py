@@ -289,13 +289,13 @@ def test_c09_invariant_suites(rng, tmp_path):
     )
 
     # histogram matching identity and monotonicity
-    from camelion.harmonize import apply, build_map
+    from camelion.harmonize import LandmarkMap, apply
 
     img = ScalarVolume(VolumeHeader((6, 6, 6)), rng.uniform(10, 90, (6, 6, 6)).astype(np.float32))
     mask = LabelVolume(VolumeHeader((6, 6, 6)), np.ones((6, 6, 6), np.uint8), 1)
-    ident = apply(build_map((10, 50, 90), (10, 50, 90)), img, mask)
+    ident = apply(LandmarkMap((10, 50, 90), (10, 50, 90)), img, mask)
     assert np.allclose(ident.data, img.data, atol=1e-6)
-    warped = apply(build_map((10, 50, 90), (15, 40, 95)), img, mask)
+    warped = apply(LandmarkMap((10, 50, 90), (15, 40, 95)), img, mask)
     order = np.argsort(img.data.reshape(-1))
     assert np.all(np.diff(warped.data.reshape(-1)[order]) >= -1e-5)
 

@@ -348,6 +348,61 @@ class TestEvalCommand:
         assert len(calls) == 1
 
 
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+class TestMalformedInputs:
+    """A malformed manifest or a corrupt volume file is an input error
+    (exit 2) that names the file and leaves no output behind."""
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"subjects": [{"id": "s002"}]}',
+        '{"seed": 12345}',
+    ])
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_malformed_manifest_exits_2(self, cohort, runs, tmp_path, capsys, command, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        out = tmp_path / "out"
+        if command == "run":
+            argv = ["run", "--method", "direct", "--subject", "s002"]
+        else:
+            argv = ["eval", "--runs", str(runs)]
+        code = run_cli(*argv, "--manifest", str(manifest), "--out", str(out), *SMALL)
+        assert code == 2
+        assert str(manifest) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_cohort_file_exits_2(self, cohort, tmp_path, capsys):
+        copy = tmp_path / "cohort"
+        shutil.copytree(cohort, copy)
+        truncate(copy / "s002_image_b.mvf")
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", "direct", "--subject", "s002",
+            "--manifest", str(copy / "manifest.json"), "--out", str(runs), *SMALL
+        )
+        assert code == 2
+        assert "s002_image_b.mvf" in capsys.readouterr().err
+        assert not (runs / "s002" / "direct").exists()
+
+    def test_truncated_run_labels_exits_2(self, cohort, runs, tmp_path, capsys):
+        runs_copy = tmp_path / "runs"
+        shutil.copytree(runs, runs_copy)
+        truncate(runs_copy / "s002" / "nhm" / "labels_final.mvf")
+        out = tmp_path / "eval"
+        code = run_cli(
+            "eval", "--manifest", str(cohort / "manifest.json"),
+            "--runs", str(runs_copy), "--out", str(out), *SMALL
+        )
+        assert code == 2
+        assert "labels_final.mvf" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_every_subcommand_has_help(capsys):
     for cmd in ("phantom", "run", "eval", "config"):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camelion.errors import ArgumentError
-from camelion.harmonize import DEFAULT_PERCENTILES, LandmarkMap, apply, build_map, landmarks
+from camelion.harmonize import DEFAULT_PERCENTILES, LandmarkMap, apply, landmarks
 from camelion.phantom import (
     DEFAULT_PROTOCOL_A,
     DEFAULT_PROTOCOL_B,
@@ -58,23 +58,23 @@ class TestLandmarks:
 
 class TestBuildMap:
     def test_identity(self):
-        m = build_map((10, 20, 30), (10, 20, 30))
+        m = LandmarkMap((10, 20, 30), (10, 20, 30))
         assert m.source_landmarks == m.reference_landmarks
 
     def test_rejects_decreasing_reference(self):
         with pytest.raises(ArgumentError):
-            build_map((10, 20, 30), (10, 5, 30))
+            LandmarkMap((10, 20, 30), (10, 5, 30))
 
     def test_rejects_repeated_source_landmark(self):
         with pytest.raises(ArgumentError):
-            build_map((10, 20, 20, 30), (0, 1, 2, 3))
+            LandmarkMap((10, 20, 20, 30), (0, 1, 2, 3))
 
     def test_rejects_short_lists(self):
         with pytest.raises(ArgumentError):
-            build_map((10,), (10,))
+            LandmarkMap((10,), (10,))
 
     def test_flat_reference_segment_allowed(self):
-        m = build_map((10, 20, 30), (5, 5, 9))
+        m = LandmarkMap((10, 20, 30), (5, 5, 9))
         assert m.reference_landmarks == (5.0, 5.0, 9.0)
 
 
@@ -83,21 +83,21 @@ class TestApply:
         data = rng.uniform(10, 90, size=(6, 6, 6))
         img = image_of(data)
         mask = LabelVolume(img.header, np.ones((6, 6, 6), dtype=np.uint8), num_classes=1)
-        m = build_map((10, 50, 90), (10, 50, 90))
+        m = LandmarkMap((10, 50, 90), (10, 50, 90))
         out = apply(m, img, mask)
         assert np.allclose(out.data, img.data, atol=1e-6)
 
     def test_doubling_map(self):
         img = image_of(np.linspace(10, 90, 64).reshape(4, 4, 4))
         mask = LabelVolume(img.header, np.ones((4, 4, 4), dtype=np.uint8), num_classes=1)
-        m = build_map((10, 50, 90), (20, 100, 180))
+        m = LandmarkMap((10, 50, 90), (20, 100, 180))
         out = apply(m, img, mask)
         assert np.allclose(out.data, 2.0 * img.data, rtol=1e-6)
 
     def test_extrapolation_uses_end_slopes(self):
         img = image_of(np.array([5.0, 100.0]).reshape(2, 1, 1))
         mask = LabelVolume(img.header, np.ones((2, 1, 1), dtype=np.uint8), num_classes=1)
-        m = build_map((10.0, 20.0, 90.0), (30.0, 50.0, 90.0))
+        m = LandmarkMap((10.0, 20.0, 90.0), (30.0, 50.0, 90.0))
         out = apply(m, img, mask)
         # below: slope (50-30)/(20-10)=2 -> 30 + (5-10)*2 = 20
         assert out.data[0, 0, 0] == pytest.approx(20.0)
@@ -108,7 +108,7 @@ class TestApply:
         data = rng.uniform(0, 120, size=(8, 8, 8))
         img = image_of(data)
         mask = LabelVolume(img.header, np.ones((8, 8, 8), dtype=np.uint8), num_classes=1)
-        m = build_map((10, 30, 70, 90), (5, 40, 60, 95))
+        m = LandmarkMap((10, 30, 70, 90), (5, 40, 60, 95))
         out = apply(m, img, mask)
         x = img.data.reshape(-1)
         y = out.data.reshape(-1)
@@ -121,7 +121,7 @@ class TestApply:
         labels = np.zeros((6, 6, 6), dtype=np.uint8)
         labels[:3] = 1
         mask = LabelVolume(img.header, labels, num_classes=1)
-        m = build_map((10, 50, 90), (110, 150, 190))
+        m = LandmarkMap((10, 50, 90), (110, 150, 190))
         out = apply(m, img, mask)
         assert np.array_equal(out.data[3:], img.data[3:])
         assert np.all(out.data[:3] >= 100.0)
@@ -130,7 +130,7 @@ class TestApply:
         data = rng.integers(10, 20, size=(6, 6, 6)).astype(np.float32)
         img = image_of(data)
         mask = LabelVolume(img.header, np.ones((6, 6, 6), dtype=np.uint8), num_classes=1)
-        m = build_map((10, 15, 19), (30, 45, 60))
+        m = LandmarkMap((10, 15, 19), (30, 45, 60))
         out = apply(m, img, mask)
         for v in np.unique(data):
             mapped = out.data[data == v]
@@ -146,7 +146,7 @@ def test_cross_protocol_landmark_match():
     img_b = render(pv, DEFAULT_PROTOCOL_B, seed=2)
     ref_lm = landmarks(img_a, truth, DEFAULT_PERCENTILES)
     src_lm = landmarks(img_b, truth, DEFAULT_PERCENTILES)
-    matched = apply(build_map(src_lm, ref_lm), img_b, truth)
+    matched = apply(LandmarkMap(src_lm, ref_lm), img_b, truth)
     out_lm = landmarks(matched, truth, DEFAULT_PERCENTILES)
     span = ref_lm[-1] - ref_lm[0]
     assert np.all(np.abs(out_lm - ref_lm) <= 0.02 * span)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
 
-from camelion import tissues
+from camelion import phantom, tissues
 from camelion.errors import ArgumentError
 from camelion.phantom import (
     DEFAULT_PROTOCOL_A,
@@ -290,9 +290,9 @@ class TestCohort:
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         params = PhantomParams(base_dims=(16, 16, 16), supersample=2, seed=3)
-        monkeypatch.setenv("CAMELION_THREADS", "1")
+        monkeypatch.setattr(phantom, "worker_count", lambda: 1)
         generate_cohort(params, 2, 1, DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, tmp_path / "one")
-        monkeypatch.setenv("CAMELION_THREADS", "4")
+        monkeypatch.setattr(phantom, "worker_count", lambda: 4)
         generate_cohort(params, 2, 1, DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, tmp_path / "four")
         for f in sorted((tmp_path / "one").iterdir()):
             assert f.read_bytes() == (tmp_path / "four" / f.name).read_bytes()

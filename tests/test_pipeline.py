@@ -27,7 +27,7 @@ from camelion.pipeline import (
 from camelion.pv import PvConfig, estimate_pv
 from camelion.segmenter import SegmenterConfig
 from camelion.synth import SynthConfig
-from camelion.util import LatestSetMemo
+from camelion.util import LatestMemo
 from camelion.volumes import (
     AtlasPair,
     LabelVolume,
@@ -102,7 +102,7 @@ class TestAtlasPvMemo:
             calls.append(labels)
             return estimate_pv(image, labels, cfg)
 
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestSetMemo())
+        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
         monkeypatch.setattr(pipeline, "estimate_pv", counting)
         return calls
 
@@ -122,16 +122,16 @@ class TestAtlasPvMemo:
         for a, b in zip(first, again):
             assert b is a
 
-    def test_changed_voxel_recomputes_only_that_atlas(self, small_cohort, pv_calls):
+    def test_changed_voxel_recomputes_whole_set(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
-        precompute_atlas_pv(atlases, PvConfig())
+        first = precompute_atlas_pv(atlases, PvConfig())
         edited = atlases[1].image.data.copy()
         edited[12, 12, 12] += 1.0
         changed = [atlases[0], AtlasPair(ScalarVolume(atlases[1].image.header, edited),
                                          atlases[1].labels)]
         out = precompute_atlas_pv(changed, PvConfig())
-        assert len(pv_calls) == len(atlases) + 1
-        assert pv_calls[-1] is atlases[1].labels
+        assert len(pv_calls) == 2 * len(atlases)
+        assert encode_mvf(out[0]) == encode_mvf(first[0])
         fresh = estimate_pv(changed[1].image, changed[1].labels, PvConfig())
         assert encode_mvf(out[1]) == encode_mvf(fresh)
 
@@ -166,10 +166,10 @@ class TestAtlasSideLookup:
     def counts(self, monkeypatch):
         counts = {"lookups": 0, "builds": 0}
 
-        class CountingMemo(LatestSetMemo):
-            def lookup(self, keys, compute):
+        class CountingMemo(LatestMemo):
+            def lookup(self, key, compute):
                 counts["lookups"] += 1
-                return super().lookup(keys, compute)
+                return super().lookup(key, compute)
 
         def counting_build(atlas_labels, cfg):
             counts["builds"] += 1
@@ -240,8 +240,8 @@ class TestRun:
         # the first run fills the atlas-side caches, the second reuses them
         atlases, input_image, _ = small_cohort
         cfg = LoopConfig(max_iterations=2)
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestSetMemo())
-        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestSetMemo())
+        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
+        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestMemo())
         r1 = run(input_image, atlases, cfg)
         r2 = run(input_image, atlases, cfg)
 

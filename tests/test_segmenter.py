@@ -23,7 +23,7 @@ from camelion.segmenter import (
     prior_support,
     train,
 )
-from camelion.util import LatestSetMemo
+from camelion.util import LatestMemo
 from camelion.volumes import AtlasPair, LabelVolume, ScalarVolume, VolumeHeader
 from oracles import (
     atlas_prior_reference,
@@ -158,7 +158,7 @@ class TestPriorMemo:
             calls.append(len(atlas_labels))
             return label_frequency(atlas_labels)
 
-        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestSetMemo())
+        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestMemo())
         monkeypatch.setattr(segmenter, "label_frequency", counting)
         return calls
 

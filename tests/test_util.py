@@ -1,10 +1,12 @@
+import os
 import sys
 import threading
 import time
 
 import numpy as np
+import pytest
 
-from camelion.util import LatestSetMemo, content_key
+from camelion.util import LatestMemo, content_key, worker_count
 from camelion.volumes import VolumeHeader
 
 
@@ -18,24 +20,30 @@ def test_content_key_separates_parts():
 
 
 def test_latest_set_memo_under_threads():
-    # threads alternate between two key sets, so every lookup evicts the
-    # other set; each must still get the values of its own keys
-    memo = LatestSetMemo()
-    sets = [[b"a", b"b"], [b"c"]]
+    # threads alternate between two keys, so every lookup evicts the other
+    # key's value; each must still get the value of its own key, and no two
+    # values may be computed at once
+    memo = LatestMemo()
+    keys = [b"a", b"c"]
     errors = []
+    computing = []
 
-    def compute(keys, j):
+    def compute(key):
+        computing.append(key)
+        if len(computing) > 1:
+            errors.append(list(computing))
         time.sleep(0)  # yield inside the critical section
-        return keys[j] * 2
+        computing.remove(key)
+        return key * 2
 
     def worker(n):
         try:
             for i in range(1000):
-                keys = sets[(n + i) % 2]
-                got = memo.lookup(keys, lambda j, keys=keys: compute(keys, j))
-                if got != [k * 2 for k in keys]:
+                key = keys[(n + i) % 2]
+                got = memo.lookup(key, lambda key=key: compute(key))
+                if got != key * 2:
                     errors.append(got)
-        except Exception as exc:  # a lost update surfaces as KeyError
+        except Exception as exc:
             errors.append(exc)
 
     old = sys.getswitchinterval()
@@ -50,3 +58,10 @@ def test_latest_set_memo_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    # the environment no longer caps the pool; taskset does
+    monkeypatch.setenv("CAMELION_THREADS", "1")
+    assert worker_count() == len(os.sched_getaffinity(0))
