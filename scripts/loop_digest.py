@@ -1,5 +1,5 @@
-"""Print the loop digest of a cohort: one sha256 per test subject and their
-combination.
+"""Print the loop digest of a cohort: one sha256 per test subject, a
+volumes digest and their combination.
 
     PYTHONPATH=src python3 scripts/loop_digest.py COHORT/manifest.json [--set KEY=VALUE ...]
 
@@ -8,12 +8,14 @@ loop runs on its protocol-B image against the cohort's atlases, with the
 built-in defaults and the --set overrides, as ``camelion run`` would. The
 subject's digest is a sha256 over, in this order: the MVF bytes of every
 ``LoopResult`` volume (the final labels, the label history, then every
-synthesized atlas image of every iteration), the SYNM bytes of every
-synthesis model, the ``repr`` of the iteration records and of
+synthesized atlas image of every iteration), the ``repr`` of the iteration
+records (which holds each synthesis fit's training error) and of
 ``converged``, and the MVF bytes of the ``run_direct`` and ``run_nhm``
-labels. The combined digest is a sha256 over the subject digests' 32-byte
-values, in manifest order. Two checkouts produce the same bytes on a
-cohort when they print the same combined digest.
+labels. The volumes digest is a sha256 over the MVF bytes alone, every
+subject's in the same order; the combined digest is a sha256 over the
+subject digests' 32-byte values, in manifest order. Two checkouts produce
+the same bytes on a cohort when they print the same combined digest, and
+the same volumes when they print the same volumes digest.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-import tempfile
 from pathlib import Path
 
 from camelion import config as cfgmod
@@ -29,24 +30,26 @@ from camelion.cli import _load_atlases
 from camelion.errors import CamelionError
 from camelion.phantom import load_manifest
 from camelion.pipeline import run, run_direct, run_nhm
-from camelion.synth import save_synth_model
 from camelion.volumes import encode_mvf, read_mvf
 
 
-def subject_digest(input_image, atlases, loop_cfg, reference_atlas: int, scratch: Path) -> bytes:
+def subject_digest(input_image, atlases, loop_cfg, reference_atlas: int, volumes_digest) -> bytes:
+    """The subject's digest; its MVF bytes also go into volumes_digest."""
     result = run(input_image, atlases, loop_cfg)
     digest = hashlib.sha256()
-    volumes = [result.final_labels, *result.labels_history,
-               *(img for images in result.atlas_images_history for img in images)]
-    for volume in volumes:
-        digest.update(encode_mvf(volume))
-    for model in result.synth_models:
-        save_synth_model(model, scratch / "synth.bin")
-        digest.update((scratch / "synth.bin").read_bytes())
+
+    def add_volume(volume):
+        blob = encode_mvf(volume)
+        digest.update(blob)
+        volumes_digest.update(blob)
+
+    for volume in [result.final_labels, *result.labels_history,
+                   *(img for images in result.atlas_images_history for img in images)]:
+        add_volume(volume)
     digest.update(repr(result.records).encode())
     digest.update(repr(result.converged).encode())
-    digest.update(encode_mvf(run_direct(input_image, atlases, loop_cfg)))
-    digest.update(encode_mvf(run_nhm(input_image, atlases, reference_atlas, loop_cfg)))
+    add_volume(run_direct(input_image, atlases, loop_cfg))
+    add_volume(run_nhm(input_image, atlases, reference_atlas, loop_cfg))
     return digest.digest()
 
 
@@ -66,16 +69,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     root = Path(manifest["_dir"])
+    volumes = hashlib.sha256()
     combined = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as scratch:
-        for entry in manifest["subjects"]:
-            if entry["role"] != "test":
-                continue
-            input_image = read_mvf(root / entry["image_b"])
-            sub = subject_digest(input_image, atlases, loop_cfg, cfg["nhm.reference_atlas"],
-                                 Path(scratch))
-            combined.update(sub)
-            print(f"{entry['id']} {sub.hex()}")
+    for entry in manifest["subjects"]:
+        if entry["role"] != "test":
+            continue
+        input_image = read_mvf(root / entry["image_b"])
+        sub = subject_digest(input_image, atlases, loop_cfg, cfg["nhm.reference_atlas"], volumes)
+        combined.update(sub)
+        print(f"{entry['id']} {sub.hex()}")
+    print(f"volumes {volumes.hexdigest()}")
     print(f"combined {combined.hexdigest()}")
     return 0
 

@@ -4,7 +4,8 @@ Subcommands: phantom (generate a cohort), run (one arm on one subject),
 eval (collect metrics CSVs), config (inspect defaults). Exit codes are
 fixed for scripting: 0 success, 2 configuration or input error (a bad
 setting, or a malformed manifest or volume file), 3 I/O error, 4 pipeline
-failure.
+failure (a loop that fails after its first segmentation still writes the
+artifacts of the iterations it completed).
 
 Every command is deterministic given the same config and seed, and echoes
 the merged effective configuration into its output directory.
@@ -137,7 +138,14 @@ def cmd_run(args) -> int:
     _echo_config(cfg, out_dir)
 
     if args.method == "camelion":
-        result = run(input_image, atlases, loop_cfg)
+        try:
+            result = run(input_image, atlases, loop_cfg)
+        except PipelineError as exc:
+            # keep the iterations that completed; without labels_final.mvf,
+            # eval skips the run
+            if exc.partial is not None:
+                save_loop_artifacts(exc.partial, out_dir, truth_labels=truth)
+            raise
         save_loop_artifacts(result, out_dir, truth_labels=truth)
         write_mvf(result.final_labels, out_dir / "labels_final.mvf")
         status = "converged" if result.converged else "hit the iteration cap"

@@ -22,7 +22,7 @@ from .synth import SynthConfig
 _LOOP = LoopConfig()
 _PHANTOM = PhantomParams()
 _PROTOCOL_FIELDS = tuple(f.name for f in fields(ProtocolParams))
-_SYNTH_KEYS = ("backend", "patch_radius", "hidden_units", "epochs", "batch_size", "learning_rate")
+_SYNTH_KEYS = ("backend", "patch_radius", "epochs")
 
 # Values come from the dataclass defaults; only the master seed, the cohort
 # sizes and the nhm reference atlas have none there and are stated here.

@@ -108,22 +108,30 @@ def write_report(reports: list[EvalReport], path) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_trajectory(path, change_fractions, dice_rows=None,
+def write_trajectory(path, records, class_intensities, dice_rows=None,
                      num_classes=tissues.NUM_CLASSES) -> None:
-    """Write the per-iteration convergence record.
+    """Write the per-iteration record of the adaptation loop.
 
-    dice_rows, when given, is one per-class Dice-vs-truth vector per
-    iteration, aligned with change_fractions.
+    One row per iteration record (index, change_fraction, synth_train_mse).
+    class_intensities holds, per record, the synthesis fit's per-class
+    intensities, or None for a fit without them (a regressor), written as
+    empty fields. dice_rows, when given, is one per-class Dice-vs-truth
+    vector per record.
     """
-    classes = _eval_classes(num_classes)
-    header = "iteration,label_change_fraction"
+    classes = range(1, num_classes + 1)
+    eval_classes = _eval_classes(num_classes)
+    header = ["iteration", "label_change_fraction"]
     if dice_rows is not None:
-        header += "," + ",".join(f"dice_{tissues.class_name(k)}" for k in classes)
-    lines = [header]
-    for i, change in enumerate(change_fractions):
-        row = [str(i + 1), _fmt(change)]
+        header.extend(f"dice_{tissues.class_name(k)}" for k in eval_classes)
+    header.append("synth_train_mse")
+    header.extend(f"intensity_{tissues.class_name(k)}" for k in classes)
+    lines = [",".join(header)]
+    for i, (record, intensities) in enumerate(zip(records, class_intensities, strict=True)):
+        row = [str(record.index), _fmt(record.change_fraction)]
         if dice_rows is not None:
-            row.extend(_fmt(dice_rows[i][k - 1]) for k in classes)
+            row.extend(_fmt(dice_rows[i][k - 1]) for k in eval_classes)
+        row.append(_fmt(record.synth_train_mse))
+        row.extend("" if intensities is None else _fmt(intensities[k - 1]) for k in classes)
         lines.append(",".join(row))
     _write_text(path, "\n".join(lines) + "\n")
 

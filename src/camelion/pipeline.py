@@ -23,7 +23,7 @@ from . import harmonize, metrics, synth
 from .errors import ArgumentError, CamelionError, PipelineError
 from .pv import PvConfig, class_means, estimate_pv, noise_sigma
 from .segmenter import AtlasSide, SegmenterConfig, atlas_side, predict, train
-from .synth import SynthConfig, SynthModel, save_synth_model, synthesize
+from .synth import SynthConfig, SynthModel, synthesize
 from .util import LatestMemo, content_key, derived_seed
 from .volumes import (
     AtlasPair,
@@ -340,8 +340,9 @@ def _spread_gap_sigma(input_image: ScalarVolume, current_labels: LabelVolume,
 
 
 def save_loop_artifacts(result: LoopResult, out_dir, truth_labels: LabelVolume | None = None) -> None:
-    """Write per-iteration artifacts: labels_t.mvf, atlas{i}_t.mvf,
-    synth_t.bin and trajectory.csv (with Dice-vs-truth columns when truth
+    """Write per-iteration artifacts: labels_t.mvf, atlas{i}_t.mvf and
+    trajectory.csv (each iteration's label change, synthesis training error
+    and fitted class intensities, with Dice-vs-truth columns when truth
     labels are supplied)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -350,8 +351,6 @@ def save_loop_artifacts(result: LoopResult, out_dir, truth_labels: LabelVolume |
     for t, images in enumerate(result.atlas_images_history, start=1):
         for i, img in enumerate(images):
             write_mvf(img, out_dir / f"atlas{i}_{t}.mvf")
-    for t, model in enumerate(result.synth_models, start=1):
-        save_synth_model(model, out_dir / f"synth_{t}.bin")
 
     dice_rows = None
     if truth_labels is not None:
@@ -364,7 +363,8 @@ def save_loop_artifacts(result: LoopResult, out_dir, truth_labels: LabelVolume |
         ]
     metrics.write_trajectory(
         out_dir / "trajectory.csv",
-        result.change_fractions,
+        result.records,
+        [model.class_intensities for model in result.synth_models],
         dice_rows,
         num_classes=result.final_labels.num_classes,
     )

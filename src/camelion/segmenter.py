@@ -243,12 +243,6 @@ def _neighbor_counts(labels: np.ndarray, support: PriorSupport, dims, k_max: int
     return counts
 
 
-def _normalize(log_w: np.ndarray) -> np.ndarray:
-    q = np.exp(log_w - log_w.max(axis=0))
-    q /= q.sum(axis=0)
-    return q
-
-
 def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
     """Per-voxel Bayes classification under the trained model.
 
@@ -271,10 +265,12 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
         log_w[k] = -0.5 * np.log(2.0 * np.pi * var) - (f - mu) ** 2 / (2.0 * var)
     log_w += support.log_prior
 
-    labels = (_normalize(log_w).argmax(axis=0) + 1).astype(np.uint8)
+    # normalizing keeps each voxel's class order, so the posterior argmax
+    # is the log-weight argmax
+    labels = (log_w.argmax(axis=0) + 1).astype(np.uint8)
     if model.smoothing_weight > 0:
         bonus = model.smoothing_weight * _neighbor_counts(labels, support, image.header.dims, k_max)
-        labels = (_normalize(log_w + bonus).argmax(axis=0) + 1).astype(np.uint8)
+        labels = ((log_w + bonus).argmax(axis=0) + 1).astype(np.uint8)
 
     full_labels = np.zeros(image.header.n_voxels, dtype=np.uint8)
     full_labels[support.index] = labels

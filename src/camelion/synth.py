@@ -18,34 +18,28 @@ noise can add it explicitly.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, FormatError, PersistenceError, RankError
+from .errors import ArgumentError, RankError
 from .volumes import PartialVolumeSet, ScalarVolume, require_same_header
 
 LINEAR_BACKEND = "linear"
 REGRESSOR_BACKEND = "regressor"
 
-_SYNM_MAGIC = b"SYNM"
-_BACKEND_CODES = {LINEAR_BACKEND: 1, REGRESSOR_BACKEND: 2}
-_BACKEND_NAMES = {v: k for k, v in _BACKEND_CODES.items()}
-
 _COND_LIMIT = 1e12
 SYNTH_CHUNK = 32768  # tissue voxels per regressor forward pass in synthesize
+HIDDEN_UNITS = 64    # regressor hidden layer width
+BATCH_SIZE = 1024    # regressor mini-batch size
+LEARNING_RATE = 1e-3  # regressor adaptive-moment step size
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     backend: str = LINEAR_BACKEND
     patch_radius: int = 1
-    hidden_units: int = 64
     epochs: int = 20
-    batch_size: int = 1024
-    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -53,10 +47,8 @@ class SynthConfig:
             raise ArgumentError(f"unknown synthesis backend {self.backend!r}")
         if self.patch_radius < 0:
             raise ArgumentError("patch_radius must be >= 0")
-        if self.hidden_units < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ArgumentError("hidden_units, epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ArgumentError("learning_rate must be positive")
+        if self.epochs < 1:
+            raise ArgumentError("epochs must be >= 1")
 
 
 @dataclass
@@ -192,7 +184,7 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
 
     rng = np.random.default_rng(cfg.seed)
     d = x.shape[1]
-    h = cfg.hidden_units
+    h = HIDDEN_UNITS
     design = np.concatenate([xn, np.ones((xn.shape[0], 1))], axis=1)
     # fractions sum to one, so the normalized columns are near-collinear
     # with the intercept; truncating tiny singular values keeps the affine
@@ -210,14 +202,14 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
         _, pred = _forward(params, xn)
         return float(np.mean((pred - y) ** 2))
 
-    adam = _Adam(params, cfg.learning_rate)
+    adam = _Adam(params, LEARNING_RATE)
     best_mse = full_mse()
     best = {p: v.copy() for p, v in params.items()}
     n = xn.shape[0]
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            sel = order[start : start + BATCH_SIZE]
             xb, yb = xn[sel], y[sel]
             hidden, pred = _forward(params, xb)
             err = 2.0 * (pred - yb) / len(sel)
@@ -236,8 +228,9 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
             best = {p: v.copy() for p, v in params.items()}
     params = best
 
-    # quantize to float32 up front so serialization is lossless and the
-    # recorded train_mse matches what a reloaded model synthesizes
+    # round the weights to float32, the precision of the images they
+    # render; train_mse below is the error of the rounded weights, so it is
+    # the error of exactly what synthesize renders
     def q(a):
         return np.asarray(a, dtype=np.float32).astype(np.float64)
 
@@ -293,67 +286,3 @@ def synthesize(model: SynthModel, pv: PartialVolumeSet) -> ScalarVolume:
         xn = (x - reg.input_mean) / reg.input_scale
         _, out[sel] = _forward(vars(reg), xn)
     return ScalarVolume(pv.header, out.reshape(pv.header.dims).astype(np.float32))
-
-
-def save_synth_model(model: SynthModel, path) -> None:
-    """Serialize a model (SYNM container, little-endian float32 arrays)."""
-    code = _BACKEND_CODES.get(model.backend)
-    if code is None:
-        raise ArgumentError(f"cannot serialize backend {model.backend!r}")
-    parts = [_SYNM_MAGIC, struct.pack("<BBf", code, model.num_classes, model.train_mse)]
-    if model.backend == LINEAR_BACKEND:
-        parts.append(np.asarray(model.class_intensities, dtype="<f4").tobytes())
-    else:
-        reg = model.regressor
-        d = reg.input_mean.shape[0]
-        h = reg.w_out.shape[0]
-        parts.append(struct.pack("<BII", reg.patch_radius, d, h))
-        for arr in (reg.input_mean, reg.input_scale, reg.w_hidden, reg.b_hidden,
-                    reg.w_skip, reg.w_out):
-            parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        parts.append(struct.pack("<f", reg.b_out))
-    try:
-        Path(path).write_bytes(b"".join(parts))
-    except OSError as exc:
-        raise PersistenceError(f"cannot write {path}: {exc}") from exc
-
-
-def load_synth_model(path) -> SynthModel:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise PersistenceError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 4 + struct.calcsize("<BBf") or blob[:4] != _SYNM_MAGIC:
-        raise FormatError(f"{path}: not a synthesis model file")
-    code, k, mse = struct.unpack_from("<BBf", blob, 4)
-    backend = _BACKEND_NAMES.get(code)
-    if backend is None:
-        raise FormatError(f"{path}: unknown backend code {code}")
-    off = 4 + struct.calcsize("<BBf")
-    if backend == LINEAR_BACKEND:
-        if len(blob) != off + 4 * k:
-            raise FormatError(f"{path}: bad linear payload size")
-        c = np.frombuffer(blob, dtype="<f4", count=k, offset=off).astype(np.float64)
-        return SynthModel(LINEAR_BACKEND, k, class_intensities=c, train_mse=float(mse))
-    radius, d, h = struct.unpack_from("<BII", blob, off)
-    off += struct.calcsize("<BII")
-    sizes = [d, d, d * h, h, d, h]
-    expected = off + 4 * (sum(sizes) + 1)
-    if len(blob) != expected:
-        raise FormatError(f"{path}: bad regressor payload size")
-    arrays = []
-    for count in sizes:
-        arrays.append(np.frombuffer(blob, dtype="<f4", count=count, offset=off).astype(np.float64))
-        off += 4 * count
-    b_out = struct.unpack_from("<f", blob, off)[0]
-    reg = RegressorWeights(
-        patch_radius=int(radius),
-        input_mean=arrays[0],
-        input_scale=arrays[1],
-        w_hidden=arrays[2].reshape(d, h),
-        b_hidden=arrays[3],
-        w_skip=arrays[4],
-        w_out=arrays[5],
-        b_out=float(b_out),
-    )
-    return SynthModel(REGRESSOR_BACKEND, k, regressor=reg, train_mse=float(mse))

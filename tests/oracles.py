@@ -59,31 +59,26 @@ def nearest_different_label(labels, voxel_size):
     For every non-background voxel, finds the minimum anisotropic Euclidean
     distance to a voxel of each other present class and picks the closest
     class, breaking distance ties toward the smaller class index.
-    Background voxels map to 0.
+    Background voxels map to 0. Each class is one distance array of every
+    tissue voxel against every voxel of that class.
     """
     labels = np.asarray(labels)
     sx, sy, sz = voxel_size
     coords = np.argwhere(labels > 0)
     values = labels[labels > 0]
+    best_d = np.full(values.size, np.inf)
+    best_k = np.zeros_like(values)
+    for k in sorted(int(k) for k in np.unique(values)):
+        pts = coords[values == k]
+        dx = (pts[None, :, 0] - coords[:, None, 0]) * sx
+        dy = (pts[None, :, 1] - coords[:, None, 1]) * sy
+        dz = (pts[None, :, 2] - coords[:, None, 2]) * sz
+        dmin = np.sqrt(dx * dx + dy * dy + dz * dz).min(axis=1)
+        closer = (values != k) & (dmin < best_d)
+        best_d[closer] = dmin[closer]
+        best_k[closer] = k
     out = np.zeros_like(labels)
-    present = sorted(int(k) for k in np.unique(values))
-    for x, y, z in np.argwhere(labels > 0):
-        own = labels[x, y, z]
-        best_d = np.inf
-        best_k = 0
-        for k in present:
-            if k == own:
-                continue
-            pts = coords[values == k]
-            dx = (pts[:, 0] - x) * sx
-            dy = (pts[:, 1] - y) * sy
-            dz = (pts[:, 2] - z) * sz
-            d = np.sqrt(dx * dx + dy * dy + dz * dz)
-            dmin = d.min()
-            if dmin < best_d:
-                best_d = dmin
-                best_k = k
-        out[x, y, z] = best_k
+    out[labels > 0] = best_k
     return out
 
 

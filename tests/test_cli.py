@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from camelion import cli
+from camelion import cli, pipeline
 from camelion.cli import main
 from camelion.config import DEFAULTS, format_config, load_config, parse_config_text
-from camelion.errors import ConfigError
+from camelion.errors import CamelionError, ConfigError
 
 # small, fast setup for command-level tests
 SMALL = [
@@ -69,6 +69,11 @@ class TestConfig:
 
     def test_removed_synth_noise_key_exits_2(self):
         assert run_cli("config", "--set", "loop.synth_noise=false") == 2
+
+    @pytest.mark.parametrize("key", ["synth.hidden_units", "synth.batch_size",
+                                     "synth.learning_rate"])
+    def test_removed_synth_knob_exits_2(self, key):
+        assert run_cli("config", "--set", f"{key}=1") == 2
 
 
 class TestPhantomCommand:
@@ -144,8 +149,69 @@ class TestRunCommand:
         assert 1 <= n_iter <= 5
         assert (out_dir / "labels_final.mvf").exists()
         assert (out_dir / "labels_0.mvf").exists()
-        assert (out_dir / "synth_1.bin").exists()
         assert (out_dir / "atlas0_1.mvf").exists()
+        assert not list(out_dir.glob("synth_*"))
+        assert traj[0].split(",")[-6:] == [
+            "synth_train_mse", "intensity_csf", "intensity_ventricles",
+            "intensity_gray_matter", "intensity_white_matter", "intensity_brainstem",
+        ]
+
+    def test_regressor_trajectory_has_no_intensities(self, cohort, tmp_path):
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", "camelion", "--subject", "s002",
+            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+            "--set", "synth.backend=regressor", "--set", "synth.epochs=2",
+        )
+        assert code == 0
+        header, *rows = (runs / "s002" / "camelion" / "trajectory.csv").read_text().splitlines()
+        assert rows
+        for row in rows:
+            fields = row.split(",")
+            assert float(fields[-6]) >= 0.0  # synth_train_mse
+            assert fields[-5:] == [""] * 5
+
+    def test_loop_failure_keeps_partial_results(self, cohort, tmp_path, monkeypatch):
+        real = pipeline.synthesize
+        calls = []
+
+        def synthesize_failing_in_iteration_2(model, pv):
+            # each iteration synthesizes both atlases once
+            calls.append(pv)
+            if len(calls) == 3:
+                raise CamelionError("synthesis failed")
+            return real(model, pv)
+
+        monkeypatch.setattr(pipeline, "synthesize", synthesize_failing_in_iteration_2)
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", "camelion", "--subject", "s002",
+            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+            "--set", "loop.change_threshold=0.0001",
+        )
+        assert code == 4
+        out_dir = runs / "s002" / "camelion"
+        assert (out_dir / "labels_0.mvf").exists()
+        assert (out_dir / "labels_1.mvf").exists()
+        assert not (out_dir / "labels_2.mvf").exists()
+        assert not (out_dir / "labels_final.mvf").exists()
+        traj = (out_dir / "trajectory.csv").read_text().strip().splitlines()
+        assert len(traj) == 2
+
+    def test_failure_before_first_labels_writes_only_config(self, cohort, tmp_path,
+                                                             monkeypatch):
+        def failing_train(*args, **kwargs):
+            raise CamelionError("training failed")
+
+        monkeypatch.setattr(pipeline, "train", failing_train)
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", "camelion", "--subject", "s002",
+            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+        )
+        assert code == 4
+        assert [p.name for p in (runs / "s002" / "camelion").iterdir()] == [
+            "effective_config.txt"]
 
     @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
     def test_out_of_range_mask_threshold_exits_2(self, cohort, tmp_path, method):

@@ -14,6 +14,7 @@ from camelion.metrics import (
     write_report,
     write_trajectory,
 )
+from camelion.pipeline import IterationRecord
 from camelion.volumes import LabelVolume, VolumeHeader
 from oracles import pearson_direct
 
@@ -183,11 +184,18 @@ class TestReports:
 
     def test_trajectory_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trajectory(path, [0.2, 0.04], [np.ones(5) * 0.8, np.ones(5) * 0.9])
+        records = [IterationRecord(1, 0.2, 4.5, 0), IterationRecord(2, 0.04, 2.25, 0)]
+        intensities = [np.arange(1.0, 6.0), None]
+        write_trajectory(path, records, intensities, [np.ones(5) * 0.8, np.ones(5) * 0.9])
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("iteration,label_change_fraction,dice_")
-        assert len(lines) == 3
-        assert lines[1].startswith("1,0.2,")
+        assert lines[0] == (
+            "iteration,label_change_fraction,dice_ventricles,dice_gray_matter,"
+            "dice_white_matter,dice_brainstem,synth_train_mse,intensity_csf,"
+            "intensity_ventricles,intensity_gray_matter,intensity_white_matter,"
+            "intensity_brainstem"
+        )
+        assert lines[1] == "1,0.2,0.8,0.8,0.8,0.8,4.5,1,2,3,4,5"
+        assert lines[2] == "2,0.04,0.9,0.9,0.9,0.9,2.25,,,,,"
 
     def test_correlations_file(self, tmp_path):
         path = tmp_path / "corr.csv"

@@ -490,12 +490,34 @@ class TestArtifacts:
         for t in range(result.iterations_run + 1):
             assert (tmp_path / f"labels_{t}.mvf").exists()
         for t in range(1, result.iterations_run + 1):
-            assert (tmp_path / f"synth_{t}.bin").exists()
             for i in range(len(atlases)):
                 assert (tmp_path / f"atlas{i}_{t}.mvf").exists()
+        assert not list(tmp_path.glob("synth_*"))
         traj = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
         assert len(traj) == 1 + result.iterations_run
         assert traj[0] == (
             "iteration,label_change_fraction,dice_ventricles,dice_gray_matter,"
-            "dice_white_matter,dice_brainstem"
+            "dice_white_matter,dice_brainstem,synth_train_mse,intensity_csf,"
+            "intensity_ventricles,intensity_gray_matter,intensity_white_matter,"
+            "intensity_brainstem"
         )
+
+    def test_trajectory_holds_each_fit(self, small_cohort, tmp_path):
+        atlases, input_image, truth = small_cohort
+        result = run(input_image, atlases, LoopConfig(max_iterations=3, change_threshold=0.001))
+        save_loop_artifacts(result, tmp_path, truth_labels=truth)
+        header, *rows = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
+        header = header.split(",")
+        assert ",".join(header).startswith(
+            "iteration,label_change_fraction,dice_ventricles,dice_gray_matter,"
+            "dice_white_matter,dice_brainstem,"
+        )
+        assert len(rows) == result.iterations_run
+        mse_col = header.index("synth_train_mse")
+        names = [f"intensity_{tissues.class_name(k)}" for k in range(1, 6)]
+        assert header[mse_col + 1:] == names
+        for row, record, model in zip(rows, result.records, result.synth_models):
+            fields = row.split(",")
+            assert fields[mse_col] == f"{record.synth_train_mse:.10g}"
+            got = np.array([float(v) for v in fields[mse_col + 1:]])
+            np.testing.assert_allclose(got, model.class_intensities, rtol=1e-9)

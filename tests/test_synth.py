@@ -6,8 +6,6 @@ from camelion.synth import (
     SynthConfig,
     fit_linear,
     fit_regressor,
-    load_synth_model,
-    save_synth_model,
     synthesize,
 )
 from camelion.volumes import PartialVolumeSet, ScalarVolume, VolumeHeader
@@ -181,40 +179,3 @@ class TestRegressor:
         interior = out.data[1:-1, 1:-1, 1:-1]
         assert np.all(interior == interior[0, 0, 0])
 
-
-class TestSerialization:
-    def test_linear_round_trip(self, rng, tmp_path):
-        pv = random_pv(rng, dims=(6, 6, 6))
-        model = fit_linear(pv, linear_image(pv))
-        path = tmp_path / "m.synm"
-        save_synth_model(model, path)
-        loaded = load_synth_model(path)
-        assert loaded.backend == "linear"
-        assert np.allclose(loaded.class_intensities, model.class_intensities, rtol=1e-6)
-        path2 = tmp_path / "m2.synm"
-        save_synth_model(loaded, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_regressor_round_trip(self, rng, tmp_path):
-        pv = random_pv(rng, dims=(6, 6, 6))
-        image = linear_image(pv, noise=1.0, seed=2)
-        model = fit_regressor(pv, image, SynthConfig(backend="regressor", epochs=2, seed=3))
-        path = tmp_path / "r.synm"
-        save_synth_model(model, path)
-        loaded = load_synth_model(path)
-        assert loaded.regressor.patch_radius == model.regressor.patch_radius
-        assert np.array_equal(loaded.regressor.w_hidden, model.regressor.w_hidden)
-        out_a = synthesize(loaded, pv)
-        out_b = synthesize(model, pv)
-        assert np.array_equal(out_a.data, out_b.data)
-        path2 = tmp_path / "r2.synm"
-        save_synth_model(loaded, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_corrupt_magic(self, tmp_path):
-        path = tmp_path / "bad.synm"
-        path.write_bytes(b"XXXXxxxx")
-        from camelion.errors import FormatError
-
-        with pytest.raises(FormatError):
-            load_synth_model(path)
