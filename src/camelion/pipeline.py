@@ -14,22 +14,31 @@ and "nhm" (histogram-match the input to one atlas image, then direct).
 
 from __future__ import annotations
 
+import contextlib
+import os
+import struct
+import uuid
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import harmonize, metrics, synth
-from .errors import ArgumentError, CamelionError, PipelineError
+from .errors import ArgumentError, CamelionError, FormatError, PersistenceError, PipelineError
 from .pv import PvConfig, class_means, estimate_pv, noise_sigma
 from .segmenter import AtlasSide, SegmenterConfig, atlas_side, predict, train
 from .synth import SynthConfig, SynthModel, synthesize
-from .util import LatestMemo, content_key, derived_seed
+from .util import LatestMemo, content_key, derived_seed, worker_count
 from .volumes import (
+    HEADER_SIZE,
     AtlasPair,
     LabelVolume,
     PartialVolumeSet,
     ScalarVolume,
+    decode_mvf,
+    encode_mvf,
     require_same_header,
     write_mvf,
 )
@@ -130,7 +139,8 @@ def precompute_atlas_side(atlases: list[AtlasPair], cfg: SegmenterConfig) -> Atl
         content_key(*parts), lambda: atlas_side([a.labels for a in atlases], cfg))
 
 
-def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[PartialVolumeSet]:
+def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
+                        cache_dir=None) -> list[PartialVolumeSet]:
     """Estimate each atlas's partial volumes from its original image and
     labels.
 
@@ -139,13 +149,117 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[Partial
     (in atlas order), and only the latest set is kept, so a second run() on
     the same atlases reuses it and a new set evicts the old one before it
     is computed.
+
+    With cache_dir, the set is also kept across processes in the file
+    ``<cache_dir>/<key hex>.pvz``. A process that misses its memo reads the
+    file back only if it passes every check of _read_atlas_pv_file, and
+    otherwise computes the set and overwrites the file; a file that is
+    absent is written even when the memo hits.
     """
     parts = [cfg]
     for pair in atlases:
         parts += [pair.image.header, pair.labels.num_classes, pair.image.data, pair.labels.data]
+    key = content_key(*parts)
+    path = None if cache_dir is None else Path(cache_dir) / f"{key.hex()}.pvz"
+    rewrite = False
+
+    def load_or_compute():
+        nonlocal rewrite
+        if path is not None:
+            pvs = _read_atlas_pv_file(path, key, atlases)
+            if pvs is not None:
+                return pvs
+            rewrite = True
+        return _estimate_atlas_pvs(atlases, cfg)
+
     with _Stage("precompute_atlas_pv"):
-        return _ATLAS_PV.lookup(
-            content_key(*parts), lambda: [estimate_pv(a.image, a.labels, cfg) for a in atlases])
+        pvs = _ATLAS_PV.lookup(key, load_or_compute)
+    if path is not None and (rewrite or not path.is_file()):
+        _write_atlas_pv_file(path, key, pvs)
+    return pvs
+
+
+def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig) -> list[PartialVolumeSet]:
+    """estimate_pv of every atlas on a thread pool (the distance transforms
+    release the GIL), in atlas order; a failure raises the error of the
+    first failing atlas in that order."""
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(atlases)) or 1) as pool:
+        # estimate_pv is looked up at call time, so a rebound module global
+        # is the one that runs
+        futures = [pool.submit(lambda pair: estimate_pv(pair.image, pair.labels, cfg), pair)
+                   for pair in atlases]
+        return [future.result() for future in futures]
+
+
+# the atlas-PV file: magic | content key | atlas count u32 | per atlas, in
+# atlas order: length u64 | zlib(encode_mvf(pv))
+_PVZ_HEAD = struct.Struct("<4s16sI")
+_PVZ_MAGIC = b"PVZ1"
+_PVZ_LENGTH = struct.Struct("<Q")
+
+
+def _read_atlas_pv_file(path: Path, key: bytes,
+                        atlases: list[AtlasPair]) -> list[PartialVolumeSet] | None:
+    """The atlas PV set that path holds for key and atlases, or None when
+    the file is absent or fails any check: magic, key, atlas count, lengths
+    that fit the file exactly, zlib and MVF decoding, and each volume's
+    kind, header and class count against its atlas."""
+    try:
+        buf = memoryview(path.read_bytes())
+    except OSError:
+        return None
+    if len(buf) < _PVZ_HEAD.size or _PVZ_HEAD.unpack_from(buf) != (_PVZ_MAGIC, key, len(atlases)):
+        return None
+    pos = _PVZ_HEAD.size
+    pvs = []
+    for pair in atlases:
+        if pos + _PVZ_LENGTH.size > len(buf):
+            return None
+        (size,) = _PVZ_LENGTH.unpack_from(buf, pos)
+        pos += _PVZ_LENGTH.size
+        if size > len(buf) - pos:
+            return None
+        # inflated no further than the MVF size this atlas implies
+        expected = HEADER_SIZE + 4 * pair.labels.num_classes * pair.image.header.n_voxels
+        inflate = zlib.decompressobj()
+        try:
+            raw = inflate.decompress(buf[pos:pos + size], expected)
+            if not inflate.eof or inflate.unused_data:
+                return None
+            pv = decode_mvf(raw, source=str(path))
+        except (zlib.error, FormatError):
+            return None
+        pos += size
+        if (not isinstance(pv, PartialVolumeSet) or pv.header != pair.image.header
+                or pv.num_classes != pair.labels.num_classes):
+            return None
+        pvs.append(pv)
+    return pvs if pos == len(buf) else None
+
+
+def _write_atlas_pv_file(path: Path, key: bytes, pvs: list[PartialVolumeSet]) -> None:
+    """Write the atlas-PV file under a unique temporary name, then move it
+    into place, so concurrent writers are safe and no reader sees a partial
+    file. Each atlas is encoded and compressed on its own, so no second
+    copy of the whole set is ever held."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # opened by name, not by mkstemp, so the file takes the umask's mode
+        tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(_PVZ_HEAD.pack(_PVZ_MAGIC, key, len(pvs)))
+                for pv in pvs:
+                    blob = zlib.compress(encode_mvf(pv), 1)
+                    fh.write(_PVZ_LENGTH.pack(len(blob)))
+                    fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise PersistenceError(f"cannot write {path}: {exc}") from exc
 
 
 def _strip(labels: LabelVolume, fg: np.ndarray) -> LabelVolume:
@@ -228,14 +342,17 @@ def foreground_mask(image: ScalarVolume, rel_threshold: float) -> np.ndarray:
     return data > max(cut, 0.0)
 
 
-def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) -> LoopResult:
+def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
+        cache_dir=None) -> LoopResult:
     """Run the full adaptation loop on one input image.
 
     Deterministic for a given config seed. On non-convergence at the
     iteration cap the last labels are returned with converged = False.
+    cache_dir, when given, keeps the atlas partial volumes across processes
+    (see precompute_atlas_pv).
     """
     fg = _checked_foreground(input_image, atlases, cfg)
-    atlas_pvs = precompute_atlas_pv(atlases, cfg.pv)
+    atlas_pvs = precompute_atlas_pv(atlases, cfg.pv, cache_dir)
 
     side, model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
     labels_history = [stripped]

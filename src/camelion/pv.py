@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .errors import (
     ArgumentError,
@@ -98,6 +97,10 @@ def second_class_map(labels: LabelVolume) -> LabelVolume:
     of every class lies inside the box, so the nearest voxel of a class is
     never cut off, and offsets between voxels do not change with the crop.
     """
+    # imported here: scipy.ndimage costs about 0.2 s to import, and the
+    # commands that never estimate partial volumes should not pay it
+    from scipy.ndimage import distance_transform_edt
+
     counts = np.bincount(labels.data.ravel(), minlength=labels.num_classes + 1)
     present = [k for k in range(1, labels.num_classes + 1) if counts[k]]
     if len(present) < 2:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from . import tissues
 from .errors import ArgumentError, TrainingError
@@ -123,6 +122,8 @@ def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.nda
     outside it; where the floored channels sum past one they are rescaled
     to sum to one. The returned array is read-only.
     """
+    from scipy.ndimage import uniform_filter  # deferred, as in pv.second_class_map
+
     freq = label_frequency(atlas_labels)
     size = 2 * PRIOR_SMOOTH_RADIUS + 1
     prior = np.empty_like(freq)

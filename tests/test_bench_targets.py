@@ -25,6 +25,7 @@ def test_target_exists_and_is_callable(module_name, attr):
 
 @pytest.mark.parametrize("module_name,attr,index,name", [
     ("camelion.pipeline", "estimate_pv", 1, "labels"),
+    ("camelion.pipeline", "precompute_atlas_pv", 0, "atlases"),
     ("camelion.pv", "second_class_map", 0, "labels"),
     ("camelion.pipeline", "synthesize", 1, "pv"),
 ])

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import camelion
 from camelion import cli, pipeline
 from camelion.cli import main
 from camelion.config import DEFAULTS, format_config, load_config, parse_config_text
@@ -120,6 +124,7 @@ class TestRunCommand:
         produced = sorted(p.name for p in (runs / "s002" / "direct").iterdir())
         assert "labels_final.mvf" in produced
         assert not any(p.startswith("labels_0") for p in produced)
+        assert not (runs / "atlas_pv").exists()
 
     def test_unknown_method_exits_2(self, cohort, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -151,6 +156,7 @@ class TestRunCommand:
         assert (out_dir / "labels_0.mvf").exists()
         assert (out_dir / "atlas0_1.mvf").exists()
         assert not list(out_dir.glob("synth_*"))
+        assert len(list((runs / "atlas_pv").glob("*.pvz"))) == 1
         assert traj[0].split(",")[-6:] == [
             "synth_train_mse", "intensity_csf", "intensity_ventricles",
             "intensity_gray_matter", "intensity_white_matter", "intensity_brainstem",
@@ -475,3 +481,12 @@ def test_every_subcommand_has_help(capsys):
             main([cmd, "--help"])
         assert exc.value.code == 0
         assert "--help" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    # config and phantom never call the two functions that need it
+    src = str(Path(camelion.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, camelion.cli; sys.exit('scipy.ndimage' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
