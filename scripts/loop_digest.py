@@ -8,10 +8,10 @@ loop runs on its protocol-B image against the cohort's atlases, with the
 built-in defaults and the --set overrides, as ``camelion run`` would. The
 subject's digest is a sha256 over, in this order: the MVF bytes of every
 ``LoopResult`` volume (the final labels, the label history, then every
-synthesized atlas image of every iteration), the ``repr`` of the iteration
-records (which holds each synthesis fit's training error) and of
-``converged``, and the MVF bytes of the ``run_direct`` and ``run_nhm``
-labels. The volumes digest is a sha256 over the MVF bytes alone, every
+synthesized atlas image of every iteration), the ``repr`` of the list of
+(change fraction, synthesis training error) pairs, one per iteration
+record, the ``repr`` of ``converged``, and the MVF bytes of the
+``run_direct`` and ``run_nhm`` labels. The volumes digest is a sha256 over the MVF bytes alone, every
 subject's in the same order; the combined digest is a sha256 over the
 subject digests' 32-byte values, in manifest order. Two checkouts produce
 the same bytes on a cohort when they print the same combined digest, and
@@ -46,7 +46,7 @@ def subject_digest(input_image, atlases, loop_cfg, reference_atlas: int, volumes
     for volume in [result.final_labels, *result.labels_history,
                    *(img for images in result.atlas_images_history for img in images)]:
         add_volume(volume)
-    digest.update(repr(result.records).encode())
+    digest.update(repr([(r.change_fraction, r.synth.train_mse) for r in result.records]).encode())
     digest.update(repr(result.converged).encode())
     add_volume(run_direct(input_image, atlases, loop_cfg))
     add_volume(run_nhm(input_image, atlases, reference_atlas, loop_cfg))

@@ -62,11 +62,11 @@ def _foreground(image: ScalarVolume, mask) -> np.ndarray:
 
 def check_percentiles(percentiles) -> np.ndarray:
     """Landmark percentiles as float64, raising ArgumentError unless they
-    lie strictly inside (0, 100) and strictly increase."""
+    lie strictly inside (0, 100) and strictly increase (so none is NaN)."""
     pcts = np.asarray(percentiles, dtype=np.float64)
-    if pcts.size < 1 or (pcts <= 0).any() or (pcts >= 100).any():
+    if pcts.size < 1 or not ((pcts > 0) & (pcts < 100)).all():
         raise ArgumentError("percentiles must lie strictly inside (0, 100)")
-    if (np.diff(pcts) <= 0).any():
+    if not (np.diff(pcts) > 0).all():
         raise ArgumentError("percentiles must be strictly increasing")
     return pcts
 

@@ -108,14 +108,13 @@ def write_report(reports: list[EvalReport], path) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_trajectory(path, records, class_intensities, dice_rows=None,
-                     num_classes=tissues.NUM_CLASSES) -> None:
+def write_trajectory(path, records, dice_rows=None, num_classes=tissues.NUM_CLASSES) -> None:
     """Write the per-iteration record of the adaptation loop.
 
-    One row per iteration record (index, change_fraction, synth_train_mse).
-    class_intensities holds, per record, the synthesis fit's per-class
-    intensities, or None for a fit without them (a regressor), written as
-    empty fields. dice_rows, when given, is one per-class Dice-vs-truth
+    One row per iteration record, numbered from 1: its label change
+    fraction, its synthesis fit's training error and the fit's per-class
+    intensities, written as empty fields for a fit without them (a
+    regressor). dice_rows, when given, is one per-class Dice-vs-truth
     vector per record.
     """
     classes = range(1, num_classes + 1)
@@ -126,11 +125,12 @@ def write_trajectory(path, records, class_intensities, dice_rows=None,
     header.append("synth_train_mse")
     header.extend(f"intensity_{tissues.class_name(k)}" for k in classes)
     lines = [",".join(header)]
-    for i, (record, intensities) in enumerate(zip(records, class_intensities, strict=True)):
-        row = [str(record.index), _fmt(record.change_fraction)]
+    for i, record in enumerate(records):
+        row = [str(i + 1), _fmt(record.change_fraction)]
         if dice_rows is not None:
             row.extend(_fmt(dice_rows[i][k - 1]) for k in eval_classes)
-        row.append(_fmt(record.synth_train_mse))
+        row.append(_fmt(record.synth.train_mse))
+        intensities = record.synth.class_intensities
         row.extend("" if intensities is None else _fmt(intensities[k - 1]) for k in classes)
         lines.append(",".join(row))
     _write_text(path, "\n".join(lines) + "\n")

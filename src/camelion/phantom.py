@@ -81,6 +81,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         means = tuple(float(c) for c in self.class_means)
+        if not np.isfinite(means).all():
+            raise ArgumentError(f"class_means must be finite, got {means}")
         if len(set(means)) != len(means):
             raise ArgumentError(f"class means must be pairwise distinct, got {means}")
         object.__setattr__(self, "class_means", means)

@@ -70,22 +70,25 @@ class LoopConfig:
 
 @dataclass
 class IterationRecord:
-    index: int
+    """One pass of the loop: the fraction of voxels whose label changed and
+    the synthesis fit it made."""
+
     change_fraction: float
-    synth_train_mse: float
-    out_of_prior: int
+    synth: SynthModel
 
 
 @dataclass
 class LoopResult:
     """Everything the loop produced, including the full trajectory."""
 
-    final_labels: LabelVolume
     labels_history: list[LabelVolume]          # initial labels first
     atlas_images_history: list[list[ScalarVolume]]
-    synth_models: list[SynthModel]
     records: list[IterationRecord]
     converged: bool
+
+    @property
+    def final_labels(self) -> LabelVolume:
+        return self.labels_history[-1]
 
     @property
     def iterations_run(self) -> int:
@@ -291,8 +294,8 @@ def _initial_segmentation(input_image: ScalarVolume, atlases: list[AtlasPair],
         side = precompute_atlas_side(atlases, cfg.segmenter)
         model = train([a.image for a in atlases], side, cfg.segmenter)
     with _Stage("segment"):
-        out = predict(model, input_image)
-    return side, model, _strip(out.labels, fg)
+        labels = predict(model, input_image)
+    return side, model, _strip(labels, fg)
 
 
 def run_direct(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) -> LabelVolume:
@@ -360,19 +363,11 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
     # start from the atlas-side class means, then carry the latest fit
     last_intensities = model.means.copy()
     atlas_images_history: list[list[ScalarVolume]] = []
-    synth_models: list[SynthModel] = []
     records: list[IterationRecord] = []
     converged = False
 
     def partial():
-        return LoopResult(
-            final_labels=labels_history[-1],
-            labels_history=labels_history,
-            atlas_images_history=atlas_images_history,
-            synth_models=synth_models,
-            records=records,
-            converged=converged,
-        )
+        return LoopResult(labels_history, atlas_images_history, records, converged)
 
     for t in range(cfg.max_iterations):
         current = labels_history[-1]
@@ -395,20 +390,11 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
         with _Stage(f"retrain[{t}]", partial):
             model = train(new_images, side, cfg.segmenter)
         with _Stage(f"segment[{t}]", partial):
-            seg_out = predict(model, input_image)
-            new_labels = _strip(seg_out.labels, fg)
+            new_labels = _strip(predict(model, input_image), fg)
         change = metrics.label_change_fraction(current, new_labels)
         labels_history.append(new_labels)
         atlas_images_history.append(new_images)
-        synth_models.append(model_t)
-        records.append(
-            IterationRecord(
-                index=t + 1,
-                change_fraction=change,
-                synth_train_mse=model_t.train_mse,
-                out_of_prior=seg_out.out_of_prior,
-            )
-        )
+        records.append(IterationRecord(change, model_t))
         if change < cfg.change_threshold:
             converged = True
             break
@@ -481,7 +467,6 @@ def save_loop_artifacts(result: LoopResult, out_dir, truth_labels: LabelVolume |
     metrics.write_trajectory(
         out_dir / "trajectory.csv",
         result.records,
-        [model.class_intensities for model in result.synth_models],
         dice_rows,
         num_classes=result.final_labels.num_classes,
     )

@@ -36,8 +36,9 @@ class SegmenterConfig:
     def __post_init__(self):
         if not 0 < self.prior_epsilon < 1:
             raise ArgumentError(f"prior_epsilon must be in (0, 1), got {self.prior_epsilon}")
-        if self.smoothing_weight < 0:
-            raise ArgumentError(f"smoothing_weight must be >= 0, got {self.smoothing_weight}")
+        if not (np.isfinite(self.smoothing_weight) and self.smoothing_weight >= 0):
+            raise ArgumentError(
+                f"smoothing_weight must be finite and >= 0, got {self.smoothing_weight}")
 
 
 @dataclass(frozen=True)
@@ -82,20 +83,6 @@ class SegmenterModel:
     @property
     def num_classes(self) -> int:
         return self.support.log_prior.shape[0]
-
-
-@dataclass
-class SegOutput:
-    """Hard labels and the count of voxels no prior covers.
-
-    labels is the per-voxel posterior argmax (ties to the smaller class) on
-    the prior's support and background elsewhere; out_of_prior counts
-    voxels with positive intensity that were forced to background because
-    no atlas prior covers them.
-    """
-
-    labels: LabelVolume
-    out_of_prior: int
 
 
 def label_frequency(atlas_labels: list[LabelVolume]) -> np.ndarray:
@@ -244,12 +231,13 @@ def _neighbor_counts(labels: np.ndarray, support: PriorSupport, dims, k_max: int
     return counts
 
 
-def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
+def predict(model: SegmenterModel, image: ScalarVolume) -> LabelVolume:
     """Per-voxel Bayes classification under the trained model.
 
     Posterior(k | f) is proportional to N(f; mu_k, sigma_k^2) * pi_k, and
-    is evaluated on the prior's support only: voxels without any prior
-    support are background. When smoothing_weight is positive, one
+    is evaluated on the prior's support only: each support voxel gets the
+    posterior argmax (ties to the smaller class), and voxels without any
+    prior support are background. When smoothing_weight is positive, one
     synchronous iterated-conditional-modes pass folds a 6-neighborhood
     agreement bonus exp(w * n_k) into the posteriors and relabels from the
     adjusted posteriors.
@@ -275,8 +263,4 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> SegOutput:
 
     full_labels = np.zeros(image.header.n_voxels, dtype=np.uint8)
     full_labels[support.index] = labels
-    out_of_prior = int(np.count_nonzero(image.data > 0)) - int(np.count_nonzero(f > 0))
-    return SegOutput(
-        labels=LabelVolume(image.header, full_labels.reshape(image.header.dims), num_classes=k_max),
-        out_of_prior=out_of_prior,
-    )
+    return LabelVolume(image.header, full_labels.reshape(image.header.dims), num_classes=k_max)

@@ -233,7 +233,7 @@ def predict_reference(model, prior, image):
     """The Gaussian classifier under a (K, *dims) prior stack evaluated on
     the whole grid, as predict did it before it worked on the prior's
     support: the likelihood, the masked exp/normalize, the argmax and the
-    one-pass ICM bonus on every voxel. Returns (labels, out_of_prior)."""
+    one-pass ICM bonus on every voxel. Returns the label array."""
     k_max = prior.shape[0]
     f = image.data.astype(np.float64)
     mask = prior.any(axis=0)
@@ -259,8 +259,7 @@ def predict_reference(model, prior, image):
         bonus = model.smoothing_weight * _full_grid_neighbor_counts(labels, k_max)
         posteriors = normalize(log_w + bonus)
         labels = np.where(mask, posteriors.argmax(axis=0) + 1, 0).astype(np.uint8)
-    out_of_prior = int(np.count_nonzero((image.data > 0) & ~mask))
-    return labels, out_of_prior
+    return labels
 
 
 def train_statistics_reference(atlases):

@@ -106,6 +106,7 @@ class TestPhantomCommand:
         "phantom.n_atlas=0",
         "protocol_b.class_means=1 2 3",
         "protocol_a.class_means=1 2 3 4 5 6",
+        "protocol_b.class_means=nan 20 75 95 50",
     ])
     def test_rejected_config_writes_nothing(self, tmp_path, setting):
         out = tmp_path / "o"
@@ -230,7 +231,19 @@ class TestRunCommand:
         assert code == 2
         assert not runs.exists()
 
-    @pytest.mark.parametrize("percentiles", ["0 50 99", "50 20"])
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
+    def test_non_finite_smoothing_weight_exits_2(self, cohort, tmp_path, method, weight):
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "run", "--method", method, "--subject", "s002",
+            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+            "--set", f"segmenter.smoothing_weight={weight}",
+        )
+        assert code == 2
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("percentiles", ["0 50 99", "50 20", "nan 50"])
     @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
     def test_bad_nhm_percentiles_exits_2(self, cohort, tmp_path, method, percentiles):
         runs = tmp_path / "runs"

@@ -15,6 +15,7 @@ from camelion.metrics import (
     write_trajectory,
 )
 from camelion.pipeline import IterationRecord
+from camelion.synth import SynthModel
 from camelion.volumes import LabelVolume, VolumeHeader
 from oracles import pearson_direct
 
@@ -184,9 +185,11 @@ class TestReports:
 
     def test_trajectory_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        records = [IterationRecord(1, 0.2, 4.5, 0), IterationRecord(2, 0.04, 2.25, 0)]
-        intensities = [np.arange(1.0, 6.0), None]
-        write_trajectory(path, records, intensities, [np.ones(5) * 0.8, np.ones(5) * 0.9])
+        records = [
+            IterationRecord(0.2, SynthModel("linear", 5, np.arange(1.0, 6.0), train_mse=4.5)),
+            IterationRecord(0.04, SynthModel("regressor", 5, train_mse=2.25)),
+        ]
+        write_trajectory(path, records, [np.ones(5) * 0.8, np.ones(5) * 0.9])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == (
             "iteration,label_change_fraction,dice_ventricles,dice_gray_matter,"

@@ -375,7 +375,6 @@ class TestRun:
         cfg = LoopConfig(max_iterations=1, change_threshold=0.0001)
         result = run(input_image, atlases, cfg)
         assert result.iterations_run == 1
-        assert len(result.synth_models) == 1
         assert len(result.atlas_images_history) == 1
         assert not result.converged
 
@@ -412,8 +411,8 @@ class TestRun:
         assert result.iterations_run == len(result.records)
         assert result.final_labels is result.labels_history[-1]
         assert len(result.labels_history) == result.iterations_run + 1
-        for i, rec in enumerate(result.records):
-            assert rec.index == i + 1
+        # each iteration keeps its own synthesis fit
+        assert len({id(rec.synth) for rec in result.records}) == result.iterations_run
 
     def test_linear_synthesis_is_pv_reassignment(self, small_cohort, monkeypatch):
         # gamma=1 noiseless: without the injected noise, synthesized atlas
@@ -423,7 +422,7 @@ class TestRun:
         monkeypatch.setattr(pipeline, "_with_noise", lambda image, sigma, seed: image)
         cfg = LoopConfig(max_iterations=1)
         result = run(input_image, atlases, cfg)
-        c = result.synth_models[0].class_intensities
+        c = result.records[0].synth.class_intensities
         pvs = precompute_atlas_pv(atlases, cfg.pv)
         for pv, synth_img in zip(pvs, result.atlas_images_history[0]):
             expected = np.tensordot(c, pv.channels.astype(np.float64), axes=(0, 0))
@@ -659,8 +658,8 @@ class TestArtifacts:
         mse_col = header.index("synth_train_mse")
         names = [f"intensity_{tissues.class_name(k)}" for k in range(1, 6)]
         assert header[mse_col + 1:] == names
-        for row, record, model in zip(rows, result.records, result.synth_models):
+        for row, record in zip(rows, result.records):
             fields = row.split(",")
-            assert fields[mse_col] == f"{record.synth_train_mse:.10g}"
+            assert fields[mse_col] == f"{record.synth.train_mse:.10g}"
             got = np.array([float(v) for v in fields[mse_col + 1:]])
-            np.testing.assert_allclose(got, model.class_intensities, rtol=1e-9)
+            np.testing.assert_allclose(got, record.synth.class_intensities, rtol=1e-9)

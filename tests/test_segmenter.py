@@ -250,7 +250,7 @@ class TestPredict:
         model = fit([pair_from(image, labels)], NO_SMOOTH)
         probe = np.full(labels.shape, 60.0, dtype=np.float32)
         out = predict(model, ScalarVolume(model.header, probe))
-        assert np.all(on_support(model, out.labels) == 2)
+        assert np.all(on_support(model, out) == 2)
 
     def test_zero_prior_blocks_class(self):
         labels = five_class_labels()
@@ -264,8 +264,8 @@ class TestPredict:
         # every voxel at the class-5 mean
         probe = np.full(labels.shape, 150.0, dtype=np.float32)
         out = predict(model, ScalarVolume(model.header, probe))
-        assert np.all(out.labels.data[~far] == 5)
-        assert not np.any(out.labels.data[far] == 5)
+        assert np.all(out.data[~far] == 5)
+        assert not np.any(out.data[far] == 5)
 
     def test_header_mismatch(self):
         labels = five_class_labels()
@@ -284,7 +284,7 @@ class TestPredict:
         out = predict(model, ScalarVolume(model.header, probe))
         prior = prior_of([pair_from(image, labels)], NO_SMOOTH)
         expected = bayes_labels(probe, model.means, model.variances, prior.astype(np.float64))
-        assert np.array_equal(out.labels.data, expected)
+        assert np.array_equal(out.data, expected)
 
     def test_labels_are_posterior_argmax_with_smoothing(self):
         # predict_reference takes the argmax of the full-grid posterior stack
@@ -295,7 +295,7 @@ class TestPredict:
         model = fit(pairs, cfg)
         probe = (labels * 25.0 + rng.normal(0, 10, labels.shape)).astype(np.float32)
         out = assert_matches_full_grid(model, prior_of(pairs, cfg), probe)
-        assert np.all(on_support(model, out.labels) > 0)
+        assert np.all(on_support(model, out) > 0)
 
     def test_crop_separability_without_smoothing(self):
         rng = np.random.default_rng(11)
@@ -317,7 +317,7 @@ class TestPredict:
             smoothing_weight=0.0,
         )
         sub = predict(sub_model, ScalarVolume(sub_header, probe[crop]))
-        assert np.array_equal(sub.labels.data, full.labels.data[crop])
+        assert np.array_equal(sub.data, full.data[crop])
         assert_matches_full_grid(sub_model, sub_prior, probe[crop])
 
     def test_smoothing_removes_salt_noise(self):
@@ -334,8 +334,8 @@ class TestPredict:
             fit([pair_from(image, labels)], SegmenterConfig(smoothing_weight=0.5)),
             ScalarVolume(VolumeHeader((10, 10, 10)), probe.astype(np.float32)),
         )
-        err_plain = (plain.labels.data != labels).sum()
-        err_smooth = (smoothed.labels.data != labels).sum()
+        err_plain = (plain.data != labels).sum()
+        err_smooth = (smoothed.data != labels).sum()
         assert err_smooth <= err_plain
 
 
@@ -369,9 +369,8 @@ def probe_image(shape, seed):
 
 def assert_matches_full_grid(model, prior, probe):
     out = predict(model, ScalarVolume(model.header, probe))
-    labels, out_of_prior = predict_reference(model, prior, ScalarVolume(model.header, probe))
-    assert out.labels.data.tobytes() == labels.tobytes()
-    assert out.out_of_prior == out_of_prior
+    labels = predict_reference(model, prior, ScalarVolume(model.header, probe))
+    assert out.data.tobytes() == labels.tobytes()
     return out
 
 
@@ -392,9 +391,11 @@ class TestSupportMatchesFullGrid:
         cfg = SegmenterConfig(smoothing_weight=weight)
         model = fit(pairs, cfg)
         prior = prior_of(pairs, cfg)
-        out = assert_matches_full_grid(model, prior, probe_image(model.header.dims, seed=1))
-        assert out.out_of_prior > 0
-        assert np.all(out.labels.data[~prior.any(axis=0)] == 0)
+        probe = probe_image(model.header.dims, seed=1)
+        off_support = ~prior.any(axis=0)
+        assert (probe[off_support] > 0).any()
+        out = assert_matches_full_grid(model, prior, probe)
+        assert np.all(out.data[off_support] == 0)
 
     @pytest.mark.parametrize("weight", [0.0, 0.5])
     def test_prior_with_zero_support_holes(self, weight):
@@ -406,9 +407,10 @@ class TestSupportMatchesFullGrid:
         prior[2, rng.random(base.header.dims) < 0.3] = 0.0       # one class blocked
         prior[:, rng.random(base.header.dims) < 0.1] = 1e-7      # faint but supported
         model = SegmenterModel(base.header, base.means, base.variances, prior_support(prior), weight)
-        out = assert_matches_full_grid(model, prior, probe_image(model.header.dims, seed=3))
-        assert out.out_of_prior > 0
-        assert np.all(out.labels.data[prior[2] == 0] != 3)
+        probe = probe_image(model.header.dims, seed=3)
+        assert (probe[~prior.any(axis=0)] > 0).any()
+        out = assert_matches_full_grid(model, prior, probe)
+        assert np.all(out.data[prior[2] == 0] != 3)
 
 
 def test_self_consistency_on_noiseless_phantom():
@@ -423,7 +425,7 @@ def test_self_consistency_on_noiseless_phantom():
     model = fit([AtlasPair(wide, truth)], SegmenterConfig())
     out = predict(model, wide)
     mask = truth.data > 0  # the prior's support
-    agree = (out.labels.data[mask] == truth.data[mask]).mean()
+    agree = (out.data[mask] == truth.data[mask]).mean()
     assert agree >= 0.99
 
     # at the default (tighter) contrast the quadratic decision boundaries
@@ -432,13 +434,13 @@ def test_self_consistency_on_noiseless_phantom():
     tight = render(pv, ProtocolParams((25.0, 15.0, 60.0, 100.0, 45.0)), seed=0)
     model_t = fit([AtlasPair(tight, truth)], SegmenterConfig())
     out_t = predict(model_t, tight)
-    agree_t = (out_t.labels.data[mask] == truth.data[mask]).mean()
+    agree_t = (out_t.data[mask] == truth.data[mask]).mean()
     assert agree_t >= 0.985
 
     # a loose prior floor (0.01) opens the prior off atlas support and pays
     # with capture of mixed-intensity interface voxels
     loose = fit([AtlasPair(tight, truth)], SegmenterConfig(prior_epsilon=0.01))
     out_l = predict(loose, tight)
-    agree_l = (out_l.labels.data[mask] == truth.data[mask]).mean()
+    agree_l = (out_l.data[mask] == truth.data[mask]).mean()
     assert agree_l <= agree_t
 
