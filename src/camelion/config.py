@@ -106,19 +106,19 @@ def load_config(path=None, set_pairs=()) -> dict:
     return cfg
 
 
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_format_value(v) for v in value)
+    if isinstance(value, float):
+        # the short form only where it parses back to the same value
+        text = f"{value:g}"
+        return text if float(text) == value else repr(value)
+    return str(value)
+
+
 def format_config(cfg: dict) -> str:
-    """Render a config dict back to parseable, sorted text."""
-    lines = []
-    for key in sorted(cfg):
-        value = cfg[key]
-        if isinstance(value, tuple):
-            text = " ".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            text = f"{value:g}"
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    """Render a config dict back to parseable, sorted text that parses to it."""
+    return "".join(f"{key} = {_format_value(cfg[key])}\n" for key in sorted(cfg))
 
 
 def phantom_params(cfg: dict) -> PhantomParams:

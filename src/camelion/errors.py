@@ -17,10 +17,6 @@ class PersistenceError(CamelionError):
     """Operating-system level I/O failure."""
 
 
-class UnsupportedError(CamelionError):
-    """Well-formed input using a feature outside the supported subset."""
-
-
 class ValidationError(CamelionError):
     """A volume failed an internal consistency check."""
 

@@ -411,8 +411,8 @@ def load_manifest(path) -> dict:
     """Read a cohort manifest, attaching the directory for path resolution.
 
     Raises FormatError naming the file unless it is a JSON object whose
-    "subjects" list gives each subject a string id, a role of "atlas" or
-    "test", and string image_a, image_b and labels file names.
+    "subjects" list gives each subject a unique string id, a role of "atlas"
+    or "test", and string image_a, image_b and labels file names.
     """
     path = Path(path)
     try:
@@ -425,6 +425,7 @@ def load_manifest(path) -> dict:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("subjects"), list):
         raise FormatError(f"{path} is not a manifest object with a 'subjects' list")
+    seen = set()
     for i, entry in enumerate(manifest["subjects"]):
         if not (isinstance(entry, dict) and entry.get("role") in ("atlas", "test")
                 and all(isinstance(entry.get(key), str) for key in _ENTRY_STRINGS)):
@@ -432,5 +433,8 @@ def load_manifest(path) -> dict:
                 f"{path}: subject {i} needs string {', '.join(_ENTRY_STRINGS)} "
                 "and a role of 'atlas' or 'test'"
             )
+        if entry["id"] in seen:
+            raise FormatError(f"{path}: subject id {entry['id']!r} is listed twice")
+        seen.add(entry["id"])
     manifest["_dir"] = str(path.parent)
     return manifest

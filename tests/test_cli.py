@@ -63,8 +63,11 @@ class TestConfig:
         assert cfg["loop.max_iterations"] == 3
 
     def test_format_parse_identity(self):
-        text = format_config(DEFAULTS)
-        assert parse_config_text(text) == dict(DEFAULTS)
+        # the defaults, then floats that six significant digits do not hold
+        for overrides in ([], ["pv.beta=0.123456789"], ["protocol_b.gamma=0.7000001"],
+                          ["nhm.percentiles=1 50 99.99999999"]):
+            cfg = load_config(None, overrides)
+            assert parse_config_text(format_config(cfg)) == cfg, overrides
 
     def test_unknown_key_in_file_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
@@ -220,49 +223,24 @@ class TestRunCommand:
         assert [p.name for p in (runs / "s002" / "camelion").iterdir()] == [
             "effective_config.txt"]
 
+    # each value fails a range check on every arm
+    @pytest.mark.parametrize("setting", [
+        "loop.mask_rel_threshold=2",
+        "segmenter.smoothing_weight=inf",
+        "segmenter.smoothing_weight=nan",
+        "nhm.percentiles=0 50 99",
+        "nhm.percentiles=50 20",
+        "nhm.percentiles=nan 50",
+        "nhm.reference_atlas=99",
+        "nhm.reference_atlas=-1",
+    ])
     @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
-    def test_out_of_range_mask_threshold_exits_2(self, cohort, tmp_path, method):
+    def test_rejected_setting_exits_2(self, cohort, tmp_path, method, setting):
         runs = tmp_path / "runs"
         code = run_cli(
             "run", "--method", method, "--subject", "s002",
             "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
-            "--set", "loop.mask_rel_threshold=2",
-        )
-        assert code == 2
-        assert not runs.exists()
-
-    @pytest.mark.parametrize("weight", ["inf", "nan"])
-    @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
-    def test_non_finite_smoothing_weight_exits_2(self, cohort, tmp_path, method, weight):
-        runs = tmp_path / "runs"
-        code = run_cli(
-            "run", "--method", method, "--subject", "s002",
-            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
-            "--set", f"segmenter.smoothing_weight={weight}",
-        )
-        assert code == 2
-        assert not runs.exists()
-
-    @pytest.mark.parametrize("percentiles", ["0 50 99", "50 20", "nan 50"])
-    @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
-    def test_bad_nhm_percentiles_exits_2(self, cohort, tmp_path, method, percentiles):
-        runs = tmp_path / "runs"
-        code = run_cli(
-            "run", "--method", method, "--subject", "s002",
-            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
-            "--set", f"nhm.percentiles={percentiles}",
-        )
-        assert code == 2
-        assert not runs.exists()
-
-    @pytest.mark.parametrize("index", ["99", "-1"])
-    @pytest.mark.parametrize("method", ["direct", "nhm", "camelion"])
-    def test_out_of_range_reference_atlas_exits_2(self, cohort, tmp_path, method, index):
-        runs = tmp_path / "runs"
-        code = run_cli(
-            "run", "--method", method, "--subject", "s002",
-            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
-            "--set", f"nhm.reference_atlas={index}",
+            "--set", setting,
         )
         assert code == 2
         assert not runs.exists()
@@ -446,6 +424,9 @@ class TestMalformedInputs:
         "{not json",
         '{"subjects": [{"id": "s002"}]}',
         '{"seed": 12345}',
+        json.dumps({"subjects": [
+            {"id": sid, "role": role, "image_a": "a.mvf", "image_b": "b.mvf", "labels": "l.mvf"}
+            for sid, role in (("s000", "atlas"), ("s002", "test"), ("s002", "test"))]}),
     ])
     @pytest.mark.parametrize("command", ["run", "eval"])
     def test_malformed_manifest_exits_2(self, cohort, runs, tmp_path, capsys, command, text):
@@ -496,10 +477,25 @@ def test_every_subcommand_has_help(capsys):
         assert "--help" in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_ndimage_unloaded():
-    # config and phantom never call the two functions that need it
+def run_after_cli_import(check):
+    """Run the Python statement check in a fresh process that has imported camelion.cli."""
     src = str(Path(camelion.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, camelion.cli; sys.exit('scipy.ndimage' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    return subprocess.run([sys.executable, "-c", f"import sys, camelion.cli; {check}"],
+                          env=env, timeout=60, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    # config and phantom never call the two functions that need it
+    assert run_after_cli_import("sys.exit('scipy.ndimage' in sys.modules)").returncode == 0
+
+
+def test_cli_import_loads_every_module():
+    # a module that the command line never imports is reached by no command
+    modules = sorted(f"camelion.{p.stem}" for p in Path(camelion.__file__).parent.glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    proc = run_after_cli_import(
+        f"print(' '.join(m for m in {modules!r} if m not in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
