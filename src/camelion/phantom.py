@@ -3,9 +3,10 @@ partial volumes, rendered under configurable acquisition protocols.
 
 Each subject is a nested-ellipsoid "head": a CSF shell, a gray-matter shell,
 a white-matter interior carrying two ventricle ellipsoids, and a brainstem
-cylinder extending inferiorly. Geometry is built on a supersampled grid;
+cylinder extending inferiorly. Geometry is defined on a supersampled grid;
 averaging the supersampled labels down to the working resolution yields
-exact partial-volume ground truth.
+exact partial-volume ground truth. The subvoxels are tested only in the
+low-res cells a structure surface crosses.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ class ProtocolParams:
     A rendered intensity is g(bias * sum_k p_k * c_k) + noise where g is a
     global monotone contrast warp (exponent gamma over the class-mean
     range), bias is a smooth separable multiplicative field around 1, and
-    the noise is Gaussian with standard deviation noise_sigma.
+    the noise is Gaussian with standard deviation noise_sigma. The warp
+    divides by the largest class mean and clamps negative signal to 0, so
+    it needs every class mean > 0; the field stays positive only for
+    bias_amplitude < 1.
     """
 
     class_means: tuple[float, ...]
@@ -90,8 +94,10 @@ class ProtocolParams:
             raise ArgumentError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.3 <= self.gamma <= 3.0:
             raise ArgumentError(f"gamma must be in [0.3, 3], got {self.gamma}")
-        if self.bias_amplitude < 0 or not np.isfinite(self.bias_amplitude):
-            raise ArgumentError(f"bias_amplitude must be >= 0, got {self.bias_amplitude}")
+        if self.gamma != 1.0 and min(means) <= 0:
+            raise ArgumentError(f"class_means must all be > 0 when gamma != 1, got {means}")
+        if not 0 <= self.bias_amplitude < 1:
+            raise ArgumentError(f"bias_amplitude must be in [0, 1), got {self.bias_amplitude}")
 
 
 # Default protocols. A is the atlas-side protocol; B compresses the GM/WM
@@ -148,51 +154,22 @@ def _ellipsoid_terms(coords, center, radii) -> tuple[np.ndarray, ...]:
     return tuple(((c - m) / r) ** 2 for c, m, r in zip(coords, center, radii))
 
 
-def _box(terms) -> tuple[slice, ...]:
-    """Index range, per axis, where that axis's 1-D term is <= 1.
-
-    Every voxel outside this box is outside the structure: one of its terms
-    exceeds 1, the others are >= 0, and IEEE addition is monotone, so the
-    rounded sum exceeds 1 too. The box is empty along an axis the structure
-    does not reach.
-    """
-    box = []
-    for t in terms:
-        inside = np.flatnonzero(t <= 1.0)
-        box.append(slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0))
-    return tuple(box)
+def _outer_sum(tx, ty, tz) -> np.ndarray:
+    # (tx + ty) + tz over every (x, y, z) triple, batched over any leading
+    # axes; every structure test adds its terms in this order
+    return (tx[..., :, None, None] + ty[..., None, :, None]) + tz[..., None, None, :]
 
 
-def _inside(terms, box) -> np.ndarray:
-    # the full-grid test (tx + ty) + tz <= 1, restricted to the box: the
-    # same operations on the same values, hence the same bits
-    tx, ty, tz = (t[s] for t, s in zip(terms, box))
-    return (tx[:, None, None] + ty[None, :, None]) + tz[None, None, :] <= 1.0
+def _geometry(params: PhantomParams, subject_index: int) -> list:
+    """One subject's structures in painter's order, as (label, tests) pairs.
 
-
-def _paint(labels: np.ndarray, label: int, terms, clip=None) -> None:
-    """Set ``label`` where the structure's test holds (and the clip test,
-    evaluated on the structure's own box, also holds)."""
-    box = _box(terms)
-    mask = _inside(terms, box)
-    if clip is not None:
-        mask &= _inside(clip, box)
-    labels[box][mask] = label
-
-
-def generate_label_phantom(params: PhantomParams, subject_index: int) -> LabelVolume:
-    """Rasterize one subject's anatomy on the supersampled grid.
-
-    Deterministic in (params.seed, subject_index). All five tissue classes
-    are present, and ventricles are clipped to the eroded white-matter
-    interior so every ventricle voxel's neighborhood holds only ventricle
-    or white matter. Each structure is evaluated only inside its bounding
-    box, with the same result as a full-grid test.
+    Each test is the three per-axis 1-D terms (tx, ty, tz), over the voxel
+    centers of the supersampled grid, of the test (tx + ty) + tz <= 1. A
+    subvoxel carries the label of the last structure whose tests all hold
+    there, else background. Deterministic in (params.seed, subject_index).
     """
     if subject_index < 0:
         raise ArgumentError("subject_index must be non-negative")
-    ss = params.supersample
-    dims = tuple(d * ss for d in params.base_dims)
     rng = np.random.default_rng(np.random.SeedSequence([params.seed, subject_index, 0]))
     u = rng.uniform(-1.0, 1.0, size=14)
     j = params.shape_jitter
@@ -205,30 +182,129 @@ def generate_label_phantom(params: PhantomParams, subject_index: int) -> LabelVo
     bs_half = 0.5 * (_BS_SEGMENT_Z[1] - _BS_SEGMENT_Z[0]) * (1.0 + 0.5 * j * u[13])
     bs_mid = 0.5 * (_BS_SEGMENT_Z[0] + _BS_SEGMENT_Z[1])
 
-    coords = tuple(_axis_coords(n) for n in dims)
+    coords = tuple(_axis_coords(d * params.supersample) for d in params.base_dims)
     x, y, z = coords
     origin = _SHELL_CENTER
-
-    labels = np.zeros(dims, dtype=np.uint8)
-    _paint(labels, tissues.CSF, _ellipsoid_terms(coords, origin, head))
-    _paint(labels, tissues.GRAY_MATTER, _ellipsoid_terms(coords, origin, gm))
-    _paint(labels, tissues.WHITE_MATTER, _ellipsoid_terms(coords, origin, wm))
-
     capsule = (
         ((x - _BS_CENTER_XY[0]) / bs_radius) ** 2,
         ((y - _BS_CENTER_XY[1]) / bs_radius) ** 2,
         (np.maximum(np.abs(z - bs_mid) - bs_half, 0.0) / _BS_CAP_RZ) ** 2,
     )
-    _paint(labels, tissues.BRAINSTEM, capsule,
-           clip=_ellipsoid_terms(coords, origin, wm * _BS_CLIP_SCALE))
-
     wm_interior = _ellipsoid_terms(coords, origin, wm * _VENT_CLIP_SCALE)
-    for center in _VENT_CENTERS:
-        _paint(labels, tissues.VENTRICLES, _ellipsoid_terms(coords, center, vent),
-               clip=wm_interior)
+    return [
+        (tissues.CSF, [_ellipsoid_terms(coords, origin, head)]),
+        (tissues.GRAY_MATTER, [_ellipsoid_terms(coords, origin, gm)]),
+        (tissues.WHITE_MATTER, [_ellipsoid_terms(coords, origin, wm)]),
+        (tissues.BRAINSTEM, [capsule, _ellipsoid_terms(coords, origin, wm * _BS_CLIP_SCALE)]),
+    ] + [
+        (tissues.VENTRICLES, [_ellipsoid_terms(coords, center, vent), wm_interior])
+        for center in _VENT_CENTERS
+    ]
 
-    voxel = tuple(LOW_RES_VOXEL_MM / ss for _ in range(3))
-    return LabelVolume(VolumeHeader(dims, voxel), labels, num_classes=tissues.NUM_CLASSES)
+
+def _classify(params: PhantomParams, subject_index: int):
+    """Rasterize one subject per low-res cell: (base, mixed, blocks).
+
+    Every subvoxel of cell c carries base[c] (uint8, shape base_dims),
+    except in the cells ``mixed`` (flat indices, ascending), whose subvoxel
+    labels are blocks[i] (uint8, shape (f, f, f) for supersample f).
+
+    Rounded IEEE addition is monotone, so a cell whose largest per-axis
+    terms sum to <= 1 lies wholly inside a test, and a cell whose smallest
+    terms sum past 1 lies wholly outside it. The last structure wholly
+    inside a cell is its base and hides every earlier one there; a later
+    structure the cell leaves undecided is tested per subvoxel, in that
+    cell only. The labels are those of every test evaluated on the full
+    supersampled grid.
+    """
+    f = params.supersample
+    dims = params.base_dims
+    geometry = [
+        (label, [tuple(t.reshape(-1, f) for t in terms) for terms in tests])
+        for label, tests in _geometry(params, subject_index)
+    ]
+    inside, undecided = [], []
+    for _, tests in geometry:
+        hit = np.ones(dims, dtype=bool)
+        miss = np.zeros(dims, dtype=bool)
+        for terms in tests:
+            hit &= _outer_sum(*(t.max(axis=1) for t in terms)) <= 1.0
+            miss |= _outer_sum(*(t.min(axis=1) for t in terms)) > 1.0
+        inside.append(hit)
+        undecided.append(~(hit | miss))
+    covered = np.zeros(dims, dtype=bool)
+    for todo, hit in zip(reversed(undecided), reversed(inside)):
+        todo &= ~covered
+        covered |= hit
+
+    base = np.zeros(dims, dtype=np.uint8)
+    for (label, _), hit in zip(geometry, inside):
+        base[hit] = label
+    mixed = np.flatnonzero(np.logical_or.reduce(undecided))
+    blocks = np.empty((mixed.size, f, f, f), dtype=np.uint8)
+    blocks[...] = base.ravel()[mixed, None, None, None]
+    for (label, tests), todo in zip(geometry, undecided):
+        pick = np.flatnonzero(todo.ravel()[mixed])
+        cells = np.unravel_index(mixed[pick], dims)
+        holds = np.ones((pick.size, f, f, f), dtype=bool)
+        for terms in tests:
+            holds &= _outer_sum(*(t[c] for t, c in zip(terms, cells))) <= 1.0
+        painted = blocks[pick]
+        painted[holds] = label
+        blocks[pick] = painted
+    return base, mixed, blocks
+
+
+def generate_label_phantom(params: PhantomParams, subject_index: int) -> LabelVolume:
+    """Rasterize one subject's anatomy on the supersampled grid.
+
+    Deterministic in (params.seed, subject_index). All five tissue classes
+    are present, and ventricles are clipped to the eroded white-matter
+    interior so every ventricle voxel's neighborhood holds only ventricle
+    or white matter. The structure tests run per subvoxel only in the
+    low-res cells a surface crosses, with the same result as a full-grid
+    test.
+    """
+    base, mixed, blocks = _classify(params, subject_index)
+    f = params.supersample
+    nx, ny, nz = params.base_dims
+    labels = np.empty((nx, f, ny, f, nz, f), dtype=np.uint8)
+    labels[...] = base[:, None, :, None, :, None]
+    cx, cy, cz = np.unravel_index(mixed, params.base_dims)
+    labels[cx, :, cy, :, cz, :] = blocks
+    dims = (nx * f, ny * f, nz * f)
+    voxel = tuple(LOW_RES_VOXEL_MM / f for _ in range(3))
+    return LabelVolume(VolumeHeader(dims, voxel), labels.reshape(dims),
+                       num_classes=tissues.NUM_CLASSES)
+
+
+def _fractions(counts: np.ndarray, cell: int) -> np.ndarray:
+    """float32 class fractions from int64 per-cell label counts (code 0 is
+    background) of cells holding ``cell`` subvoxels; the rule is
+    :func:`downsample_to_pv`'s."""
+    tissue_total = cell - counts[0]
+    keep = (2 * tissue_total) >= cell
+    denom = np.where(keep & (tissue_total > 0), tissue_total, 1)
+    return np.where(keep, counts[1:] / denom, 0.0).astype(np.float32)
+
+
+def _subject_pv(params: PhantomParams, subject_index: int) -> PartialVolumeSet:
+    """downsample_to_pv(generate_label_phantom(params, subject_index),
+    params.supersample), counted per cell without the supersampled grid: a
+    cell of one label holds supersample^3 of it, and the mixed cells share
+    one bincount."""
+    base, mixed, blocks = _classify(params, subject_index)
+    f = params.supersample
+    n_codes = tissues.NUM_CLASSES + 1
+    counts = np.zeros((n_codes, base.size), dtype=np.int64)
+    counts[base.ravel(), np.arange(base.size)] = f**3
+    codes = np.arange(mixed.size)[:, None] * n_codes + blocks.reshape(mixed.size, f**3)
+    per_cell = np.bincount(codes.ravel(), minlength=mixed.size * n_codes)
+    counts[:, mixed] = per_cell.reshape(mixed.size, n_codes).T
+    channels = _fractions(counts.reshape((n_codes,) + params.base_dims), f**3)
+    # the supersampled voxel scaled back up, as downsample_to_pv computes it
+    voxel = tuple(LOW_RES_VOXEL_MM / f * f for _ in range(3))
+    return PartialVolumeSet(VolumeHeader(params.base_dims, voxel), channels)
 
 
 def downsample_to_pv(hr: LabelVolume, factor: int) -> PartialVolumeSet:
@@ -261,30 +337,29 @@ def downsample_to_pv(hr: LabelVolume, factor: int) -> PartialVolumeSet:
         codes = slab_base + hr.data[i * factor:(i + 1) * factor]
         per_cell = np.bincount(codes.ravel(), minlength=slab_cells * n_codes)
         counts[:, i] = per_cell.reshape(out_dims[1], out_dims[2], n_codes).transpose(2, 0, 1)
-    cell = factor**3
-    tissue_total = cell - counts[0]
-    keep = (2 * tissue_total) >= cell
-    denom = np.where(keep & (tissue_total > 0), tissue_total, 1)
-    channels = np.where(keep, counts[1:] / denom, 0.0).astype(np.float32)
     voxel = tuple(v * factor for v in hr.header.voxel_size)
-    return PartialVolumeSet(VolumeHeader(out_dims, voxel), channels)
+    return PartialVolumeSet(VolumeHeader(out_dims, voxel), _fractions(counts, factor**3))
 
 
 def restrict_to_top_two(pv: PartialVolumeSet) -> PartialVolumeSet:
     """Zero all but the two largest channels per voxel and renormalize.
 
     Ties keep the smaller class index. Background voxels stay background.
+    Only voxels with three or more nonzero channels are sorted: elsewhere
+    the two largest channels already hold every nonzero fraction.
     """
     ch = pv.channels.astype(np.float64)
     if ch.shape[0] <= 2:
         return pv
-    order = np.argsort(-ch, axis=0, kind="stable")[:2]
-    top2 = np.take_along_axis(ch, order, axis=0)
-    kept = np.zeros_like(ch)
-    np.put_along_axis(kept, order, top2, axis=0)
-    total = kept.sum(axis=0)
+    flat = ch.reshape(ch.shape[0], -1)
+    crowded = np.flatnonzero(np.count_nonzero(flat, axis=0) > 2)
+    stacks = flat[:, crowded]
+    order = np.argsort(-stacks, axis=0, kind="stable")[2:]
+    np.put_along_axis(stacks, order, 0.0, axis=0)
+    flat[:, crowded] = stacks
+    total = ch.sum(axis=0)
     tissue = total > 0
-    kept = np.where(tissue, kept / np.where(tissue, total, 1.0), 0.0)
+    kept = np.where(tissue, ch / np.where(tissue, total, 1.0), 0.0)
     return PartialVolumeSet(pv.header, kept.astype(np.float32))
 
 
@@ -329,8 +404,7 @@ def render(pv: PartialVolumeSet, proto: ProtocolParams, seed: int) -> ScalarVolu
 
 
 def _build_subject(params: PhantomParams, index: int, proto_a, proto_b, out_dir: Path, sid: str):
-    hr = generate_label_phantom(params, index)
-    pv = restrict_to_top_two(downsample_to_pv(hr, params.supersample))
+    pv = restrict_to_top_two(_subject_pv(params, index))
     labels = pv_to_labels(pv)
     img_a = render(pv, proto_a, derived_seed(params.seed, index, 1))
     img_b = render(pv, proto_b, derived_seed(params.seed, index, 2))
@@ -357,12 +431,13 @@ def generate_cohort(
 
     Every subject gets three files (protocol-A image, protocol-B image,
     truth labels); the manifest lists them with relative paths so a cohort
-    directory is relocatable. The truth partial volumes are not written:
-    generate_label_phantom, downsample_to_pv and restrict_to_top_two
-    rebuild them from the seed. Subjects are
-    rendered in parallel, one worker per CPU the process may run on, but
-    the output is byte-identical for a given seed regardless of worker
-    count.
+    directory is relocatable. Each subject's labels are counted per low-res
+    cell, without the supersampled grid. The truth partial volumes are not
+    written: restrict_to_top_two(downsample_to_pv(generate_label_phantom(
+    params, i), params.supersample)) rebuilds them, byte for byte, from the
+    seed. Subjects are rendered in parallel, one worker per CPU the process
+    may run on, but the output is byte-identical for a given seed
+    regardless of worker count.
     """
     if n_atlas < 1 or n_test < 1:
         raise ArgumentError("need at least one atlas and one test subject")

@@ -97,8 +97,9 @@ def second_class_map(labels: LabelVolume) -> LabelVolume:
     of every class lies inside the box, so the nearest voxel of a class is
     never cut off, and offsets between voxels do not change with the crop.
     """
-    # imported here: scipy.ndimage costs about 0.2 s to import, and the
-    # commands that never estimate partial volumes should not pay it
+    # imported here: scipy.ndimage takes about 0.4 s to import on a 2-vCPU
+    # host, and the commands that never estimate partial volumes should not
+    # pay it
     from scipy.ndimage import distance_transform_edt
 
     counts = np.bincount(labels.data.ravel(), minlength=labels.num_classes + 1)

@@ -179,6 +179,20 @@ def label_phantom_reference(params, index):
     return labels
 
 
+def top_two_reference(channels):
+    """Two largest channels per voxel, renormalized: a stable argsort of
+    every voxel's stack (ties keep the smaller class index), as
+    restrict_to_top_two computed it before it sorted only the voxels
+    mixing three or more classes. Returns float32 channels."""
+    ch = np.asarray(channels).astype(np.float64)
+    order = np.argsort(-ch, axis=0, kind="stable")[:2]
+    kept = np.zeros_like(ch)
+    np.put_along_axis(kept, order, np.take_along_axis(ch, order, axis=0), axis=0)
+    total = kept.sum(axis=0)
+    tissue = total > 0
+    return np.where(tissue, kept / np.where(tissue, total, 1.0), 0.0).astype(np.float32)
+
+
 def pearson_direct(x, y):
     """Pearson r by the textbook formula."""
     x = np.asarray(x, dtype=np.float64)

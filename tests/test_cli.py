@@ -110,6 +110,8 @@ class TestPhantomCommand:
         "protocol_b.class_means=1 2 3",
         "protocol_a.class_means=1 2 3 4 5 6",
         "protocol_b.class_means=nan 20 75 95 50",
+        "protocol_b.class_means=-10 -20 -30 -40 -50",
+        "protocol_b.bias_amplitude=1.5",
     ])
     def test_rejected_config_writes_nothing(self, tmp_path, setting):
         out = tmp_path / "o"

@@ -9,9 +9,7 @@ from camelion.phantom import (
     DEFAULT_PROTOCOL_B,
     PhantomParams,
     ProtocolParams,
-    _axis_coords,
-    _box,
-    _ellipsoid_terms,
+    _subject_pv,
     bias_field,
     downsample_to_pv,
     generate_cohort,
@@ -28,7 +26,7 @@ from camelion.volumes import (
     read_mvf,
     validate_partial_volumes,
 )
-from oracles import block_label_fractions, label_phantom_reference
+from oracles import block_label_fractions, label_phantom_reference, top_two_reference
 
 SMALL = PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=7)
 
@@ -40,6 +38,10 @@ RASTER_CASES = {
     "jitter_0": (PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=7, shape_jitter=0.0), 2),
     "non_cubic_ss3": (PhantomParams(base_dims=(16, 20, 24), supersample=3, seed=12345), 1),
     "default_48_ss4": (PhantomParams(seed=12345), 0),
+    "min_dims_ss5_jitter_0": (
+        PhantomParams(base_dims=(8, 8, 8), supersample=5, seed=3, shape_jitter=0.0), 0),
+    "odd_dims_ss5_jitter_0.3": (
+        PhantomParams(base_dims=(8, 9, 11), supersample=5, seed=3, shape_jitter=0.3), 4),
 }
 
 
@@ -85,21 +87,6 @@ class TestLabelPhantom:
         if case == "jitter_0.3_head_at_faces":
             faces = [vol.data.take(i, axis=a) for a in range(3) for i in (0, -1)]
             assert all(face.any() for face in faces)
-
-    def test_box_of_structure_off_grid_is_empty(self):
-        coords = tuple(_axis_coords(n) for n in (10, 12, 14))
-        box = _box(_ellipsoid_terms(coords, (3.0, 0.0, 0.0), (0.5, 0.5, 0.5)))
-        assert box[0] == slice(0, 0)
-        labels = np.zeros((10, 12, 14), dtype=np.uint8)
-        assert labels[box].size == 0
-
-    def test_box_of_structure_spanning_axis_is_whole_axis(self):
-        coords = tuple(_axis_coords(n) for n in (10, 12, 14))
-        box = _box(_ellipsoid_terms(coords, (0.0, 0.0, 0.0), (2.0, 0.5, 1.0)))
-        assert box[0] == slice(0, 10)
-        assert box[2] == slice(0, 14)
-        # |y| <= 0.5 holds on the middle 6 of 12 voxel centers
-        assert box[1] == slice(3, 9)
 
     def test_jitter_bounds_respected(self):
         params = PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=7, shape_jitter=0.3)
@@ -151,6 +138,15 @@ class TestDownsample:
         assert pv.header.dims == params.base_dims
         assert np.array_equal(pv.channels, expected.astype(np.float32))
 
+    @pytest.mark.parametrize("case", sorted(RASTER_CASES))
+    def test_cohort_fractions_match_downsampled_phantom(self, case):
+        # the cohort counts labels per cell without the supersampled grid
+        params, subject = RASTER_CASES[case]
+        expected = downsample_to_pv(generate_label_phantom(params, subject), params.supersample)
+        pv = _subject_pv(params, subject)
+        assert pv.header == expected.header
+        assert pv.channels.tobytes() == expected.channels.tobytes()
+
     def test_non_divisible_dims(self):
         data = np.zeros((5, 4, 4), dtype=np.uint8)
         hr = LabelVolume(VolumeHeader((5, 4, 4)), data, num_classes=5)
@@ -163,6 +159,22 @@ class TestDownsample:
         validate_partial_volumes(pv, require_two_class=False)
         top2 = restrict_to_top_two(pv)
         validate_partial_volumes(top2)
+
+
+class TestRestrictToTopTwo:
+    @pytest.mark.parametrize("nonzero", [0, 1, 2, 3, 4, 5])
+    def test_against_sorting_oracle(self, rng, nonzero):
+        # half the voxels mix `nonzero` classes, the rest 0 to 5; each value
+        # is uniform or one of three fractions, so that ties occur
+        n = 600
+        counts = np.where(np.arange(n) < n // 2, nonzero, rng.integers(0, 6, size=n))
+        values = np.where(rng.uniform(size=(5, n)) < 0.5,
+                          rng.choice([0.125, 0.25, 0.5], size=(5, n)), rng.uniform(size=(5, n)))
+        ranks = rng.uniform(size=(5, n)).argsort(axis=0).argsort(axis=0)
+        channels = np.where(ranks < counts, values, 0.0).astype(np.float32)
+        pv = PartialVolumeSet(VolumeHeader((6, 10, 10)), channels.reshape(5, 6, 10, 10))
+        expected = top_two_reference(pv.channels)
+        assert restrict_to_top_two(pv).channels.tobytes() == expected.tobytes()
 
 
 class TestPvToLabels:
@@ -264,6 +276,20 @@ class TestRender:
     def test_distinct_means_required(self):
         with pytest.raises(ArgumentError):
             ProtocolParams((25.0, 25.0, 60.0, 100.0, 80.0))
+
+    @pytest.mark.parametrize("means", [(-10.0, -20.0, -30.0, -40.0, -50.0),
+                                       (0.0, 15.0, 60.0, 100.0, 80.0)])
+    def test_warp_needs_positive_means(self, means):
+        # the warp clamps negative signal to 0 and divides by the largest mean
+        with pytest.raises(ArgumentError):
+            ProtocolParams(means, gamma=0.5)
+        ProtocolParams(means, gamma=1.0)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1.5, -0.1, float("nan")])
+    def test_bias_field_must_stay_positive(self, amplitude):
+        with pytest.raises(ArgumentError):
+            ProtocolParams((25.0, 15.0, 60.0, 100.0, 80.0), bias_amplitude=amplitude)
+        assert bias_field((48, 48, 48), 0.999).min() > 0
 
 
 class TestCohort:
