@@ -183,9 +183,11 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
 
 
 def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig) -> list[PartialVolumeSet]:
-    """estimate_pv of every atlas on a thread pool (the distance transforms
-    release the GIL), in atlas order; a failure raises the error of the
-    first failing atlas in that order."""
+    """estimate_pv of every atlas on a thread pool, in atlas order; a
+    failure raises the error of the first failing atlas in that order. Most
+    of estimate_pv's time goes to NumPy gathers, comparisons and reductions
+    over whole arrays of voxels, which run without the GIL, so the atlases
+    overlap."""
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(atlases)) or 1) as pool:
         # estimate_pv is looked up at call time, so a rebound module global
         # is the one that runs

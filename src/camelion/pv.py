@@ -18,6 +18,7 @@ strictly positive (d = c_a - c_b), at the clamped stationary point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .volumes import (
 )
 
 SIGMA_FLOOR_FRACTION = 1e-3  # of the image intensity range
+SEARCH_RADIUS = 10           # nearest-class search, in smallest voxel edges
 
 
 @dataclass(frozen=True)
@@ -88,24 +90,97 @@ def noise_sigma(image: ScalarVolume, labels: LabelVolume, means: np.ndarray) -> 
 def second_class_map(labels: LabelVolume) -> LabelVolume:
     """Per voxel, the label of the nearest different non-background class.
 
-    Distances are anisotropic Euclidean using the header voxel size;
-    exact-distance ties resolve to the smaller class index. Background
-    voxels map to 0.
+    Distances are anisotropic Euclidean using the header voxel size, each
+    computed as sqrt((dx*sx)**2 + (dy*sy)**2 + (dz*sz)**2); exact-distance
+    ties resolve to the smaller class index. Background voxels map to 0.
 
-    The distance transforms run on the bounding box of the tissue voxels
-    only. This is exact: every voxel that needs an answer and every voxel
-    of every class lies inside the box, so the nearest voxel of a class is
-    never cut off, and offsets between voxels do not change with the crop.
+    The search walks the offsets of _search_table nearest first, one group
+    of equally distant offsets at a time, over the tissue voxels it has not
+    resolved yet. A voxel resolves at the first group that reaches a class
+    other than background and its own, and takes the smallest such class
+    of that group. Voxels outside the grid and outside the bounding box of
+    the tissue are background, so the search reads the box padded by the
+    table's reach. Every offset nearer than a resolving group's was looked
+    at before it, so the answer is exact; a voxel whose nearest other class
+    lies beyond SEARCH_RADIUS leaves the whole volume to distance
+    transforms.
     """
-    # imported here: scipy.ndimage takes about 0.4 s to import on a 2-vCPU
-    # host, and the commands that never estimate partial volumes should not
-    # pay it
-    from scipy.ndimage import distance_transform_edt
-
     counts = np.bincount(labels.data.ravel(), minlength=labels.num_classes + 1)
     present = [k for k in range(1, labels.num_classes + 1) if counts[k]]
     if len(present) < 2:
         raise GeometryError(f"need at least two tissue classes, found {len(present)}")
+    box = _bounding_box(labels.data > 0)
+    crop = labels.data[box]
+    table = _search_table(tuple(float(s) for s in labels.header.voxel_size))
+    padded = np.pad(crop, [(r, r) for r in table.reach])
+    flat = padded.reshape(-1)
+    # uint8, so the byte strides are the flat index steps along each axis
+    steps = table.offsets @ np.asarray(padded.strides, dtype=np.intp)
+    tissue = np.flatnonzero(flat)
+    # labels minus one, wrapping background to 255; a voxel's own class
+    # becomes 255 too, so a minimum below 255 is a class that counts
+    own = flat[tissue] - np.uint8(1)
+    answer = np.zeros(tissue.size, dtype=np.uint8)
+    pending = np.arange(tissue.size)
+    for start, stop in table.groups:
+        near = flat[tissue[pending] + steps[start:stop, None]] - np.uint8(1)
+        near[near == own[pending]] = 255
+        best = near.min(axis=0)
+        hit = best < 255
+        answer[pending[hit]] = best[hit] + np.uint8(1)
+        pending = pending[~hit]
+        if not pending.size:
+            break
+    if pending.size:
+        return _second_class_map_edt(labels, present)
+    found = np.zeros_like(flat)
+    found[tissue] = answer
+    nearest = np.zeros(labels.header.dims, dtype=np.uint8)
+    nearest[box] = found.reshape(padded.shape)[
+        tuple(slice(r, r + n) for r, n in zip(table.reach, crop.shape))]
+    return LabelVolume(labels.header, nearest, num_classes=labels.num_classes)
+
+
+@dataclass(frozen=True)
+class _SearchTable:
+    """Integer voxel offsets (n, 3) within SEARCH_RADIUS, sorted by distance;
+    groups are the [start, stop) rows of each distance, nearest first, and
+    reach the largest offset along each axis. The arrays are read-only."""
+
+    offsets: np.ndarray
+    groups: tuple[tuple[int, int], ...]
+    reach: tuple[int, int, int]
+
+
+@functools.lru_cache(maxsize=8)
+def _search_table(voxel_size: tuple[float, float, float]) -> _SearchTable:
+    """The search table of one voxel size: every nonzero offset whose
+    distance is at most SEARCH_RADIUS times the smallest voxel edge."""
+    limit = SEARCH_RADIUS * min(voxel_size)
+    axes = [np.arange(-int(limit / s) - 1, int(limit / s) + 2) for s in voxel_size]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    dx, dy, dz = (offsets[:, a] * voxel_size[a] for a in range(3))
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    keep = (dist > 0) & (dist <= limit)
+    order = np.argsort(dist[keep], kind="stable")
+    offsets, dist = offsets[keep][order], dist[keep][order]
+    bounds = [0, *(np.flatnonzero(dist[1:] != dist[:-1]) + 1).tolist(), dist.size]
+    offsets.flags.writeable = False
+    return _SearchTable(offsets=offsets, groups=tuple(zip(bounds[:-1], bounds[1:])),
+                        reach=tuple(int(r) for r in np.abs(offsets).max(axis=0)))
+
+
+def _second_class_map_edt(labels: LabelVolume, present: list[int]) -> LabelVolume:
+    """second_class_map by one exact distance transform per present class,
+    on the bounding box of the tissue voxels. This is exact: every voxel
+    that needs an answer and every voxel of every class lies inside the
+    box, so the nearest voxel of a class is never cut off, and offsets
+    between voxels do not change with the crop. Its cost does not grow
+    with the distance between classes."""
+    # imported here: scipy.ndimage takes about 0.4 s to import on a 2-vCPU
+    # host, and only a volume with classes far apart reaches this
+    from scipy.ndimage import distance_transform_edt
+
     box = _bounding_box(labels.data > 0)
     crop = labels.data[box]
     sampling = labels.header.voxel_size

@@ -101,6 +101,30 @@ def label_frequency(atlas_labels: list[LabelVolume]) -> np.ndarray:
     return freq
 
 
+def box_filter(data: np.ndarray, size: int) -> np.ndarray:
+    """Mean over a box of size voxels along each of the last three axes of a
+    float32 array, zero outside it; returns float32.
+
+    The arithmetic is that of scipy.ndimage.uniform_filter(mode="constant")
+    on float32, so the bytes are too. One axis at a time, in order, each
+    line is padded with size // 2 zeros on the left and the rest of the
+    window on the right; a float64 running sum starts from the first window
+    summed left to right and then adds entering minus leaving value; every
+    sum is divided by size, and the axis result is cast to float32 before
+    the next axis.
+    """
+    out = np.asarray(data, dtype=np.float32)
+    left = size // 2
+    for axis in range(out.ndim - 3, out.ndim):
+        line = np.moveaxis(out, axis, -1).astype(np.float64)
+        padded = np.pad(line, [(0, 0)] * (line.ndim - 1) + [(left, size - 1 - left)])
+        steps = np.empty_like(line)
+        steps[..., 0] = np.cumsum(padded[..., :size], axis=-1)[..., -1]
+        np.subtract(padded[..., size:], padded[..., :-size], out=steps[..., 1:])
+        out = np.moveaxis((np.cumsum(steps, axis=-1) / size).astype(np.float32), -1, axis)
+    return out
+
+
 def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.ndarray:
     """Spatial prior stack (K, *dims) float32 from the atlas labels alone.
 
@@ -109,13 +133,8 @@ def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.nda
     outside it; where the floored channels sum past one they are rescaled
     to sum to one. The returned array is read-only.
     """
-    from scipy.ndimage import uniform_filter  # deferred, as in pv.second_class_map
-
     freq = label_frequency(atlas_labels)
-    size = 2 * PRIOR_SMOOTH_RADIUS + 1
-    prior = np.empty_like(freq)
-    for k in range(freq.shape[0]):
-        prior[k] = uniform_filter(freq[k], size=size, mode="constant")
+    prior = box_filter(freq, 2 * PRIOR_SMOOTH_RADIUS + 1)
     np.clip(prior, 0.0, 1.0, out=prior)
 
     mask = freq.any(axis=0)

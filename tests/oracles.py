@@ -6,7 +6,7 @@ the implementations under test.
 """
 
 import numpy as np
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import distance_transform_edt, uniform_filter
 
 from camelion import phantom, pv, segmenter, tissues
 
@@ -79,6 +79,29 @@ def nearest_different_label(labels, voxel_size):
         best_k[closer] = k
     out = np.zeros_like(labels)
     out[labels > 0] = best_k
+    return out
+
+
+def second_class_map_edt(labels):
+    """pv.second_class_map as it was computed before the offset search: one
+    exact distance transform per present class on the bounding box of the
+    tissue voxels, the voxel's own class excluded, and the first class of
+    smallest distance. Returns the uint8 array."""
+    data = labels.data
+    present = [k for k in range(1, labels.num_classes + 1) if (data == k).any()]
+    hit = [np.flatnonzero((data > 0).any(axis=tuple(b for b in range(3) if b != a)))
+           for a in range(3)]
+    box = tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hit)
+    crop = data[box]
+    dist = np.empty((len(present),) + crop.shape, dtype=np.float64)
+    for i, k in enumerate(present):
+        dist[i] = distance_transform_edt(crop != k, sampling=labels.header.voxel_size)
+    for i, k in enumerate(present):
+        dist[i][crop == k] = np.inf
+    inner = np.asarray(present, dtype=np.uint8)[dist.argmin(axis=0)]
+    inner[crop == 0] = 0
+    out = np.zeros(data.shape, dtype=np.uint8)
+    out[box] = inner
     return out
 
 

@@ -488,9 +488,21 @@ def run_after_cli_import(check):
                           env=env, timeout=60, capture_output=True, text=True)
 
 
-def test_import_leaves_scipy_ndimage_unloaded():
-    # config and phantom never call the two functions that need it
+def test_import_leaves_scipy_ndimage_unloaded(cohort, tmp_path):
     assert run_after_cli_import("sys.exit('scipy.ndimage' in sys.modules)").returncode == 0
+    # nor does any command on the 16^3 cohort: scipy.ndimage is imported only
+    # for a tissue voxel whose nearest other class lies beyond the search radius
+    manifest = str(cohort / "manifest.json")
+    runs = str(tmp_path / "runs")
+    commands = [["run", "--method", method, "--subject", "s002", "--manifest", manifest,
+                 "--out", runs, *SMALL] for method in ("direct", "nhm", "camelion")]
+    commands.append(["eval", "--manifest", manifest, "--runs", runs,
+                     "--out", str(tmp_path / "eval"), *SMALL])
+    for argv in commands:
+        proc = run_after_cli_import(
+            f"code = camelion.cli.main({argv!r}); print(code, 'scipy.ndimage' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False", (argv[:3], proc.stdout)
 
 
 def test_cli_import_loads_every_module():

@@ -3,18 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camelion import tissues
+from camelion import config as cfgmod
+from camelion import pv, tissues
+from camelion.cli import _load_atlases
 from camelion.errors import ArgumentError, DegeneratePairError, GeometryError
 from camelion.phantom import (
     PhantomParams,
     ProtocolParams,
     downsample_to_pv,
+    generate_cohort,
     generate_label_phantom,
+    load_manifest,
     pv_to_labels,
     render,
     restrict_to_top_two,
 )
+from camelion.pipeline import run
 from camelion.pv import (
+    SEARCH_RADIUS,
     PvConfig,
     class_means,
     estimate_pv,
@@ -27,9 +33,15 @@ from camelion.volumes import (
     LabelVolume,
     ScalarVolume,
     VolumeHeader,
+    read_mvf,
     validate_partial_volumes,
 )
-from oracles import grid_search_alpha, grid_search_alpha_batch, nearest_different_label
+from oracles import (
+    grid_search_alpha,
+    grid_search_alpha_batch,
+    nearest_different_label,
+    second_class_map_edt,
+)
 
 
 def make_labels(data, voxel=(1.0, 1.0, 1.0), k=5):
@@ -184,6 +196,85 @@ class TestSecondClassMap:
         second = second_class_map(vol)
         mask = labels > 0
         assert np.all(second.data[mask] != labels[mask])
+
+
+@pytest.fixture
+def edt_calls(monkeypatch):
+    """Counts the second_class_map calls that fall back to distance transforms."""
+    calls = []
+    real = pv._second_class_map_edt
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pv, "_second_class_map_edt", counting)
+    return calls
+
+
+def assert_matches_references(vol):
+    got = second_class_map(vol).data
+    assert np.array_equal(got, second_class_map_edt(vol))
+    assert np.array_equal(got, nearest_different_label(vol.data, vol.header.voxel_size))
+
+
+@pytest.fixture(scope="module")
+def label_histories(tmp_path_factory):
+    """Every loop label volume of the 16^3 cohort's three test subjects."""
+    cfg = cfgmod.load_config(None, ["phantom.base_dims=16 16 16", "phantom.supersample=2",
+                                    "phantom.n_atlas=2", "phantom.n_test=3"])
+    out = tmp_path_factory.mktemp("cohort16")
+    generate_cohort(cfgmod.phantom_params(cfg), cfg["phantom.n_atlas"], cfg["phantom.n_test"],
+                    cfgmod.protocol(cfg, "a"), cfgmod.protocol(cfg, "b"), out)
+    manifest = load_manifest(out / "manifest.json")
+    atlases = _load_atlases(manifest)
+    histories = []
+    for entry in manifest["subjects"]:
+        if entry["role"] == "test":
+            image = read_mvf(out / entry["image_b"])
+            histories += run(image, atlases, cfgmod.loop_config(cfg)).labels_history
+    return histories
+
+
+class TestNearestClassSearch:
+    """second_class_map's offset search against the distance transforms it
+    replaced and the brute-force scan, on the cases that stress the search:
+    classes beyond SEARCH_RADIUS, many classes and the loop's own labels."""
+
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
+    def test_classes_beyond_the_radius_fall_back(self, voxel, edt_calls):
+        gap = SEARCH_RADIUS + 2
+        labels = np.zeros((10 + gap, 5, 6), dtype=np.uint8)
+        labels[:5, :, :3] = 1
+        labels[:5, :, 3:] = 2
+        labels[5 + gap:] = 3
+        assert_matches_references(make_labels(labels, voxel=voxel))
+        assert edt_calls == [1]
+
+    @pytest.mark.parametrize("distance", [SEARCH_RADIUS - 1, SEARCH_RADIUS + 3])
+    def test_single_far_voxel(self, distance, edt_calls):
+        rng = np.random.default_rng(23)
+        labels = np.zeros((8 + distance, 7, 7), dtype=np.uint8)
+        labels[:8] = rng.integers(1, 3, size=(8, 7, 7))
+        labels[7 + distance, 3, 3] = 4
+        assert_matches_references(make_labels(labels))
+        assert edt_calls == ([1] if distance > SEARCH_RADIUS else [])
+
+    @pytest.mark.parametrize("k", [9, 255])
+    def test_many_classes(self, k, edt_calls):
+        rng = np.random.default_rng(k)
+        labels = rng.integers(0, k + 1, size=(10, 9, 8)).astype(np.uint8)
+        labels[0, 0, :2] = (k, k - 1)
+        assert_matches_references(make_labels(labels, k=k))
+        anisotropic = np.where(rng.uniform(size=labels.shape) < 0.7, 0, labels)
+        assert_matches_references(make_labels(anisotropic, voxel=(1.0, 1.25, 0.75), k=k))
+        assert edt_calls == []
+
+    def test_loop_label_histories(self, label_histories, edt_calls):
+        assert len(label_histories) > 2
+        for vol in label_histories:
+            assert_matches_references(vol)
+        assert edt_calls == []
 
 
 class TestMapAlpha:

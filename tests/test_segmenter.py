@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from camelion.errors import ArgumentError, TrainingError
 from camelion.phantom import (
@@ -18,6 +19,7 @@ from camelion.segmenter import (
     SegmenterModel,
     atlas_prior,
     atlas_side,
+    box_filter,
     label_frequency,
     predict,
     prior_support,
@@ -126,6 +128,36 @@ def test_prior_sums_bounded():
     # floored at epsilon, up to the rescaling that keeps channel sums <= 1
     floor = 0.01 / (1.0 + 5 * 0.01)
     assert np.all(prior[:, mask] >= floor - 1e-7)
+
+
+ODD_SHAPES = [(1, 5, 9), (3, 3, 3), (2, 11, 6), (8, 1, 13), (1, 1, 1), (9, 4, 2)]
+
+
+class TestBoxFilter:
+    """box_filter against scipy's uniform_filter, byte for byte, on grids
+    with a dimension smaller than the window or of size 1."""
+
+    @pytest.mark.parametrize("size", [3, 4, 7])
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    def test_matches_uniform_filter(self, shape, size):
+        rng = np.random.default_rng(size)
+        for data in (rng.random(shape), rng.integers(0, 11, shape) / 10.0,
+                     rng.random(shape) * 1e4):
+            data = data.astype(np.float32)
+            got = box_filter(data, size)
+            assert got.dtype == np.float32
+            assert got.tobytes() == uniform_filter(data, size=size, mode="constant").tobytes()
+
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    def test_atlas_prior_matches_reference(self, shape):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        arrays = rng.integers(0, 6, (3,) + shape).astype(np.uint8)
+        arrays[0].flat[0] = 1
+        labels = [LabelVolume(VolumeHeader(shape, (1.0, 1.25, 0.75)), a, num_classes=5)
+                  for a in arrays]
+        expected = atlas_prior_reference(list(arrays), 5, 1e-3)
+        got = atlas_prior(labels, SegmenterConfig(prior_epsilon=1e-3))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestTrainChecksSide:
