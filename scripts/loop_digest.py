@@ -1,5 +1,5 @@
-"""Print the loop digest of a cohort: one sha256 per test subject, a
-volumes digest and their combination.
+"""Print the loop digest of a cohort: one sha256 per test subject, an arms
+digest, a volumes digest and their combination.
 
     PYTHONPATH=src python3 scripts/loop_digest.py COHORT/manifest.json [--set KEY=VALUE ...]
 
@@ -11,11 +11,18 @@ subject's digest is a sha256 over, in this order: the MVF bytes of every
 synthesized atlas image of every iteration), the ``repr`` of the list of
 (change fraction, synthesis training error) pairs, one per iteration
 record, the ``repr`` of ``converged``, and the MVF bytes of the
-``run_direct`` and ``run_nhm`` labels. The volumes digest is a sha256 over the MVF bytes alone, every
-subject's in the same order; the combined digest is a sha256 over the
-subject digests' 32-byte values, in manifest order. Two checkouts produce
-the same bytes on a cohort when they print the same combined digest, and
-the same volumes when they print the same volumes digest.
+``run_direct`` and ``run_nhm`` labels. The arms digest is a sha256 over
+the ``run_direct`` and ``run_nhm`` MVF bytes alone, every subject's in
+the same order; the volumes digest is a sha256 over all the MVF bytes,
+every subject's in the same order; the combined digest is a sha256 over
+the subject digests' 32-byte values, in manifest order. Two checkouts
+produce the same bytes on a cohort when they print the same combined
+digest, and the same volumes when they print the same volumes digest. A
+change that alters the loop's bytes by design leaves the comparison arms
+alone when the arms digest stays the same.
+
+The lines are, in order: one ``<subject id> <hex>`` line per test
+subject, then ``arms <hex>``, ``volumes <hex>`` and ``combined <hex>``.
 """
 
 from __future__ import annotations
@@ -33,23 +40,25 @@ from camelion.pipeline import run, run_direct, run_nhm
 from camelion.volumes import encode_mvf, read_mvf
 
 
-def subject_digest(input_image, atlases, loop_cfg, reference_atlas: int, volumes_digest) -> bytes:
-    """The subject's digest; its MVF bytes also go into volumes_digest."""
+def subject_digest(input_image, atlases, loop_cfg, reference_atlas: int, volumes_digest,
+                   arms_digest) -> bytes:
+    """The subject's digest; its MVF bytes also go into volumes_digest, and
+    those of its comparison arms into arms_digest."""
     result = run(input_image, atlases, loop_cfg)
     digest = hashlib.sha256()
 
-    def add_volume(volume):
+    def add_volume(volume, *others):
         blob = encode_mvf(volume)
-        digest.update(blob)
-        volumes_digest.update(blob)
+        for target in (digest, volumes_digest, *others):
+            target.update(blob)
 
     for volume in [result.final_labels, *result.labels_history,
                    *(img for images in result.atlas_images_history for img in images)]:
         add_volume(volume)
     digest.update(repr([(r.change_fraction, r.synth.train_mse) for r in result.records]).encode())
     digest.update(repr(result.converged).encode())
-    add_volume(run_direct(input_image, atlases, loop_cfg))
-    add_volume(run_nhm(input_image, atlases, reference_atlas, loop_cfg))
+    add_volume(run_direct(input_image, atlases, loop_cfg), arms_digest)
+    add_volume(run_nhm(input_image, atlases, reference_atlas, loop_cfg), arms_digest)
     return digest.digest()
 
 
@@ -69,15 +78,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     root = Path(manifest["_dir"])
+    arms = hashlib.sha256()
     volumes = hashlib.sha256()
     combined = hashlib.sha256()
     for entry in manifest["subjects"]:
         if entry["role"] != "test":
             continue
         input_image = read_mvf(root / entry["image_b"])
-        sub = subject_digest(input_image, atlases, loop_cfg, cfg["nhm.reference_atlas"], volumes)
+        sub = subject_digest(input_image, atlases, loop_cfg, cfg["nhm.reference_atlas"], volumes,
+                             arms)
         combined.update(sub)
         print(f"{entry['id']} {sub.hex()}")
+    print(f"arms {arms.hexdigest()}")
     print(f"volumes {volumes.hexdigest()}")
     print(f"combined {combined.hexdigest()}")
     return 0

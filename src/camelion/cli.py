@@ -120,6 +120,25 @@ def _load_atlases(manifest: dict) -> list[AtlasPair]:
     return pairs
 
 
+# the files a run writes into its <out>/<subject>/<method> directory,
+# besides effective_config.txt
+_ARTIFACT_PATTERNS = ("labels_*.mvf", "atlas*_*.mvf", "trajectory.csv")
+
+
+def _clear_artifacts(out_dir: Path) -> None:
+    """Remove an earlier run's artifacts from out_dir (labels_final.mvf
+    included), so that a rerun with fewer iterations, or one that fails,
+    leaves no stale file behind; any other file is kept."""
+    if not out_dir.is_dir():
+        return
+    try:
+        for pattern in _ARTIFACT_PATTERNS:
+            for path in out_dir.glob(pattern):
+                path.unlink()
+    except OSError as exc:
+        raise PersistenceError(f"cannot clear the earlier run in {out_dir}: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     cfg = _merged_config(args)
     loop_cfg = cfgmod.loop_config(cfg)
@@ -135,6 +154,7 @@ def cmd_run(args) -> int:
     check_reference_atlas(cfg["nhm.reference_atlas"], len(atlases))
 
     out_dir = Path(args.out) / args.subject / args.method
+    _clear_artifacts(out_dir)
     _echo_config(cfg, out_dir)
 
     if args.method == "camelion":

@@ -112,7 +112,8 @@ def write_trajectory(path, records, dice_rows=None, num_classes=tissues.NUM_CLAS
     """Write the per-iteration record of the adaptation loop.
 
     One row per iteration record, numbered from 1: its label change
-    fraction, its synthesis fit's training error and the fit's per-class
+    fraction, the input's pooled within-class sigma and the injected noise
+    sigma, its synthesis fit's training error and the fit's per-class
     intensities, written as empty fields for a fit without them (a
     regressor). dice_rows, when given, is one per-class Dice-vs-truth
     vector per record.
@@ -122,14 +123,14 @@ def write_trajectory(path, records, dice_rows=None, num_classes=tissues.NUM_CLAS
     header = ["iteration", "label_change_fraction"]
     if dice_rows is not None:
         header.extend(f"dice_{tissues.class_name(k)}" for k in eval_classes)
-    header.append("synth_train_mse")
+    header += ["input_sigma", "noise_sigma", "synth_train_mse"]
     header.extend(f"intensity_{tissues.class_name(k)}" for k in classes)
     lines = [",".join(header)]
     for i, record in enumerate(records):
         row = [str(i + 1), _fmt(record.change_fraction)]
         if dice_rows is not None:
             row.extend(_fmt(dice_rows[i][k - 1]) for k in eval_classes)
-        row.append(_fmt(record.synth.train_mse))
+        row += [_fmt(record.input_sigma), _fmt(record.noise_sigma), _fmt(record.synth.train_mse)]
         intensities = record.synth.class_intensities
         row.extend("" if intensities is None else _fmt(intensities[k - 1]) for k in classes)
         lines.append(",".join(row))

@@ -5,8 +5,12 @@ labels stay fixed: segment the input with the current model, estimate
 two-class partial volumes from the input and that segmentation, fit a
 synthesis model on the single (partial volumes, input) pair, and re-render
 every atlas image from its own precomputed partial volumes before
-retraining the segmenter. Iteration stops when fewer than the configured
-fraction of voxels change labels, or at the iteration cap.
+retraining the segmenter. Everything after the synthesis fit works on the
+atlas tissue voxels only, the voxels the segmenter trains on: rendering,
+the spread-gap noise level, the injected noise and the retrain. The atlas
+images a run returns are zero off their atlas's tissue. Iteration stops
+when fewer than the configured fraction of voxels change labels, or at
+the iteration cap.
 
 Comparison arms: "direct" (train on the original atlases, predict once)
 and "nhm" (histogram-match the input to one atlas image, then direct).
@@ -27,8 +31,8 @@ import numpy as np
 
 from . import harmonize, metrics, synth
 from .errors import ArgumentError, CamelionError, FormatError, PersistenceError, PipelineError
-from .pv import PvConfig, class_means, estimate_pv, noise_sigma
-from .segmenter import AtlasSide, SegmenterConfig, atlas_side, predict, train
+from .pv import PvConfig, class_stats, estimate_pv
+from .segmenter import AtlasSide, SegmenterConfig, atlas_side, class_order, predict, train
 from .synth import SynthConfig, SynthModel, synthesize
 from .util import LatestMemo, content_key, derived_seed, worker_count
 from .volumes import (
@@ -37,6 +41,7 @@ from .volumes import (
     LabelVolume,
     PartialVolumeSet,
     ScalarVolume,
+    TissuePartialVolumes,
     decode_mvf,
     encode_mvf,
     require_same_header,
@@ -70,11 +75,15 @@ class LoopConfig:
 
 @dataclass
 class IterationRecord:
-    """One pass of the loop: the fraction of voxels whose label changed and
-    the synthesis fit it made."""
+    """One pass of the loop: the fraction of voxels whose label changed, the
+    synthesis fit it made, the input's pooled within-class sigma under the
+    labels it started from, and the sigma of the noise it added to the
+    synthesized atlases."""
 
     change_fraction: float
     synth: SynthModel
+    input_sigma: float
+    noise_sigma: float
 
 
 @dataclass
@@ -143,9 +152,10 @@ def precompute_atlas_side(atlases: list[AtlasPair], cfg: SegmenterConfig) -> Atl
 
 
 def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
-                        cache_dir=None) -> list[PartialVolumeSet]:
+                        cache_dir=None) -> list[TissuePartialVolumes]:
     """Estimate each atlas's partial volumes from its original image and
-    labels.
+    labels, held at the atlas's tissue voxels in class_order (estimate_pv
+    leaves every other voxel all-zero, so nothing is lost).
 
     Computed once per atlas set per process: the set is keyed by a digest
     of cfg and of each atlas's image header, class count, image and labels
@@ -182,17 +192,25 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
     return pvs
 
 
-def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig) -> list[PartialVolumeSet]:
-    """estimate_pv of every atlas on a thread pool, in atlas order; a
-    failure raises the error of the first failing atlas in that order. Most
-    of estimate_pv's time goes to NumPy gathers, comparisons and reductions
+def _on_tissue(pv: PartialVolumeSet, labels: LabelVolume) -> TissuePartialVolumes:
+    """An atlas's partial volumes at its tissue voxels, in class_order."""
+    return TissuePartialVolumes.at(pv, class_order(labels)[0])
+
+
+def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissuePartialVolumes]:
+    """estimate_pv of every atlas on a thread pool, in atlas order, each
+    kept at its tissue voxels as soon as it is estimated; a failure raises
+    the error of the first failing atlas in that order. Most of
+    estimate_pv's time goes to NumPy gathers, comparisons and reductions
     over whole arrays of voxels, which run without the GIL, so the atlases
     overlap."""
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(atlases)) or 1) as pool:
+    def one(pair):
         # estimate_pv is looked up at call time, so a rebound module global
         # is the one that runs
-        futures = [pool.submit(lambda pair: estimate_pv(pair.image, pair.labels, cfg), pair)
-                   for pair in atlases]
+        return _on_tissue(estimate_pv(pair.image, pair.labels, cfg), pair.labels)
+
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(atlases)) or 1) as pool:
+        futures = [pool.submit(one, pair) for pair in atlases]
         return [future.result() for future in futures]
 
 
@@ -204,11 +222,12 @@ _PVZ_LENGTH = struct.Struct("<Q")
 
 
 def _read_atlas_pv_file(path: Path, key: bytes,
-                        atlases: list[AtlasPair]) -> list[PartialVolumeSet] | None:
+                        atlases: list[AtlasPair]) -> list[TissuePartialVolumes] | None:
     """The atlas PV set that path holds for key and atlases, or None when
     the file is absent or fails any check: magic, key, atlas count, lengths
     that fit the file exactly, zlib and MVF decoding, and each volume's
-    kind, header and class count against its atlas."""
+    kind, header and class count against its atlas. Each atlas is decoded
+    and reduced to its tissue voxels before the next is read."""
     try:
         buf = memoryview(path.read_bytes())
     except OSError:
@@ -238,15 +257,15 @@ def _read_atlas_pv_file(path: Path, key: bytes,
         if (not isinstance(pv, PartialVolumeSet) or pv.header != pair.image.header
                 or pv.num_classes != pair.labels.num_classes):
             return None
-        pvs.append(pv)
+        pvs.append(_on_tissue(pv, pair.labels))
     return pvs if pos == len(buf) else None
 
 
-def _write_atlas_pv_file(path: Path, key: bytes, pvs: list[PartialVolumeSet]) -> None:
+def _write_atlas_pv_file(path: Path, key: bytes, pvs: list[TissuePartialVolumes]) -> None:
     """Write the atlas-PV file under a unique temporary name, then move it
     into place, so concurrent writers are safe and no reader sees a partial
-    file. Each atlas is encoded and compressed on its own, so no second
-    copy of the whole set is ever held."""
+    file. Each atlas is put back on the grid, encoded and compressed on its
+    own, so no full-grid copy of the whole set is ever held."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         # opened by name, not by mkstemp, so the file takes the umask's mode
@@ -255,7 +274,7 @@ def _write_atlas_pv_file(path: Path, key: bytes, pvs: list[PartialVolumeSet]) ->
             with open(tmp, "xb") as fh:
                 fh.write(_PVZ_HEAD.pack(_PVZ_MAGIC, key, len(pvs)))
                 for pv in pvs:
-                    blob = zlib.compress(encode_mvf(pv), 1)
+                    blob = zlib.compress(encode_mvf(pv.full()), 1)
                     fh.write(_PVZ_LENGTH.pack(len(blob)))
                     fh.write(blob)
             os.replace(tmp, path)
@@ -294,7 +313,7 @@ def _initial_segmentation(input_image: ScalarVolume, atlases: list[AtlasPair],
     the atlas side, the model and the stripped labels."""
     with _Stage("train"):
         side = precompute_atlas_side(atlases, cfg.segmenter)
-        model = train([a.image for a in atlases], side, cfg.segmenter)
+        model = train(side.tissue_values([a.image for a in atlases]), side, cfg.segmenter)
     with _Stage("segment"):
         labels = predict(model, input_image)
     return side, model, _strip(labels, fg)
@@ -374,7 +393,8 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
     for t in range(cfg.max_iterations):
         current = labels_history[-1]
         with _Stage(f"estimate_pv[{t}]", partial):
-            input_pv = estimate_pv(input_image, current, cfg.pv)
+            stats = class_stats(input_image, current)
+            input_pv = estimate_pv(input_image, current, cfg.pv, stats)
         with _Stage(f"fit_synth[{t}]", partial):
             synth_cfg = replace(cfg.synth, seed=derived_seed(cfg.seed, t, 101))
             model_t = synth.fit(
@@ -383,20 +403,20 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
             if model_t.class_intensities is not None:
                 last_intensities = model_t.class_intensities.copy()
         with _Stage(f"synthesize[{t}]", partial):
-            new_images = [synthesize(model_t, pv) for pv in atlas_pvs]
-            sigma = _spread_gap_sigma(input_image, current, new_images, side)
-            new_images = [
-                _with_noise(img, sigma, derived_seed(cfg.seed, t, 211, i))
-                for i, img in enumerate(new_images)
+            values = [synthesize(model_t, pv) for pv in atlas_pvs]
+            sigma = _spread_gap_sigma(stats.sigma, values, side)
+            values = [
+                _with_noise(vec, sigma, derived_seed(cfg.seed, t, 211, i))
+                for i, vec in enumerate(values)
             ]
         with _Stage(f"retrain[{t}]", partial):
-            model = train(new_images, side, cfg.segmenter)
+            model = train(values, side, cfg.segmenter)
         with _Stage(f"segment[{t}]", partial):
             new_labels = _strip(predict(model, input_image), fg)
         change = metrics.label_change_fraction(current, new_labels)
         labels_history.append(new_labels)
-        atlas_images_history.append(new_images)
-        records.append(IterationRecord(change, model_t))
+        atlas_images_history.append([_on_grid(vec, pv) for vec, pv in zip(values, atlas_pvs)])
+        records.append(IterationRecord(change, model_t, stats.sigma, sigma))
         if change < cfg.change_threshold:
             converged = True
             break
@@ -404,17 +424,25 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
     return partial()
 
 
-def _with_noise(image: ScalarVolume, sigma: float, seed: int) -> ScalarVolume:
+def _with_noise(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """values plus Philox normal noise of standard deviation sigma, one draw
+    per value in order, as float32; values itself when sigma <= 0."""
     if sigma <= 0:
-        return image
+        return values
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    data = rng.normal(0.0, sigma, size=image.header.dims)
-    data += image.data
-    return ScalarVolume(image.header, data.astype(np.float32))
+    noisy = rng.normal(0.0, sigma, size=values.shape)
+    noisy += values
+    return noisy.astype(np.float32)
 
 
-def _spread_gap_sigma(input_image: ScalarVolume, current_labels: LabelVolume,
-                      synthetic_images: list[ScalarVolume], side: AtlasSide) -> float:
+def _on_grid(values: np.ndarray, pv: TissuePartialVolumes) -> ScalarVolume:
+    """The image holding values at pv's voxels and 0 everywhere else."""
+    data = np.zeros(pv.header.n_voxels, dtype=np.float32)
+    data[pv.index] = values
+    return ScalarVolume(pv.header, data.reshape(pv.header.dims))
+
+
+def _spread_gap_sigma(input_sigma: float, synthetic: list[np.ndarray], side: AtlasSide) -> float:
     """Noise level that closes the within-class spread gap between the input
     and the synthesized atlases.
 
@@ -422,33 +450,29 @@ def _spread_gap_sigma(input_image: ScalarVolume, current_labels: LabelVolume,
     but none of the input's noise or bias-field spread. Matching the pooled
     within-class variance keeps the retrained Gaussian segmenter's likelihood
     widths realistic; without it the loop's likelihoods turn pathologically
-    sharp and ignore the spatial prior. The synthesized side is read through
-    the atlas side's class and tissue indices (side holds the atlases of
-    synthetic_images, in the same order).
+    sharp and ignore the spatial prior. input_sigma is the input's pooled
+    within-class sigma (ClassStats.sigma); synthetic[i] is the tissue vector
+    of atlas i of side. Class means are taken over the class slices, and
+    the residuals are summed in C order, as a full-grid scan would.
     """
-    means_in = class_means(input_image, current_labels)
-    pooled_in = noise_sigma(input_image, current_labels, means_in)
     total = 0.0
     count = 0
-    for img, classes, tissue, tissue_class in zip(
-            synthetic_images, side.classes, side.tissue, side.tissue_class):
-        flat = img.data.reshape(-1)
-        means_syn = np.zeros(len(classes), dtype=np.float64)
-        for k, index in enumerate(classes):
-            if index.size:
-                means_syn[k] = flat[index].astype(np.float64).mean()
-        residual = flat[tissue].astype(np.float64) - means_syn[tissue_class]
+    for vec, bounds, inverse in zip(synthetic, side.bounds, side.inverse):
+        vec = vec.astype(np.float64)
+        means = np.array([vec[a:b].mean() if b > a else 0.0
+                          for a, b in zip(bounds[:-1], bounds[1:])])
+        residual = (vec - np.repeat(means, np.diff(bounds)))[inverse]
         total += float(np.sum(residual**2))
-        count += tissue.size
+        count += vec.size
     pooled_syn_sq = total / max(count, 1)
-    return float(np.sqrt(max(pooled_in**2 - pooled_syn_sq, 0.0)))
+    return float(np.sqrt(max(input_sigma**2 - pooled_syn_sq, 0.0)))
 
 
 def save_loop_artifacts(result: LoopResult, out_dir, truth_labels: LabelVolume | None = None) -> None:
     """Write per-iteration artifacts: labels_t.mvf, atlas{i}_t.mvf and
-    trajectory.csv (each iteration's label change, synthesis training error
-    and fitted class intensities, with Dice-vs-truth columns when truth
-    labels are supplied)."""
+    trajectory.csv (each iteration's label change, input and noise sigma,
+    synthesis training error and fitted class intensities, with
+    Dice-vs-truth columns when truth labels are supplied)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t, labels in enumerate(result.labels_history):

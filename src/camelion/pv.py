@@ -56,35 +56,46 @@ class PvConfig:
             raise ArgumentError("beta must be finite")
 
 
-def class_means(image: ScalarVolume, labels: LabelVolume) -> np.ndarray:
-    """Mean intensity per tissue class, estimated from the hard segmentation.
+@dataclass(frozen=True)
+class ClassStats:
+    """An image's tissue voxels under a hard segmentation, gathered once, and
+    the class statistics fitted on them.
 
-    A class with no voxels gets a 0.0 placeholder.
+    index lists the non-background voxels of the labels as flat C-order
+    indices, labels their classes and values their float64 intensities.
+    means[k - 1] is the mean intensity of class k (0.0 for an absent
+    class); sigma is the RMS residual of the values against their class
+    means, floored at SIGMA_FLOOR_FRACTION of the whole image's intensity
+    range so that noiseless images do not produce a degenerate likelihood.
     """
-    require_same_header(image, labels)
-    means = np.zeros(labels.num_classes, dtype=np.float64)
-    data = image.data.astype(np.float64)
-    for k in range(1, labels.num_classes + 1):
-        sel = labels.data == k
-        if sel.any():
-            means[k - 1] = data[sel].mean()
-    return means
+
+    index: np.ndarray      # (n,) intp
+    labels: np.ndarray     # (n,) uint8
+    values: np.ndarray     # (n,) float64
+    means: np.ndarray      # (K,) float64
+    sigma: float
 
 
-def noise_sigma(image: ScalarVolume, labels: LabelVolume, means: np.ndarray) -> float:
-    """Noise scale: the RMS residual against per-class means over all
-    non-background voxels, floored at SIGMA_FLOOR_FRACTION of the intensity
-    range so noiseless images do not produce a degenerate likelihood.
-    """
+def class_stats(image: ScalarVolume, labels: LabelVolume) -> ClassStats:
+    """The ClassStats of image under labels; EstimationError when the labels
+    have no tissue voxel."""
     require_same_header(image, labels)
-    data = image.data.astype(np.float64)
-    mask = labels.data > 0
-    if not mask.any():
+    flat = labels.data.reshape(-1)
+    index = np.flatnonzero(flat)
+    if not index.size:
         raise EstimationError("no non-background voxels")
-    residuals = data[mask] - np.asarray(means, dtype=np.float64)[labels.data[mask] - 1]
+    tissue = flat[index]
+    values = image.data.reshape(-1)[index].astype(np.float64)
+    means = np.zeros(labels.num_classes, dtype=np.float64)
+    for k in range(1, labels.num_classes + 1):
+        sel = tissue == k
+        if sel.any():
+            means[k - 1] = values[sel].mean()
+    residuals = values - means[tissue - 1]
     sigma = float(np.sqrt(np.mean(residuals**2)))
-    floor = SIGMA_FLOOR_FRACTION * float(data.max() - data.min())
-    return max(sigma, floor, np.finfo(np.float64).tiny)
+    floor = SIGMA_FLOOR_FRACTION * (float(image.data.max()) - float(image.data.min()))
+    return ClassStats(index=index, labels=tissue, values=values, means=means,
+                      sigma=max(sigma, floor, np.finfo(np.float64).tiny))
 
 
 def second_class_map(labels: LabelVolume) -> LabelVolume:
@@ -257,31 +268,32 @@ def map_alpha(f: float, c_a: float, c_b: float, sigma: float, beta: float) -> fl
     return float(_map_alpha_arrays(f, c_a, c_b, sigma, beta))
 
 
-def estimate_pv(image: ScalarVolume, labels: LabelVolume, cfg: PvConfig) -> PartialVolumeSet:
+def estimate_pv(image: ScalarVolume, labels: LabelVolume, cfg: PvConfig,
+                stats: ClassStats | None = None) -> PartialVolumeSet:
     """Full per-voxel two-class MAP partial volume estimation.
 
     At each non-background voxel the first class is the voxel's label and
     the second class the nearest different class; their fractions are
     (alpha, 1 - alpha) with alpha the MAP mixing fraction. Background
-    voxels get all-zero fractions.
+    voxels get all-zero fractions. stats, when given, must be
+    class_stats(image, labels); a caller that needs the class statistics
+    too computes them once and passes them in.
     """
-    means = class_means(image, labels)
-    sigma = noise_sigma(image, labels, means)
+    if stats is None:
+        stats = class_stats(image, labels)
     second_class = second_class_map(labels)
-    beta_abs = cfg.beta / (2.0 * sigma * sigma)
+    beta_abs = cfg.beta / (2.0 * stats.sigma * stats.sigma)
 
-    mask = labels.data > 0
-    idx = np.flatnonzero(mask)
-    first = labels.data.reshape(-1)[idx].astype(np.int64)
+    idx = stats.index
+    first = stats.labels.astype(np.int64)
     second = second_class.data.reshape(-1)[idx].astype(np.int64)
-    c_a = means[first - 1]
-    c_b = means[second - 1]
+    c_a = stats.means[first - 1]
+    c_b = stats.means[second - 1]
     coincide = c_a == c_b
     if coincide.any():
         pairs = {(int(a), int(b)) for a, b in zip(first[coincide], second[coincide])}
         raise DegeneratePairError(f"classes with identical means: {sorted(pairs)}")
-    f = image.data.reshape(-1)[idx].astype(np.float64)
-    alpha = _map_alpha_arrays(f, c_a, c_b, sigma, beta_abs)
+    alpha = _map_alpha_arrays(stats.values, c_a, c_b, stats.sigma, beta_abs)
 
     channels = np.zeros((labels.num_classes, labels.header.n_voxels), dtype=np.float32)
     channels[first - 1, idx] = alpha

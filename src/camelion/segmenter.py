@@ -7,11 +7,11 @@ which matters because the adaptation loop retrains the segmenter on every
 iteration. Everything that depends on the atlas labels only, which the
 loop never changes, is built by atlas_side (AtlasSide): the support of
 the spatial prior (the brain mask) as flat voxel indices with the
-log-prior on it, and each atlas's class and tissue voxel indices. train
-fits class statistics of a set of atlas images through those indices,
-and predict classifies the support voxels only: no other voxel can get a
-label. Nothing here is cached: the pipeline keeps the side of its atlas
-label set and passes it to every train call.
+log-prior on it, and each atlas's tissue voxels ordered by class. train
+fits class statistics of atlas intensities given at those voxels (one
+slice per class), and predict classifies the support voxels only: no
+other voxel can get a label. Nothing here is cached: the pipeline keeps
+the side of its atlas label set and passes it to every train call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import ArgumentError, TrainingError
 from .volumes import LabelVolume, ScalarVolume, VolumeHeader, require_same_header
 
 PRIOR_SMOOTH_RADIUS = 3            # box filter radius in voxels
-VARIANCE_FLOOR_FRACTION = 1e-4     # of the squared global intensity range
+VARIANCE_FLOOR_FRACTION = 1e-4     # of the squared range of the training intensities
 
 
 @dataclass(frozen=True)
@@ -148,69 +148,94 @@ def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.nda
     return prior
 
 
+def class_order(labels: LabelVolume) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tissue (non-background) voxels of labels as flat C-order indices,
+    ordered by class and ascending within a class; the (K + 1,) bounds of
+    the classes in that order, class k being order[bounds[k - 1]:bounds[k]];
+    and the inverse permutation, which lists the positions in order of the
+    tissue voxels by ascending index. A gather through order yields each
+    class's values in the order of a boolean-mask selection of that class,
+    and a vector in order's order, gathered through inverse, is in C order.
+    """
+    flat = labels.data.reshape(-1)
+    tissue = np.flatnonzero(flat)
+    classes = flat[tissue]
+    perm = np.argsort(classes, kind="stable")
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size)
+    counts = np.bincount(classes, minlength=labels.num_classes + 1)[1:]
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    return tissue[perm], bounds, inverse
+
+
 @dataclass(frozen=True)
 class AtlasSide:
     """What the segmenter and the loop read from a fixed atlas label set.
 
     support is that of the atlas prior on the atlases' shared header.
-    classes[i][k - 1] are the flat indices of atlas i's class-k voxels,
-    tissue[i] those of its non-background voxels and tissue_class[i] their
-    labels minus one, all in ascending (C) order, so that a gather through
-    them yields the values of a boolean-mask selection in the same order.
+    order[i], bounds[i] and inverse[i] are class_order of atlas i's
+    labels: a vector of values at order[i] (a tissue vector of atlas i)
+    holds each class in one contiguous slice, and vector[inverse[i]] lists
+    the values by ascending voxel index, as a boolean-mask selection of the
+    tissue would. The arrays are read-only.
     """
 
     header: VolumeHeader
     support: PriorSupport
-    classes: tuple[tuple[np.ndarray, ...], ...]    # [atlas][k - 1] -> intp
-    tissue: tuple[np.ndarray, ...]                 # [atlas] -> intp
-    tissue_class: tuple[np.ndarray, ...]           # [atlas] -> uint8
+    order: tuple[np.ndarray, ...]      # [atlas] -> (n_i,) intp
+    bounds: tuple[np.ndarray, ...]     # [atlas] -> (K + 1,) intp
+    inverse: tuple[np.ndarray, ...]    # [atlas] -> (n_i,) intp
+
+    def tissue_values(self, images: list[ScalarVolume]) -> list[np.ndarray]:
+        """The tissue vector of each atlas image, image i on atlas i."""
+        if len(images) != len(self.order):
+            raise ArgumentError(
+                f"{len(images)} atlas images for an atlas side of {len(self.order)} atlases")
+        for image in images:
+            if image.header != self.header:
+                raise ArgumentError(
+                    f"atlas image header {image.header} does not match the atlas side's {self.header}")
+        return [image.data.reshape(-1)[order] for image, order in zip(images, self.order)]
 
 
 def atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> AtlasSide:
     """Build the AtlasSide of these atlas labels (in this order)."""
     prior = atlas_prior(atlas_labels, cfg)
-    classes, tissue, tissue_class = [], [], []
-    for lab in atlas_labels:
-        flat = lab.data.reshape(-1)
-        classes.append(tuple(np.flatnonzero(flat == k) for k in range(1, lab.num_classes + 1)))
-        tissue.append(np.flatnonzero(flat))
-        tissue_class.append(flat[tissue[-1]] - 1)
-    for arr in (*(a for c in classes for a in c), *tissue, *tissue_class):
+    order, bounds, inverse = zip(*(class_order(lab) for lab in atlas_labels))
+    for arr in (*order, *bounds, *inverse):
         arr.flags.writeable = False
     return AtlasSide(header=atlas_labels[0].header, support=prior_support(prior),
-                     classes=tuple(classes), tissue=tuple(tissue), tissue_class=tuple(tissue_class))
+                     order=order, bounds=bounds, inverse=inverse)
 
 
-def train(images: list[ScalarVolume], side: AtlasSide, cfg: SegmenterConfig) -> SegmenterModel:
-    """Fit the Gaussian classifier on atlas images, image i labelled by the
-    atlas side's atlas i.
+def train(values: list[np.ndarray], side: AtlasSide, cfg: SegmenterConfig) -> SegmenterModel:
+    """Fit the Gaussian classifier on atlas intensities: values[i] is the
+    tissue vector of an image of atlas i (see AtlasSide.tissue_values).
 
-    Class statistics are pooled over every atlas voxel of the class,
-    gathered through the side's class indices; the prior support is the
-    side's. Per-atlas partial sums are reduced in sorted order, so the
-    result is invariant to atlas ordering.
+    Class statistics are pooled over every atlas voxel of the class, one
+    slice per atlas and class; the prior support is the side's. Per-atlas
+    partial sums are reduced in sorted order, so the result is invariant to
+    atlas ordering. The variance floor is VARIANCE_FLOOR_FRACTION of the
+    squared range of the values trained on.
     """
-    if len(images) != len(side.classes):
+    if len(values) != len(side.order):
         raise ArgumentError(
-            f"{len(images)} atlas images for an atlas side of {len(side.classes)} atlases")
-    for image in images:
-        if image.header != side.header:
-            raise ArgumentError(
-                f"atlas image header {image.header} does not match the atlas side's {side.header}")
-    k_max = len(side.classes[0])
+            f"{len(values)} atlas images for an atlas side of {len(side.order)} atlases")
+    for vec, order in zip(values, side.order):
+        if vec.shape != order.shape:
+            raise ArgumentError(f"{vec.size} values for an atlas of {order.size} tissue voxels")
+    k_max = side.bounds[0].size - 1
 
-    counts = np.zeros((len(images), k_max), dtype=np.float64)
-    sums = np.zeros((len(images), k_max), dtype=np.float64)
-    sq_sums = np.zeros((len(images), k_max), dtype=np.float64)
-    lo = np.empty(len(images))
-    hi = np.empty(len(images))
-    for i, image in enumerate(images):
-        flat = image.data.reshape(-1)
-        lo[i], hi[i] = flat.min(), flat.max()
-        for k, index in enumerate(side.classes[i]):
-            if index.size:
-                vals = flat[index].astype(np.float64)
-                counts[i, k] = vals.size
+    counts = np.diff(np.stack(side.bounds), axis=1).astype(np.float64)
+    sums = np.zeros((len(values), k_max), dtype=np.float64)
+    sq_sums = np.zeros((len(values), k_max), dtype=np.float64)
+    lo = np.empty(len(values))
+    hi = np.empty(len(values))
+    for i, (vec, bounds) in enumerate(zip(values, side.bounds)):
+        lo[i], hi[i] = vec.min(initial=np.inf), vec.max(initial=-np.inf)
+        for k in range(k_max):
+            if bounds[k + 1] > bounds[k]:
+                vals = vec[bounds[k]:bounds[k + 1]].astype(np.float64)
                 sums[i, k] = vals.sum()
                 sq_sums[i, k] = np.sum(vals * vals)
 

@@ -12,7 +12,9 @@ pair of the current subject:
   initialized at the least-squares solution, so the linear map is inside
   its hypothesis set and training can only improve on it.
 
-Synthesized images are noiseless by design; callers that want matched
+Both fit on the full-grid partial volumes of the subject and render the
+tissue voxels of a TissuePartialVolumes, the only voxels a caller reads.
+Synthesized intensities are noiseless by design; callers that want matched
 noise can add it explicitly.
 """
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, RankError
-from .volumes import PartialVolumeSet, ScalarVolume, require_same_header
+from .volumes import PartialVolumeSet, ScalarVolume, TissuePartialVolumes, require_same_header
 
 LINEAR_BACKEND = "linear"
 REGRESSOR_BACKEND = "regressor"
@@ -87,9 +89,9 @@ def fit_linear(
     """
     require_same_header(pv, image)
     k = pv.num_classes
-    ch = pv.channels.reshape(k, -1).astype(np.float64)
+    ch = pv.channels.reshape(k, -1)
     mask = ch.any(axis=0)
-    p = ch[:, mask]
+    p = ch[:, mask].astype(np.float64)
     f = image.data.reshape(-1)[mask].astype(np.float64)
 
     support = (p > 0).sum(axis=1)
@@ -259,30 +261,30 @@ def fit(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig,
     return fit_regressor(pv, image, cfg)
 
 
-def synthesize(model: SynthModel, pv: PartialVolumeSet) -> ScalarVolume:
-    """Render an intensity image from partial volumes with a fitted model.
+def synthesize(model: SynthModel, pv: TissuePartialVolumes) -> np.ndarray:
+    """Render the intensities of pv's voxels with a fitted model: a float32
+    vector, entry j for voxel pv.index[j]. Every other voxel of the grid is
+    background and synthesizes to 0.
 
-    Background voxels (all-zero fractions) always synthesize to 0.
+    The regressor reads the patch around each voxel, so it scatters the
+    fractions back onto the grid first.
     """
     if pv.num_classes != model.num_classes:
         raise ArgumentError(
             f"model has {model.num_classes} classes, volume has {pv.num_classes}"
         )
-    k = pv.num_classes
     if model.backend == LINEAR_BACKEND:
         out = np.tensordot(model.class_intensities, pv.channels.astype(np.float64), axes=(0, 0))
-        return ScalarVolume(pv.header, out.astype(np.float32))
+        return out.astype(np.float32)
     if model.backend != REGRESSOR_BACKEND:
         raise ArgumentError(f"unknown backend {model.backend!r}")
 
     reg = model.regressor
-    n = pv.header.n_voxels
-    mask_flat = pv.channels.reshape(k, -1).any(axis=0)
-    out = np.zeros(n, dtype=np.float64)
-    tissue_index = np.flatnonzero(mask_flat)
-    for start in range(0, tissue_index.size, SYNTH_CHUNK):
-        sel = tissue_index[start : start + SYNTH_CHUNK]
-        x = _patch_matrix(pv.channels, reg.patch_radius, sel)
+    grid = pv.full().channels
+    out = np.empty(pv.index.size, dtype=np.float64)
+    for start in range(0, pv.index.size, SYNTH_CHUNK):
+        sel = slice(start, start + SYNTH_CHUNK)
+        x = _patch_matrix(grid, reg.patch_radius, pv.index[sel])
         xn = (x - reg.input_mean) / reg.input_scale
         _, out[sel] = _forward(vars(reg), xn)
-    return ScalarVolume(pv.header, out.reshape(pv.header.dims).astype(np.float32))
+    return out.astype(np.float32)

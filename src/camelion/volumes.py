@@ -148,6 +148,45 @@ class PartialVolumeSet:
         return self.channels.shape[0]
 
 
+@dataclass(eq=False)
+class TissuePartialVolumes:
+    """A partial-volume set held at its tissue voxels only.
+
+    Column j of channels holds the fractions of the voxel with flat C-order
+    index index[j]; every voxel not listed is background (all-zero). The
+    arrays are read-only; full() scatters the set back onto the grid.
+    """
+
+    header: VolumeHeader
+    index: np.ndarray      # (n,) intp, distinct
+    channels: np.ndarray   # (K, n) float32
+
+    def __post_init__(self):
+        index = np.asarray(self.index, dtype=np.intp)
+        ch = np.ascontiguousarray(self.channels, dtype=np.float32)
+        if index.ndim != 1 or ch.ndim != 2 or ch.shape[1] != index.size:
+            raise ArgumentError(
+                f"channels must have shape (K, {index.size}) for {index.size} voxels, got {ch.shape}")
+        if ch.shape[0] < 1:
+            raise ArgumentError("partial volume set needs at least one channel")
+        self.index = _freeze(index)
+        self.channels = _freeze(ch)
+
+    @classmethod
+    def at(cls, pv: PartialVolumeSet, index: np.ndarray) -> "TissuePartialVolumes":
+        """pv's fractions at the given flat voxel indices, in that order."""
+        return cls(pv.header, index, pv.channels.reshape(pv.num_classes, -1)[:, index])
+
+    @property
+    def num_classes(self) -> int:
+        return self.channels.shape[0]
+
+    def full(self) -> PartialVolumeSet:
+        channels = np.zeros((self.num_classes, self.header.n_voxels), dtype=np.float32)
+        channels[:, self.index] = self.channels
+        return PartialVolumeSet(self.header, channels.reshape((self.num_classes,) + self.header.dims))
+
+
 Volume = Union[ScalarVolume, LabelVolume, PartialVolumeSet]
 
 

@@ -301,8 +301,9 @@ def predict_reference(model, prior, image):
 
 def train_statistics_reference(atlases):
     """Pooled class means and floored variances, each class selected with a
-    full-grid ``labels == k`` scan per atlas, as train did it before it
-    gathered through fixed class indices. Returns (means, variances)."""
+    full-grid ``labels == k`` scan per atlas, and the floor taken from the
+    range of the labelled (non-background) voxels. Returns (means,
+    variances)."""
     k_max = atlases[0].labels.num_classes
     counts = np.zeros((len(atlases), k_max))
     sums = np.zeros((len(atlases), k_max))
@@ -311,7 +312,8 @@ def train_statistics_reference(atlases):
     hi = np.empty(len(atlases))
     for i, pair in enumerate(atlases):
         data = pair.image.data.astype(np.float64)
-        lo[i], hi[i] = data.min(), data.max()
+        tissue = data[pair.labels.data > 0]
+        lo[i], hi[i] = tissue.min(initial=np.inf), tissue.max(initial=-np.inf)
         for k in range(1, k_max + 1):
             sel = pair.labels.data == k
             if sel.any():
@@ -356,3 +358,46 @@ def spread_gap_sigma_reference(input_image, current_labels, synthetic_images, at
         total += float(np.sum(residual**2))
         count += int(mask.sum())
     return float(np.sqrt(max(pooled_in**2 - total / max(count, 1), 0.0)))
+
+
+def estimate_pv_reference(image, labels, cfg):
+    """estimate_pv as it was before its class means, noise sigma and MAP
+    step shared one gather of the tissue voxels: the means and the sigma
+    each scan the whole float64 image, and the MAP step gathers the tissue
+    again. The nearest-class map and the MAP solver are the library's."""
+    k_max = labels.num_classes
+    data = image.data.astype(np.float64)
+    means = _class_means_by_scan(data, labels.data, k_max)
+    mask = labels.data > 0
+    residuals = data[mask] - means[labels.data[mask] - 1]
+    floor = pv.SIGMA_FLOOR_FRACTION * float(data.max() - data.min())
+    sigma = max(float(np.sqrt(np.mean(residuals**2))), floor, np.finfo(np.float64).tiny)
+    second_class = pv.second_class_map(labels)
+    beta_abs = cfg.beta / (2.0 * sigma * sigma)
+    idx = np.flatnonzero(mask)
+    first = labels.data.reshape(-1)[idx].astype(np.int64)
+    second = second_class.data.reshape(-1)[idx].astype(np.int64)
+    f = image.data.reshape(-1)[idx].astype(np.float64)
+    alpha = pv._map_alpha_arrays(f, means[first - 1], means[second - 1], sigma, beta_abs)
+    channels = np.zeros((k_max, labels.header.n_voxels), dtype=np.float32)
+    channels[first - 1, idx] = alpha
+    channels[second - 1, idx] = 1.0 - alpha
+    return means, sigma, channels.reshape((k_max,) + labels.header.dims)
+
+
+def fit_linear_reference(pv_set, image, fallback_intensities):
+    """fit_linear's least squares as it was before it masked the float32
+    fractions and cast only the gathered tissue: the whole fraction stack
+    is cast to float64 first. Returns (class intensities, train_mse)."""
+    k = pv_set.num_classes
+    ch = pv_set.channels.reshape(k, -1).astype(np.float64)
+    mask = ch.any(axis=0)
+    p = ch[:, mask]
+    f = image.data.reshape(-1)[mask].astype(np.float64)
+    active = (p > 0).sum(axis=1) > 0
+    p_active = p[active]
+    c = np.zeros(k)
+    c[~active] = np.asarray(fallback_intensities, dtype=np.float64)[~active]
+    c[active] = np.linalg.solve(p_active @ p_active.T, p_active @ f)
+    residual = f - c[active] @ p_active
+    return c, float(np.mean(residual**2))

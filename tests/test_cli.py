@@ -163,10 +163,14 @@ class TestRunCommand:
         assert (out_dir / "atlas0_1.mvf").exists()
         assert not list(out_dir.glob("synth_*"))
         assert len(list((runs / "atlas_pv").glob("*.pvz"))) == 1
-        assert traj[0].split(",")[-6:] == [
+        assert traj[0].split(",")[-8:] == [
+            "input_sigma", "noise_sigma",
             "synth_train_mse", "intensity_csf", "intensity_ventricles",
             "intensity_gray_matter", "intensity_white_matter", "intensity_brainstem",
         ]
+        for row in traj[1:]:
+            input_sigma, noise_sigma = (float(v) for v in row.split(",")[-8:-6])
+            assert 0.0 <= noise_sigma < input_sigma
 
     def test_regressor_trajectory_has_no_intensities(self, cohort, tmp_path):
         runs = tmp_path / "runs"
@@ -209,6 +213,50 @@ class TestRunCommand:
         assert not (out_dir / "labels_final.mvf").exists()
         traj = (out_dir / "trajectory.csv").read_text().strip().splitlines()
         assert len(traj) == 2
+
+    def test_rerun_with_fewer_iterations_leaves_no_stale_artifacts(self, cohort, tmp_path):
+        runs = tmp_path / "runs"
+        args = ["run", "--method", "camelion", "--subject", "s002",
+                "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+                "--set", "loop.change_threshold=0.0001"]
+        assert run_cli(*args, "--set", "loop.max_iterations=3") == 0
+        out_dir = runs / "s002" / "camelion"
+        assert (out_dir / "labels_3.mvf").exists()
+        (out_dir / "notes.txt").write_text("kept")
+        assert run_cli(*args, "--set", "loop.max_iterations=1") == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "atlas0_1.mvf", "atlas1_1.mvf", "effective_config.txt", "labels_0.mvf",
+            "labels_1.mvf", "labels_final.mvf", "notes.txt", "trajectory.csv"]
+        assert len((out_dir / "trajectory.csv").read_text().splitlines()) == 2
+
+    def test_failed_rerun_leaves_no_earlier_labels(self, cohort, tmp_path, monkeypatch):
+        runs = tmp_path / "runs"
+        args = ["run", "--method", "camelion", "--subject", "s002",
+                "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL]
+        assert run_cli(*args) == 0
+        out_dir = runs / "s002" / "camelion"
+        assert (out_dir / "labels_final.mvf").exists()
+
+        def failing_synthesize(*args, **kwargs):
+            raise CamelionError("synthesis failed")
+
+        monkeypatch.setattr(pipeline, "synthesize", failing_synthesize)
+        assert run_cli(*args) == 4
+        # only the initial segmentation completed; eval finds no finished run
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "effective_config.txt", "labels_0.mvf", "trajectory.csv"]
+        assert run_cli("eval", "--manifest", str(cohort / "manifest.json"),
+                       "--runs", str(runs), "--out", str(tmp_path / "eval")) == 2
+
+    def test_rejected_rerun_keeps_the_earlier_run(self, cohort, tmp_path):
+        runs = tmp_path / "runs"
+        args = ["run", "--method", "direct", "--subject", "s002",
+                "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL]
+        assert run_cli(*args) == 0
+        out_dir = runs / "s002" / "direct"
+        before = (out_dir / "labels_final.mvf").read_bytes()
+        assert run_cli(*args, "--set", "nhm.reference_atlas=99") == 2
+        assert (out_dir / "labels_final.mvf").read_bytes() == before
 
     def test_failure_before_first_labels_writes_only_config(self, cohort, tmp_path,
                                                              monkeypatch):

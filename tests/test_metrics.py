@@ -186,19 +186,21 @@ class TestReports:
     def test_trajectory_file(self, tmp_path):
         path = tmp_path / "t.csv"
         records = [
-            IterationRecord(0.2, SynthModel("linear", 5, np.arange(1.0, 6.0), train_mse=4.5)),
-            IterationRecord(0.04, SynthModel("regressor", 5, train_mse=2.25)),
+            IterationRecord(0.2, SynthModel("linear", 5, np.arange(1.0, 6.0), train_mse=4.5),
+                            input_sigma=6.5, noise_sigma=3.25),
+            IterationRecord(0.04, SynthModel("regressor", 5, train_mse=2.25),
+                            input_sigma=6.0, noise_sigma=0.0),
         ]
         write_trajectory(path, records, [np.ones(5) * 0.8, np.ones(5) * 0.9])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == (
             "iteration,label_change_fraction,dice_ventricles,dice_gray_matter,"
-            "dice_white_matter,dice_brainstem,synth_train_mse,intensity_csf,"
+            "dice_white_matter,dice_brainstem,input_sigma,noise_sigma,synth_train_mse,intensity_csf,"
             "intensity_ventricles,intensity_gray_matter,intensity_white_matter,"
             "intensity_brainstem"
         )
-        assert lines[1] == "1,0.2,0.8,0.8,0.8,0.8,4.5,1,2,3,4,5"
-        assert lines[2] == "2,0.04,0.9,0.9,0.9,0.9,2.25,,,,,"
+        assert lines[1] == "1,0.2,0.8,0.8,0.8,0.8,6.5,3.25,4.5,1,2,3,4,5"
+        assert lines[2] == "2,0.04,0.9,0.9,0.9,0.9,6,0,2.25,,,,,"
 
     def test_correlations_file(self, tmp_path):
         path = tmp_path / "corr.csv"

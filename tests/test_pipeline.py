@@ -27,7 +27,7 @@ from camelion.pipeline import (
     run_nhm,
     save_loop_artifacts,
 )
-from camelion.pv import PvConfig, estimate_pv
+from camelion.pv import PvConfig, class_stats, estimate_pv
 from camelion.segmenter import SegmenterConfig
 from camelion.synth import SynthConfig
 from camelion.util import LatestMemo
@@ -77,6 +77,7 @@ class TestPrecompute:
             ScalarVolume(header, image), LabelVolume(header, labels, num_classes=5)
         )
         [pv] = precompute_atlas_pv([pair], PvConfig(beta=0.0))
+        pv = pv.full()
         validate_partial_volumes(pv)
         mask = labels > 0
         assert np.all(pv.channels.max(axis=0)[mask] == 1.0)
@@ -85,6 +86,7 @@ class TestPrecompute:
         atlases, _, _ = small_cohort
         pvs = precompute_atlas_pv(atlases, PvConfig())
         for pair, pv in zip(atlases, pvs):
+            pv = pv.full()
             validate_partial_volumes(pv)
             own = np.take_along_axis(
                 pv.channels,
@@ -134,9 +136,9 @@ class TestAtlasPvMemo:
                                          atlases[1].labels)]
         out = precompute_atlas_pv(changed, PvConfig())
         assert len(pv_calls) == 2 * len(atlases)
-        assert encode_mvf(out[0]) == encode_mvf(first[0])
+        assert encode_mvf(out[0].full()) == encode_mvf(first[0].full())
         fresh = estimate_pv(changed[1].image, changed[1].labels, PvConfig())
-        assert encode_mvf(out[1]) == encode_mvf(fresh)
+        assert encode_mvf(out[1].full()) == encode_mvf(fresh)
 
     def test_config_change_recomputes(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
@@ -145,7 +147,7 @@ class TestAtlasPvMemo:
         assert len(pv_calls) == 2 * len(atlases)
         for pair, pv in zip(atlases, out):
             fresh = estimate_pv(pair.image, pair.labels, PvConfig(beta=0.3))
-            assert encode_mvf(pv) == encode_mvf(fresh)
+            assert encode_mvf(pv.full()) == encode_mvf(fresh)
 
     def test_only_latest_set_kept(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
@@ -206,10 +208,10 @@ class TestAtlasPvFile:
         atlases, _, _ = small_cohort
         calls = []
 
-        def counting(image, labels, cfg):
+        def counting(image, labels, cfg, stats=None):
             if any(labels is a.labels for a in atlases):
                 calls.append(labels)
-            return estimate_pv(image, labels, cfg)
+            return estimate_pv(image, labels, cfg, stats)
 
         monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
         monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestMemo())
@@ -239,7 +241,7 @@ class TestAtlasPvFile:
         assert len(atlas_calls) == len(atlases)
         assert self.volumes(second) == self.volumes(first)
         pvs = precompute_atlas_pv(atlases, cfg.pv)
-        assert [encode_mvf(pv) for pv in pvs] == [encode_mvf(pv) for pv in first_pvs]
+        assert [encode_mvf(pv.full()) for pv in pvs] == [encode_mvf(pv.full()) for pv in first_pvs]
 
     @pytest.mark.parametrize("corrupt", [
         corrupt_truncated, corrupt_flipped_byte, corrupt_other_key,
@@ -273,7 +275,10 @@ class TestAtlasPvFile:
         assert all(b is a for a, b in zip(pvs, again))
         path = self.pv_file(tmp_path)
         stored = pipeline._read_atlas_pv_file(path, bytes.fromhex(path.stem), atlases)
-        assert [encode_mvf(pv) for pv in stored] == [encode_mvf(pv) for pv in pvs]
+        assert [encode_mvf(pv.full()) for pv in stored] == [encode_mvf(pv.full()) for pv in pvs]
+        for pair, pv in zip(atlases, stored):
+            fresh = estimate_pv(pair.image, pair.labels, PvConfig())
+            assert encode_mvf(pv.full()) == encode_mvf(fresh)
 
     @pytest.mark.parametrize("failing", [(1,), (1, 2)], ids=["one", "later-fails-first"])
     def test_failure_names_first_failing_atlas(self, small_cohort, monkeypatch, tmp_path,
@@ -419,14 +424,36 @@ class TestRun:
         # intensity is exactly the class-intensity blend of that atlas's
         # fixed partial volumes
         atlases, input_image, _ = small_cohort
-        monkeypatch.setattr(pipeline, "_with_noise", lambda image, sigma, seed: image)
+        monkeypatch.setattr(pipeline, "_with_noise", lambda values, sigma, seed: values)
         cfg = LoopConfig(max_iterations=1)
         result = run(input_image, atlases, cfg)
         c = result.records[0].synth.class_intensities
         pvs = precompute_atlas_pv(atlases, cfg.pv)
         for pv, synth_img in zip(pvs, result.atlas_images_history[0]):
-            expected = np.tensordot(c, pv.channels.astype(np.float64), axes=(0, 0))
+            expected = np.tensordot(c, pv.full().channels.astype(np.float64), axes=(0, 0))
             assert np.allclose(synth_img.data, expected, atol=1e-3)
+
+    @pytest.mark.parametrize("backend", ["linear", "regressor"])
+    def test_atlas_images_are_zero_off_tissue(self, small_cohort, backend):
+        atlases, input_image, _ = small_cohort
+        cfg = LoopConfig(max_iterations=2, change_threshold=0.0001,
+                         synth=SynthConfig(backend=backend, epochs=1))
+        result = run(input_image, atlases, cfg)
+        assert result.atlas_images_history
+        for images in result.atlas_images_history:
+            for pair, image in zip(atlases, images):
+                background = pair.labels.data == 0
+                assert np.all(image.data[background] == 0.0)
+                # noise was added on the tissue, so no tissue voxel is left at 0
+                assert np.all(image.data[~background] != 0.0)
+
+    def test_records_carry_both_sigmas(self, small_cohort):
+        atlases, input_image, _ = small_cohort
+        cfg = LoopConfig(max_iterations=2, change_threshold=0.0001)
+        result = run(input_image, atlases, cfg)
+        for record, labels in zip(result.records, result.labels_history):
+            assert record.input_sigma == class_stats(input_image, labels).sigma
+            assert 0.0 < record.noise_sigma < record.input_sigma
 
     def test_header_mismatch_rejected(self, small_cohort):
         atlases, _, _ = small_cohort
@@ -570,8 +597,9 @@ class TestRunNhm:
 
 
 class TestSpreadGapAndNoise:
-    """The spread gap read through the atlas side's indices, and the noise
-    drawn before the image is added, give the bytes of the former code."""
+    """The spread gap read from the atlases' tissue vectors gives the bytes of
+    a full-grid scan, and the noise is drawn on the tissue vector before
+    the values are added."""
 
     @staticmethod
     def scene(voxel=(1.0, 2.0, 0.5), seed=4):
@@ -598,30 +626,43 @@ class TestSpreadGapAndNoise:
         current = labels(missing=2)
         return image(current, 1.3), current, synthetic, atlases
 
+    @staticmethod
+    def spread_gap(input_image, current, synthetic, atlases):
+        """The loop's spread gap, from the tissue vectors of the synthetic
+        images and the input's class statistics."""
+        side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
+        return pipeline._spread_gap_sigma(class_stats(input_image, current).sigma,
+                                          side.tissue_values(synthetic), side)
+
     @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5)])
     def test_spread_gap_matches_full_scan(self, voxel):
         input_image, current, synthetic, atlases = self.scene(voxel)
-        side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
-        got = pipeline._spread_gap_sigma(input_image, current, synthetic, side)
+        got = self.spread_gap(input_image, current, synthetic, atlases)
         assert got > 0
         assert got == spread_gap_sigma_reference(input_image, current, synthetic, atlases)
 
     def test_spread_gap_zero_when_synthetic_spread_is_wider(self):
         input_image, current, synthetic, atlases = self.scene()
-        side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
-        got = pipeline._spread_gap_sigma(synthetic[0], atlases[0].labels, [input_image] * 3, side)
+        got = self.spread_gap(synthetic[0], atlases[0].labels, [input_image] * 3, atlases)
         assert got == 0.0
         assert got == spread_gap_sigma_reference(synthetic[0], atlases[0].labels,
                                                  [input_image] * 3, atlases)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_noise_matches_image_plus_draw(self, seed):
-        input_image = self.scene()[0]
+        # the image is held as the tissue vector of one atlas, as the loop holds it
+        input_image, _, _, atlases = self.scene()
+        side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
+        values = side.tissue_values([input_image] * 3)[1]
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        expected = input_image.data.astype(np.float64) + rng.normal(
-            0.0, 3.5, size=input_image.header.dims)
-        got = pipeline._with_noise(input_image, 3.5, seed)
-        assert got.data.tobytes() == expected.astype(np.float32).tobytes()
+        expected = values.astype(np.float64) + rng.normal(0.0, 3.5, size=values.size)
+        got = pipeline._with_noise(values, 3.5, seed)
+        assert got.dtype == np.float32
+        assert got.tobytes() == expected.astype(np.float32).tobytes()
+
+    def test_no_noise_returns_the_values(self):
+        values = np.arange(5, dtype=np.float32)
+        assert pipeline._with_noise(values, 0.0, 1) is values
 
 
 class TestArtifacts:
@@ -639,7 +680,7 @@ class TestArtifacts:
         assert len(traj) == 1 + result.iterations_run
         assert traj[0] == (
             "iteration,label_change_fraction,dice_ventricles,dice_gray_matter,"
-            "dice_white_matter,dice_brainstem,synth_train_mse,intensity_csf,"
+            "dice_white_matter,dice_brainstem,input_sigma,noise_sigma,synth_train_mse,intensity_csf,"
             "intensity_ventricles,intensity_gray_matter,intensity_white_matter,"
             "intensity_brainstem"
         )

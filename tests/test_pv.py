@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from camelion import config as cfgmod
 from camelion import pv, tissues
 from camelion.cli import _load_atlases
-from camelion.errors import ArgumentError, DegeneratePairError, GeometryError
+from camelion.errors import ArgumentError, DegeneratePairError, EstimationError, GeometryError
 from camelion.phantom import (
+    DEFAULT_PROTOCOL_A,
+    DEFAULT_PROTOCOL_B,
     PhantomParams,
     ProtocolParams,
     downsample_to_pv,
@@ -19,13 +21,13 @@ from camelion.phantom import (
     restrict_to_top_two,
 )
 from camelion.pipeline import run
+from camelion.synth import fit_linear
 from camelion.pv import (
     SEARCH_RADIUS,
     PvConfig,
-    class_means,
+    class_stats,
     estimate_pv,
     map_alpha,
-    noise_sigma,
     second_class_map,
 )
 from camelion.volumes import (
@@ -37,6 +39,8 @@ from camelion.volumes import (
     validate_partial_volumes,
 )
 from oracles import (
+    estimate_pv_reference,
+    fit_linear_reference,
     grid_search_alpha,
     grid_search_alpha_batch,
     nearest_different_label,
@@ -59,7 +63,7 @@ class TestClassMeans:
         labels = make_labels(np.full((2, 2, 2), 3))
         image = make_image(np.full((2, 2, 2), 100.0))
         # classes 1,2,4,5 empty: they get 0.0 placeholders
-        means = class_means(image, labels)
+        means = class_stats(image, labels).means
         assert means.tolist() == [0.0, 0.0, 100.0, 0.0, 0.0]
 
     def test_all_classes(self, rng):
@@ -68,7 +72,7 @@ class TestClassMeans:
         labels[:, :, 0] = data
         labels[:, :, 1] = data
         image = np.where(labels > 0, labels * 10.0, 0.0)
-        means = class_means(make_image(image), make_labels(labels))
+        means = class_stats(make_image(image), make_labels(labels)).means
         assert np.allclose(means, [10, 20, 30, 40, 50])
 
     def test_two_point_mean(self):
@@ -76,7 +80,7 @@ class TestClassMeans:
         labels[:, 0, 0] = 1
         image = np.zeros((2, 1, 1), dtype=np.float32)
         image[0, 0, 0], image[1, 0, 0] = 90.0, 110.0
-        means = class_means(make_image(image), make_labels(labels, k=1))
+        means = class_stats(make_image(image), make_labels(labels, k=1)).means
         assert means[0] == pytest.approx(100.0)
 
     def test_against_brute_force(self, rng):
@@ -84,7 +88,7 @@ class TestClassMeans:
         for k in range(1, 6):  # make sure all present
             labels.reshape(-1)[k] = k
         image = rng.normal(50, 20, size=(8, 8, 8)).astype(np.float32)
-        means = class_means(make_image(image), make_labels(labels))
+        means = class_stats(make_image(image), make_labels(labels)).means
         for k in range(1, 6):
             sel = labels == k
             assert means[k - 1] == pytest.approx(
@@ -98,8 +102,7 @@ class TestNoiseSigma:
         labels[2:] = 2
         image = np.where(labels == 1, 10.0, 90.0)
         vol = make_image(image)
-        means = class_means(vol, make_labels(labels, k=2))
-        sigma = noise_sigma(vol, make_labels(labels, k=2), means)
+        sigma = class_stats(vol, make_labels(labels, k=2)).sigma
         assert sigma == pytest.approx(1e-3 * 80.0)
 
     def test_two_residuals(self):
@@ -108,7 +111,8 @@ class TestNoiseSigma:
         image = np.zeros((2, 1, 1), dtype=np.float32)
         image[0, 0, 0], image[1, 0, 0] = -1.0, 1.0
         vol = make_image(image)
-        sigma = noise_sigma(vol, make_labels(labels, k=1), np.array([0.0]))
+        # the class mean is 0, so each residual is its value
+        sigma = class_stats(vol, make_labels(labels, k=1)).sigma
         assert sigma == pytest.approx(1.0)
 
     def test_phantom_estimate_within_10_percent(self):
@@ -122,8 +126,7 @@ class TestNoiseSigma:
         pv = PartialVolumeSet(labels.header, onehot)
         proto = ProtocolParams((25.0, 15.0, 60.0, 100.0, 80.0), noise_sigma=3.0)
         image = render(pv, proto, seed=9)
-        means = class_means(image, labels)
-        sigma = noise_sigma(image, labels, means)
+        sigma = class_stats(image, labels).sigma
         assert sigma == pytest.approx(3.0, rel=0.1)
 
     def test_partial_volume_spread_inflates_pooled_sigma(self):
@@ -134,8 +137,7 @@ class TestNoiseSigma:
         labels = pv_to_labels(pv)
         proto = ProtocolParams((25.0, 15.0, 60.0, 100.0, 80.0), noise_sigma=3.0)
         image = render(pv, proto, seed=9)
-        means = class_means(image, labels)
-        pooled = noise_sigma(image, labels, means)
+        pooled = class_stats(image, labels).sigma
         assert pooled > 3.0  # boundary spread adds on top of the noise
 
 
@@ -431,3 +433,52 @@ class TestEstimatePv:
     def test_config_validation(self):
         with pytest.raises(ArgumentError):
             PvConfig(beta=np.inf)
+
+
+class TestSharedTissueGather:
+    """estimate_pv's means, sigma and MAP step read one gather of the tissue
+    voxels, and fit_linear masks the float32 fractions before its float64
+    cast; both give the bytes of their former bodies."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        params = PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=21)
+        pairs = []
+        for i in range(3):
+            truth = restrict_to_top_two(downsample_to_pv(generate_label_phantom(params, i), 2))
+            labels = pv_to_labels(truth)
+            for j, proto in enumerate((DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B)):
+                pairs.append((render(truth, proto, seed=10 * i + j), labels))
+        rng = np.random.default_rng(8)
+        for voxel in ((1.0, 1.0, 1.0), (1.0, 2.0, 0.5)):
+            data = np.zeros((14, 12, 10), dtype=np.uint8)
+            data[1:-1, 1:-1, 1:-1] = rng.integers(1, 6, size=(12, 10, 8))
+            data[data == 4] = 3  # class 4 absent: a 0.0 mean and a fallback intensity
+            image = np.where(data > 0, data * 20.0, 0.0) + rng.normal(0, 4, data.shape)
+            pairs.append((make_image(image, voxel), make_labels(data, voxel)))
+        return pairs
+
+    def test_estimate_pv_matches_former_body(self, pairs):
+        cfg = PvConfig()
+        for image, labels in pairs:
+            means, sigma, channels = estimate_pv_reference(image, labels, cfg)
+            stats = class_stats(image, labels)
+            assert stats.means.tobytes() == means.tobytes()
+            assert stats.sigma == sigma
+            assert np.array_equal(stats.index, np.flatnonzero(labels.data))
+            assert estimate_pv(image, labels, cfg).channels.tobytes() == channels.tobytes()
+            assert estimate_pv(image, labels, cfg, stats).channels.tobytes() == channels.tobytes()
+
+    def test_fit_linear_matches_former_body(self, pairs):
+        fallback = np.array([11.0, 22.0, 33.0, 44.0, 55.0])
+        for image, labels in pairs:
+            pv_set = estimate_pv(image, labels, PvConfig())
+            c, mse = fit_linear_reference(pv_set, image, fallback)
+            model = fit_linear(pv_set, image, fallback_intensities=fallback)
+            assert model.class_intensities.tobytes() == c.tobytes()
+            assert model.train_mse == mse
+
+    def test_no_tissue_is_estimation_error(self):
+        labels = make_labels(np.zeros((3, 3, 3)))
+        with pytest.raises(EstimationError):
+            class_stats(make_image(np.ones((3, 3, 3))), labels)

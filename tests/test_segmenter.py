@@ -47,7 +47,8 @@ def pair_from(image, labels, k=5, voxel=(1.0, 1.0, 1.0)):
 
 def fit(pairs, cfg):
     """train on the pairs' images with the atlas side of their labels."""
-    return train([p.image for p in pairs], atlas_side([p.labels for p in pairs], cfg), cfg)
+    side = atlas_side([p.labels for p in pairs], cfg)
+    return train(side.tissue_values([p.image for p in pairs]), side, cfg)
 
 
 def prior_of(pairs, cfg):
@@ -73,6 +74,15 @@ def test_constant_class_mean_and_variance_floor():
     assert model.means[4] == pytest.approx(80.0)
     intensity_range = image.max() - image.min()
     assert model.variances[4] == pytest.approx(1e-4 * intensity_range**2)
+
+
+def test_variance_floor_reads_the_tissue_range():
+    # background at 0 lies outside the tissue's 50..90 range and is not read
+    labels = five_class_labels()
+    labels[0] = 0
+    image = np.where(labels == 5, 90.0, np.where(labels > 0, 50.0 + labels * 2.0, 0.0))
+    model = fit([pair_from(image, labels)], NO_SMOOTH)
+    assert model.variances[4] == pytest.approx(1e-4 * (90.0 - 52.0) ** 2)
 
 
 def test_pooled_mean_across_atlases():
@@ -167,15 +177,27 @@ class TestTrainChecksSide:
         for image, voxel in ((labels * 10.0, (2.0, 1.0, 1.0)), (labels[:8] * 10.0, (1.0, 1.0, 1.0))):
             other = pair_from(image, image / 10.0, voxel=voxel).image
             with pytest.raises(ArgumentError, match="header"):
-                train([other], side, NO_SMOOTH)
+                side.tissue_values([other])
 
     def test_rejects_side_of_other_atlas_count(self):
         labels = five_class_labels()
         pair = pair_from(labels * 10.0, labels)
         side = atlas_side([pair.labels, pair.labels], NO_SMOOTH)
+        values = side.tissue_values([pair.image] * 2)[0]
         for images in ([pair.image], [pair.image] * 3, []):
             with pytest.raises(ArgumentError, match="atlas side of 2 atlases"):
-                train(images, side, NO_SMOOTH)
+                side.tissue_values(images)
+        for vectors in ([values], [values] * 3, []):
+            with pytest.raises(ArgumentError, match="atlas side of 2 atlases"):
+                train(vectors, side, NO_SMOOTH)
+
+    def test_rejects_vector_of_other_length(self):
+        labels = five_class_labels()
+        pair = pair_from(labels * 10.0, labels)
+        side = atlas_side([pair.labels], NO_SMOOTH)
+        [values] = side.tissue_values([pair.image])
+        with pytest.raises(ArgumentError, match="tissue voxels"):
+            train([values[:-1]], side, NO_SMOOTH)
 
 
 class TestPriorMemo:
@@ -230,7 +252,8 @@ class TestPriorMemo:
         second = precompute_atlas_side(brighter, NO_SMOOTH)
         assert frequency_calls == [3]
         assert second is first
-        means = [train([p.image for p in pp], first, NO_SMOOTH).means for pp in (pairs, brighter)]
+        means = [train(first.tissue_values([p.image for p in pp]), first, NO_SMOOTH).means
+                 for pp in (pairs, brighter)]
         assert not np.array_equal(means[0], means[1])
 
     def test_label_or_epsilon_change_recomputes(self, frequency_calls):
@@ -256,13 +279,15 @@ class TestPriorMemo:
         copies = [pair_from(p.image.data.copy(), p.labels.data.copy()) for p in pairs]
         assert precompute_atlas_side(copies, NO_SMOOTH) is side
         assert frequency_calls == [3]
-        model = train([p.image for p in copies], side, NO_SMOOTH)
+        model = train(side.tissue_values([p.image for p in copies]), side, NO_SMOOTH)
         assert model.support is side.support
         for i, p in enumerate(pairs):
             flat = p.labels.data.reshape(-1)
-            assert np.array_equal(side.tissue[i], np.flatnonzero(flat > 0))
+            order, bounds = side.order[i], side.bounds[i]
             for k in range(1, 6):
-                assert np.array_equal(side.classes[i][k - 1], np.flatnonzero(flat == k))
+                assert np.array_equal(order[bounds[k - 1]:bounds[k]], np.flatnonzero(flat == k))
+            assert bounds[0] == 0 and bounds[-1] == order.size
+            assert np.array_equal(order[side.inverse[i]], np.flatnonzero(flat > 0))
 
     def test_new_label_set_evicts_the_old_one(self, frequency_calls):
         first = self.atlases(seed=5)
