@@ -19,6 +19,7 @@ and "nhm" (histogram-match the input to one atlas image, then direct).
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import struct
 import uuid
@@ -34,7 +35,7 @@ from .errors import ArgumentError, CamelionError, FormatError, PersistenceError,
 from .pv import PvConfig, class_stats, estimate_pv
 from .segmenter import AtlasSide, SegmenterConfig, atlas_side, class_order, predict, train
 from .synth import SynthConfig, SynthModel, synthesize
-from .util import LatestMemo, content_key, derived_seed, worker_count
+from .util import LatestMemo, derived_seed, worker_count
 from .volumes import (
     HEADER_SIZE,
     AtlasPair,
@@ -129,9 +130,45 @@ class _Stage:
         return False
 
 
+class _Normals:
+    """The loop's standard normal draws for one loop seed: atlas i at
+    iteration t draws from the Philox stream derived_seed(seed, t, 211, i).
+    With keep, each draw is kept, read-only, and handed to every later
+    request for it; otherwise each request draws afresh."""
+
+    def __init__(self, seed: int, keep: bool):
+        self.seed = seed
+        self._kept: dict[tuple[int, int], np.ndarray] | None = {} if keep else None
+
+    def draw(self, t: int, i: int, n: int) -> np.ndarray:
+        """The n float64 standard normals of atlas i (n tissue voxels) at
+        iteration t."""
+        if self._kept is not None and (t, i) in self._kept:
+            return self._kept[t, i]
+        seed = derived_seed(self.seed, t, 211, i)
+        normals = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))) \
+            .standard_normal(n)
+        if self._kept is None:
+            return normals
+        normals.flags.writeable = False
+        # two threads may draw the same stream; both draws are equal
+        return self._kept.setdefault((t, i), normals)
+
+
+@dataclass
+class _AtlasPvEntry:
+    """What the atlas-PV memo holds for one atlas set: its tissue partial
+    volumes, whether a lookup has found them held, and from then on the
+    loop's normal draws for the latest loop seed."""
+
+    pvs: list[TissuePartialVolumes]
+    reused: bool = False
+    normals: _Normals | None = None
+
+
 # the fixed atlas side, each cache holding one atlas set under one content
 # key: the segmenter's AtlasSide (from the labels) and the atlas partial
-# volumes (from images and labels)
+# volumes with the loop's kept noise draws (from images and labels)
 _ATLAS_SIDES = LatestMemo()
 _ATLAS_PV = LatestMemo()
 
@@ -142,13 +179,14 @@ def precompute_atlas_side(atlases: list[AtlasPair], cfg: SegmenterConfig) -> Atl
     Computed once per atlas label set per process: the side is keyed by a
     digest of prior_epsilon and of each atlas's label header, class count
     and label bytes (in atlas order), and only the latest set is kept. The
-    atlas images play no part, so every retrain of one loop shares it.
+    atlas images play no part, so every retrain of one loop shares it. A
+    lookup with the same label arrays as the last one hashes nothing (see
+    LatestMemo).
     """
     parts = [cfg.prior_epsilon]
     for pair in atlases:
         parts += [pair.labels.header, pair.labels.num_classes, pair.labels.data]
-    return _ATLAS_SIDES.lookup(
-        content_key(*parts), lambda: atlas_side([a.labels for a in atlases], cfg))
+    return _ATLAS_SIDES.lookup(parts, lambda key: atlas_side([a.labels for a in atlases], cfg))[1]
 
 
 def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
@@ -160,8 +198,9 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
     Computed once per atlas set per process: the set is keyed by a digest
     of cfg and of each atlas's image header, class count, image and labels
     (in atlas order), and only the latest set is kept, so a second run() on
-    the same atlases reuses it and a new set evicts the old one before it
-    is computed.
+    the same atlases reuses it and a new set evicts the old one, with the
+    noise draws kept beside it, before it is computed. A lookup with the
+    same atlas arrays as the last one hashes nothing (see LatestMemo).
 
     With cache_dir, the set is also kept across processes in the file
     ``<cache_dir>/<key hex>.pvz``. A process that misses its memo reads the
@@ -172,24 +211,46 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
     parts = [cfg]
     for pair in atlases:
         parts += [pair.image.header, pair.labels.num_classes, pair.image.data, pair.labels.data]
-    key = content_key(*parts)
-    path = None if cache_dir is None else Path(cache_dir) / f"{key.hex()}.pvz"
-    rewrite = False
+    computed = rewrite = False
 
-    def load_or_compute():
-        nonlocal rewrite
-        if path is not None:
-            pvs = _read_atlas_pv_file(path, key, atlases)
+    def load_or_compute(key):
+        nonlocal computed, rewrite
+        computed = True
+        if cache_dir is not None:
+            pvs = _read_atlas_pv_file(_atlas_pv_path(cache_dir, key), key, atlases)
             if pvs is not None:
-                return pvs
+                return _AtlasPvEntry(pvs)
             rewrite = True
-        return _estimate_atlas_pvs(atlases, cfg)
+        return _AtlasPvEntry(_estimate_atlas_pvs(atlases, cfg))
 
     with _Stage("precompute_atlas_pv"):
-        pvs = _ATLAS_PV.lookup(key, load_or_compute)
-    if path is not None and (rewrite or not path.is_file()):
-        _write_atlas_pv_file(path, key, pvs)
-    return pvs
+        key, entry = _ATLAS_PV.lookup(parts, load_or_compute)
+    if not computed:
+        entry.reused = True
+    if cache_dir is not None:
+        path = _atlas_pv_path(cache_dir, key)
+        if rewrite or not path.is_file():
+            _write_atlas_pv_file(path, key, entry.pvs)
+    return entry.pvs
+
+
+def _atlas_pv_path(cache_dir, key: bytes) -> Path:
+    return Path(cache_dir) / f"{key.hex()}.pvz"
+
+
+def _loop_normals(atlas_pvs: list[TissuePartialVolumes], seed: int) -> _Normals:
+    """The normal draws of one run() on atlas_pvs. Draws are kept beside the
+    memo's atlas set, for one loop seed at a time, once a lookup has found
+    that set held; a run on a set seen once draws afresh and keeps
+    nothing."""
+    entry = _ATLAS_PV.value
+    if entry is None or entry.pvs is not atlas_pvs or not entry.reused:
+        return _Normals(seed, keep=False)
+    normals = entry.normals
+    if normals is None or normals.seed != seed:
+        # runs racing here each get a working _Normals; the last one is kept
+        normals = entry.normals = _Normals(seed, keep=True)
+    return normals
 
 
 def _on_tissue(pv: PartialVolumeSet, labels: LabelVolume) -> TissuePartialVolumes:
@@ -377,6 +438,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
     """
     fg = _checked_foreground(input_image, atlases, cfg)
     atlas_pvs = precompute_atlas_pv(atlases, cfg.pv, cache_dir)
+    normals = _loop_normals(atlas_pvs, cfg.seed)
 
     side, model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
     labels_history = [stripped]
@@ -406,7 +468,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
             values = [synthesize(model_t, pv) for pv in atlas_pvs]
             sigma = _spread_gap_sigma(stats.sigma, values, side)
             values = [
-                _with_noise(vec, sigma, derived_seed(cfg.seed, t, 211, i))
+                _with_noise(vec, sigma, functools.partial(normals.draw, t, i, vec.size))
                 for i, vec in enumerate(values)
             ]
         with _Stage(f"retrain[{t}]", partial):
@@ -424,13 +486,15 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
     return partial()
 
 
-def _with_noise(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """values plus Philox normal noise of standard deviation sigma, one draw
-    per value in order, as float32; values itself when sigma <= 0."""
+def _with_noise(values: np.ndarray, sigma: float, normals) -> np.ndarray:
+    """values plus sigma times the float64 standard normals that normals()
+    returns, one per value in order, as float32; values itself, without
+    calling normals, when sigma <= 0. A Philox normal(0.0, sigma) draw is
+    0.0 + sigma * z for the standard normal z of the same stream, so the
+    result has the bytes of values plus that draw."""
     if sigma <= 0:
         return values
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    noisy = rng.normal(0.0, sigma, size=values.shape)
+    noisy = normals() * sigma
     noisy += values
     return noisy.astype(np.float32)
 

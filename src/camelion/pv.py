@@ -105,16 +105,17 @@ def second_class_map(labels: LabelVolume) -> LabelVolume:
     computed as sqrt((dx*sx)**2 + (dy*sy)**2 + (dz*sz)**2); exact-distance
     ties resolve to the smaller class index. Background voxels map to 0.
 
-    The search walks the offsets of _search_table nearest first, one group
-    of equally distant offsets at a time, over the tissue voxels it has not
-    resolved yet. A voxel resolves at the first group that reaches a class
-    other than background and its own, and takes the smallest such class
-    of that group. Voxels outside the grid and outside the bounding box of
-    the tissue are background, so the search reads the box padded by the
-    table's reach. Every offset nearer than a resolving group's was looked
-    at before it, so the answer is exact; a voxel whose nearest other class
-    lies beyond SEARCH_RADIUS leaves the whole volume to distance
-    transforms.
+    The search runs one present class at a time. It walks the offsets of
+    _search_table nearest first, one group of equally distant offsets at a
+    time, over the voxels of the class it has not resolved yet, reading a
+    copy of the labels in which that class and background are one value.
+    A voxel resolves at the first group that reaches another class, and
+    takes the smallest class of that group. Voxels outside the grid and
+    outside the bounding box of the tissue are background, so the search
+    reads the box padded by the table's reach. Every offset nearer than a
+    resolving group's was looked at before it, so the answer is exact; a
+    voxel whose nearest other class lies beyond SEARCH_RADIUS leaves the
+    whole volume to distance transforms.
     """
     counts = np.bincount(labels.data.ravel(), minlength=labels.num_classes + 1)
     present = [k for k in range(1, labels.num_classes + 1) if counts[k]]
@@ -127,25 +128,23 @@ def second_class_map(labels: LabelVolume) -> LabelVolume:
     flat = padded.reshape(-1)
     # uint8, so the byte strides are the flat index steps along each axis
     steps = table.offsets @ np.asarray(padded.strides, dtype=np.intp)
-    tissue = np.flatnonzero(flat)
-    # labels minus one, wrapping background to 255; a voxel's own class
-    # becomes 255 too, so a minimum below 255 is a class that counts
-    own = flat[tissue] - np.uint8(1)
-    answer = np.zeros(tissue.size, dtype=np.uint8)
-    pending = np.arange(tissue.size)
-    for start, stop in table.groups:
-        near = flat[tissue[pending] + steps[start:stop, None]] - np.uint8(1)
-        near[near == own[pending]] = 255
-        best = near.min(axis=0)
-        hit = best < 255
-        answer[pending[hit]] = best[hit] + np.uint8(1)
-        pending = pending[~hit]
-        if not pending.size:
-            break
-    if pending.size:
-        return _second_class_map_edt(labels, present)
+    # labels minus one, background wrapping to 255
+    minus_one = flat - np.uint8(1)
     found = np.zeros_like(flat)
-    found[tissue] = answer
+    for k in present:
+        own = flat == k
+        # class k reads as 255 too, so a minimum below 255 is another class
+        others = np.maximum(minus_one, own.view(np.uint8) * np.uint8(255))
+        pending = np.flatnonzero(own)
+        for start, stop in table.groups:
+            best = others[pending + steps[start:stop, None]].min(axis=0)
+            # 255 + 1 wraps to 0, so a voxel not resolved yet stays 0
+            found[pending] = best + np.uint8(1)
+            pending = pending[best == 255]
+            if not pending.size:
+                break
+        if pending.size:
+            return _second_class_map_edt(labels, present)
     nearest = np.zeros(labels.header.dims, dtype=np.uint8)
     nearest[box] = found.reshape(padded.shape)[
         tuple(slice(r, r + n) for r, n in zip(table.reach, crop.shape))]

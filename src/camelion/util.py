@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+import weakref
 
 import numpy as np
 
@@ -44,23 +45,72 @@ def content_key(*parts) -> bytes:
 
 
 class LatestMemo:
-    """The value of the most recent key looked up.
+    """The value of the most recent content key looked up.
 
-    A lookup of another key first drops the held value, then computes the
-    new one, so the process never holds two values at once. The held value
-    is shared between callers and must be immutable.
+    A lookup names its key by the parts of content_key. A lookup of another
+    key first drops the held value, then computes the new one, so the
+    process never holds two values at once. The held value is shared
+    between callers and must be immutable.
+
+    The memo also remembers the parts of the last lookup: a weak reference
+    to each frozen array and the repr of every other part. A lookup whose
+    arrays are those same objects, still frozen, and whose other parts
+    have the same reprs has the held key without hashing anything. The
+    weak references keep no array alive.
     """
 
     def __init__(self):
         self._key: bytes | None = None
         self._value = None
+        self._parts: tuple = ()
         self._lock = threading.Lock()
 
-    def lookup(self, key: bytes, compute):
-        """The value for key, calling compute() unless key is held."""
+    def lookup(self, parts, compute):
+        """(key, value) for key = content_key(*parts); compute(key) is called
+        unless key is held."""
         with self._lock:
-            if key != self._key:
-                self._key = self._value = None
-                self._value = compute()
-                self._key = key
-            return self._value
+            if not self._same_parts(parts):
+                key = content_key(*parts)
+                if key != self._key:
+                    self._key = self._value = None
+                    self._parts = ()
+                    self._value = compute(key)
+                    self._key = key
+                self._parts = tuple(_remembered(part) for part in parts)
+            return self._key, self._value
+
+    @property
+    def value(self):
+        """The held value, or None."""
+        return self._value
+
+    def _same_parts(self, parts) -> bool:
+        if self._key is None or len(parts) != len(self._parts):
+            return False
+        for part, held in zip(parts, self._parts):
+            if isinstance(part, np.ndarray):
+                if not (isinstance(held, weakref.ref) and held() is part and _frozen(part)):
+                    return False
+            elif held != repr(part):
+                return False
+        return True
+
+
+def _remembered(part):
+    """What a memo keeps of one part of a key: a weak reference to a frozen
+    array, None for any other array (hashed on every lookup), and the repr
+    of anything else."""
+    if isinstance(part, np.ndarray):
+        return weakref.ref(part) if _frozen(part) else None
+    return repr(part)
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether no one can write arr's bytes without first making it writeable
+    again: arr and every array it views are read-only, down to memory that
+    arr owns or an immutable bytes object."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None or isinstance(arr, bytes)

@@ -1,12 +1,15 @@
+import functools
 import hashlib
 import re
 import time
+import weakref
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from camelion import metrics, pipeline, segmenter, tissues
+from camelion import metrics, pipeline, segmenter, tissues, util
 from camelion.errors import ArgumentError, CamelionError, EstimationError, PipelineError
 from camelion.phantom import (
     DEFAULT_PROTOCOL_A,
@@ -30,7 +33,7 @@ from camelion.pipeline import (
 from camelion.pv import PvConfig, class_stats, estimate_pv
 from camelion.segmenter import SegmenterConfig
 from camelion.synth import SynthConfig
-from camelion.util import LatestMemo
+from camelion.util import LatestMemo, derived_seed
 from camelion.volumes import (
     AtlasPair,
     LabelVolume,
@@ -157,6 +160,104 @@ class TestAtlasPvMemo:
         assert len(pv_calls) == len(atlases) + 1
         precompute_atlas_pv(atlases, PvConfig())
         assert len(pv_calls) == 2 * len(atlases) + 1
+
+
+class TestWarmRun:
+    """One subject run in-process cold, warm, after a run with another seed
+    and after a run on another atlas set: the same bytes every time, with
+    the atlas-set work done once and the kept noise draws dropped in
+    time."""
+
+    CFG = LoopConfig(max_iterations=3, change_threshold=0.0001)
+
+    @pytest.fixture
+    def key_calls(self, monkeypatch):
+        """The content_key calls, from fresh memos."""
+        calls = []
+        real = util.content_key
+
+        def counting(*parts):
+            calls.append(len(parts))
+            return real(*parts)
+
+        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
+        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestMemo())
+        monkeypatch.setattr(util, "content_key", counting)
+        return calls
+
+    @staticmethod
+    def outputs(result):
+        volumes = [result.final_labels, *result.labels_history,
+                   *(img for imgs in result.atlas_images_history for img in imgs)]
+        records = [(r.change_fraction, r.input_sigma, r.noise_sigma, r.synth.train_mse,
+                    r.synth.class_intensities.tobytes()) for r in result.records]
+        return [encode_mvf(v) for v in volumes], repr(records), result.converged
+
+    @staticmethod
+    def kept_normals():
+        entry = pipeline._ATLAS_PV.value
+        return None if entry is None else entry.normals
+
+    def test_every_situation_gives_the_cold_bytes(self, small_cohort, key_calls, monkeypatch):
+        atlases, input_image, _ = small_cohort
+        cold = run(input_image, atlases, self.CFG)
+        assert key_calls == [4 * len(atlases) + 1, 3 * len(atlases) + 1]
+        assert all(r.noise_sigma > 0 for r in cold.records)
+        # a run on a set seen once keeps no draws
+        assert self.kept_normals() is None
+
+        del key_calls[:]
+        warm = run(input_image, atlases, self.CFG)
+        assert key_calls == []
+        assert self.outputs(warm) == self.outputs(cold)
+        assert self.kept_normals().seed == self.CFG.seed
+
+        run(input_image, atlases, replace(self.CFG, seed=self.CFG.seed + 1))
+        assert self.kept_normals().seed == self.CFG.seed + 1
+        after_seed = run(input_image, atlases, self.CFG)
+        assert key_calls == []
+        assert self.outputs(after_seed) == self.outputs(cold)
+        assert self.kept_normals().seed == self.CFG.seed
+
+        # the kept draws of the old set are gone before the new set's
+        # partial volumes are computed
+        n = precompute_atlas_pv(atlases, self.CFG.pv)[0].index.size
+        kept = weakref.ref(self.kept_normals().draw(0, 0, n))
+        alive_at_compute = []
+
+        def checking(image, labels, cfg, stats=None):
+            if any(labels is a.labels for a in atlases):
+                alive_at_compute.append(kept() is not None)
+            return estimate_pv(image, labels, cfg, stats)
+
+        monkeypatch.setattr(pipeline, "estimate_pv", checking)
+        run(input_image, atlases[::-1], self.CFG)
+        assert alive_at_compute == [False] * len(atlases)
+        assert self.kept_normals() is None
+        after_set = run(input_image, atlases, self.CFG)
+        assert self.outputs(after_set) == self.outputs(cold)
+        assert self.kept_normals() is None
+
+    def test_copies_hash_again_to_the_same_key(self, small_cohort, key_calls):
+        atlases, _, _ = small_cohort
+        cfg = PvConfig()
+        parts = [cfg]
+        for pair in atlases:
+            parts += [pair.image.header, pair.labels.num_classes, pair.image.data,
+                      pair.labels.data]
+        pvs = precompute_atlas_pv(atlases, cfg)
+        key = pipeline._ATLAS_PV.lookup(parts, None)[0]
+        assert key == util.content_key(*parts)
+        del key_calls[:]
+        copies = TestAtlasPvMemo.copies(atlases)
+        again = precompute_atlas_pv(copies, cfg)
+        assert key_calls == [len(parts)]
+        assert all(b is a for a, b in zip(pvs, again))
+        # the copies are now the arrays the memo knows
+        assert precompute_atlas_pv(copies, cfg) is again
+        assert key_calls == [len(parts)]
+        assert pipeline._ATLAS_PV.lookup(parts, None)[0] == key
+        assert key_calls == [len(parts)] * 2
 
 
 def corrupt_truncated(good, other):
@@ -424,7 +525,7 @@ class TestRun:
         # intensity is exactly the class-intensity blend of that atlas's
         # fixed partial volumes
         atlases, input_image, _ = small_cohort
-        monkeypatch.setattr(pipeline, "_with_noise", lambda values, sigma, seed: values)
+        monkeypatch.setattr(pipeline, "_with_noise", lambda values, sigma, normals: values)
         cfg = LoopConfig(max_iterations=1)
         result = run(input_image, atlases, cfg)
         c = result.records[0].synth.class_intensities
@@ -650,19 +751,36 @@ class TestSpreadGapAndNoise:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_noise_matches_image_plus_draw(self, seed):
-        # the image is held as the tissue vector of one atlas, as the loop holds it
+        # the values are the tissue vector of one atlas, as the loop holds it,
+        # and prefixes of it; a fresh draw and a kept one must both give the
+        # bytes of values plus Philox's normal(0.0, sigma) on the loop's stream
         input_image, _, _, atlases = self.scene()
         side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
-        values = side.tissue_values([input_image] * 3)[1]
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        expected = values.astype(np.float64) + rng.normal(0.0, 3.5, size=values.size)
-        got = pipeline._with_noise(values, 3.5, seed)
-        assert got.dtype == np.float32
-        assert got.tobytes() == expected.astype(np.float32).tobytes()
+        tissue = side.tissue_values([input_image] * 3)[1]
+        for values, sigma in [(tissue, 3.5), (tissue[:257], 0.01), (tissue[:1], 120.0)]:
+            stream = derived_seed(seed, 2, 211, 1)
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(stream)))
+            expected = values.astype(np.float64) + rng.normal(0.0, sigma, size=values.size)
+            expected = expected.astype(np.float32).tobytes()
+            fresh = pipeline._Normals(seed, keep=False)
+            kept = pipeline._Normals(seed, keep=True)
+            for normals in (fresh, kept, kept):
+                got = pipeline._with_noise(
+                    values, sigma, functools.partial(normals.draw, 2, 1, values.size))
+                assert got.dtype == np.float32
+                assert got.tobytes() == expected
+            assert kept.draw(2, 1, values.size) is kept.draw(2, 1, values.size)
+            assert not kept.draw(2, 1, values.size).flags.writeable
+            assert fresh.draw(2, 1, values.size) is not fresh.draw(2, 1, values.size)
 
     def test_no_noise_returns_the_values(self):
         values = np.arange(5, dtype=np.float32)
-        assert pipeline._with_noise(values, 0.0, 1) is values
+
+        def no_draw():
+            raise AssertionError("drew normals for sigma <= 0")
+
+        for sigma in (0.0, -1.0):
+            assert pipeline._with_noise(values, sigma, no_draw) is values
 
 
 class TestArtifacts:

@@ -272,6 +272,32 @@ class TestNearestClassSearch:
         assert_matches_references(make_labels(anisotropic, voxel=(1.0, 1.25, 0.75), k=k))
         assert edt_calls == []
 
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
+    def test_twelve_classes_some_absent(self, voxel, edt_calls):
+        # the search runs once per present class; absent classes, the first
+        # and the last included, are skipped
+        rng = np.random.default_rng(12)
+        for present in [(2, 3, 5, 8, 11), (1, 4, 12), (6, 7)]:
+            codes = np.array((0,) + present, dtype=np.uint8)
+            labels = codes[rng.integers(0, codes.size, size=(11, 10, 9))]
+            labels[rng.uniform(size=labels.shape) < 0.4] = 0
+            labels[0, 0, :2] = present[:2]  # at least two classes present
+            assert_matches_references(make_labels(labels, voxel=voxel, k=12))
+        assert edt_calls == []
+
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
+    def test_last_class_falls_back_after_the_others_resolve(self, voxel, edt_calls):
+        # classes 1-3 touch, class 4 is absent and class 5 lies beyond the
+        # radius: classes 1-3 resolve, then class 5 sends the whole volume to
+        # the distance transforms, whose bytes are those of the oracle
+        gap = SEARCH_RADIUS + 2
+        rng = np.random.default_rng(5)
+        labels = np.zeros((8 + gap, 7, 6), dtype=np.uint8)
+        labels[:6] = rng.integers(1, 4, size=(6, 7, 6))
+        labels[6 + gap:, 2:5, 1:4] = 5
+        assert_matches_references(make_labels(labels, voxel=voxel))
+        assert edt_calls == [1]
+
     def test_loop_label_histories(self, label_histories, edt_calls):
         assert len(label_histories) > 2
         for vol in label_histories:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from camelion import util
 from camelion.util import LatestMemo, content_key, worker_count
 from camelion.volumes import VolumeHeader
 
@@ -19,12 +20,39 @@ def test_content_key_separates_parts():
     assert content_key(VolumeHeader((2, 3, 1))) != content_key(VolumeHeader((2, 3, 1), (1, 1, 2)))
 
 
+def test_latest_memo_hashes_a_writeable_array_every_time(monkeypatch):
+    # only an array that no one can write without unfreezing it first is
+    # trusted to keep the bytes it was hashed with
+    calls = []
+    monkeypatch.setattr(util, "content_key", lambda *parts: calls.append(1) or content_key(*parts))
+    memo = LatestMemo()
+    data = np.arange(4, dtype=np.uint8)
+    frozen = data.copy()
+    frozen.flags.writeable = False
+    view = data[:]
+    view.flags.writeable = False  # its base can still be written
+    for part in (data, frozen, view):
+        del calls[:]
+        for _ in range(2):
+            assert memo.lookup([part], lambda key: key)[0] == content_key(part)
+        assert calls == ([1] if part is frozen else [1, 1])
+    del calls[:]
+    memo.lookup([frozen], lambda key: key)
+    memo.lookup([frozen], lambda key: key)
+    frozen.flags.writeable = True
+    memo.lookup([frozen], lambda key: key)
+    assert calls == [1, 1]
+
+
 def test_latest_set_memo_under_threads():
     # threads alternate between two keys, so every lookup evicts the other
-    # key's value; each must still get the value of its own key, and no two
-    # values may be computed at once
+    # key's value; each must still get the value and key of its own parts,
+    # and no two values may be computed at once. Each key's part is one
+    # frozen array shared by all threads, so lookups also take the path that
+    # skips hashing.
     memo = LatestMemo()
-    keys = [b"a", b"c"]
+    arrays = [np.frombuffer(b"a", dtype=np.uint8), np.frombuffer(b"c", dtype=np.uint8)]
+    keys = [content_key(a) for a in arrays]
     errors = []
     computing = []
 
@@ -39,9 +67,9 @@ def test_latest_set_memo_under_threads():
     def worker(n):
         try:
             for i in range(1000):
-                key = keys[(n + i) % 2]
-                got = memo.lookup(key, lambda key=key: compute(key))
-                if got != key * 2:
+                j = (n + i) % 2
+                got = memo.lookup([arrays[j]], compute)
+                if got != (keys[j], keys[j] * 2):
                     errors.append(got)
         except Exception as exc:
             errors.append(exc)
