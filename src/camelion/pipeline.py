@@ -33,9 +33,10 @@ import numpy as np
 from . import harmonize, metrics, synth
 from .errors import ArgumentError, CamelionError, FormatError, PersistenceError, PipelineError
 from .pv import PvConfig, class_stats, estimate_pv
-from .segmenter import AtlasSide, SegmenterConfig, atlas_side, class_order, predict, train
+from .segmenter import (AtlasSide, SegmenterConfig, SegmenterModel, atlas_side, class_order,
+                        predict, train)
 from .synth import SynthConfig, SynthModel, synthesize
-from .util import LatestMemo, derived_seed, worker_count
+from .util import LatestMemo, content_key, derived_seed, worker_count
 from .volumes import (
     HEADER_SIZE,
     AtlasPair,
@@ -156,37 +157,66 @@ class _Normals:
 
 
 @dataclass
-class _AtlasPvEntry:
-    """What the atlas-PV memo holds for one atlas set: its tissue partial
-    volumes, whether a lookup has found them held, and from then on the
-    loop's normal draws for the latest loop seed."""
+class _AtlasSet:
+    """What one atlas set alone determines, each slot filled on first use
+    and kept until another set replaces this one: the segmenter's
+    AtlasSide and the model trained on the original atlas images, for the
+    latest SegmenterConfig; the tissue partial volumes, for the latest
+    PvConfig, with their content key once a cache_dir has needed it; the
+    count of run() calls on the set; and, from the second run on, the
+    loop's kept normal draws for the latest loop seed."""
 
-    pvs: list[TissuePartialVolumes]
-    reused: bool = False
+    segmenter: SegmenterConfig | None = None
+    side: AtlasSide | None = None
+    model: SegmenterModel | None = None
+    pv: PvConfig | None = None
+    pvs: list[TissuePartialVolumes] | None = None
+    pv_key: bytes | None = None
+    runs: int = 0
     normals: _Normals | None = None
 
+    def run_normals(self, seed: int) -> _Normals:
+        """The normal draws of one more run() on this set: drawn afresh and
+        kept nowhere on its first run, kept from the second run on."""
+        self.runs += 1
+        if self.runs == 1:
+            return _Normals(seed, keep=False)
+        if self.normals is None or self.normals.seed != seed:
+            self.normals = _Normals(seed, keep=True)
+        return self.normals
 
-# the fixed atlas side, each cache holding one atlas set under one content
-# key: the segmenter's AtlasSide (from the labels) and the atlas partial
-# volumes with the loop's kept noise draws (from images and labels)
-_ATLAS_SIDES = LatestMemo()
-_ATLAS_PV = LatestMemo()
+
+# the latest atlas set's entry; its slots are read and filled with the lock held
+_ATLAS_SET = LatestMemo()
 
 
-def precompute_atlas_side(atlases: list[AtlasPair], cfg: SegmenterConfig) -> AtlasSide:
-    """The segmenter's AtlasSide of the atlas labels.
-
-    Computed once per atlas label set per process: the side is keyed by a
-    digest of prior_epsilon and of each atlas's label header, class count
-    and label bytes (in atlas order), and only the latest set is kept. The
-    atlas images play no part, so every retrain of one loop shares it. A
-    lookup with the same label arrays as the last one hashes nothing (see
-    LatestMemo).
-    """
-    parts = [cfg.prior_epsilon]
+def _set_parts(atlases: list[AtlasPair]) -> list:
+    """What names an atlas set: each atlas's image header, class count, image
+    and labels, in atlas order."""
+    parts = []
     for pair in atlases:
-        parts += [pair.labels.header, pair.labels.num_classes, pair.labels.data]
-    return _ATLAS_SIDES.lookup(parts, lambda key: atlas_side([a.labels for a in atlases], cfg))[1]
+        parts += [pair.image.header, pair.labels.num_classes, pair.image.data, pair.labels.data]
+    return parts
+
+
+def _atlas_set(atlases: list[AtlasPair]) -> _AtlasSet:
+    """The held entry if atlases hold its set's parts, the same frozen arrays
+    among them (see LatestMemo); else a new one, made once that is dropped."""
+    return _ATLAS_SET.lookup(_set_parts(atlases), _AtlasSet)
+
+
+def _first_model(atlases: list[AtlasPair],
+                 cfg: SegmenterConfig) -> tuple[AtlasSide, SegmenterModel]:
+    """The AtlasSide of the atlas labels and the model trained on the
+    original atlas images, built once per atlas set and cfg."""
+    with _ATLAS_SET.lock:
+        entry = _atlas_set(atlases)
+        if entry.segmenter != cfg:
+            with _Stage("train"):
+                side = atlas_side([a.labels for a in atlases], cfg)
+                model = train(side.tissue_values([a.image for a in atlases]), side, cfg)
+            entry.segmenter, entry.side, entry.model = cfg, side, model
+        return entry.side, entry.model
 
 
 def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
@@ -195,62 +225,37 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
     labels, held at the atlas's tissue voxels in class_order (estimate_pv
     leaves every other voxel all-zero, so nothing is lost).
 
-    Computed once per atlas set per process: the set is keyed by a digest
-    of cfg and of each atlas's image header, class count, image and labels
-    (in atlas order), and only the latest set is kept, so a second run() on
-    the same atlases reuses it and a new set evicts the old one, with the
-    noise draws kept beside it, before it is computed. A lookup with the
-    same atlas arrays as the last one hashes nothing (see LatestMemo).
+    Computed once per atlas set and cfg per process and kept in the set's
+    entry (see _atlas_set), so a second run() on the same atlas list reuses
+    them. A new set drops the old one, with its kept noise draws, before
+    its partial volumes are computed.
 
     With cache_dir, the set is also kept across processes in the file
-    ``<cache_dir>/<key hex>.pvz``. A process that misses its memo reads the
-    file back only if it passes every check of _read_atlas_pv_file, and
-    otherwise computes the set and overwrites the file; a file that is
-    absent is written even when the memo hits.
+    ``<cache_dir>/<key hex>.pvz``, named by the content key of cfg and the
+    set's parts (see _set_parts), computed once per set and cfg. A process
+    that has not computed the set reads the file back only if it passes
+    every check of _read_atlas_pv_file, and otherwise computes the set and
+    overwrites the file; a file that is absent is written even when the
+    set is held.
     """
-    parts = [cfg]
-    for pair in atlases:
-        parts += [pair.image.header, pair.labels.num_classes, pair.image.data, pair.labels.data]
-    computed = rewrite = False
-
-    def load_or_compute(key):
-        nonlocal computed, rewrite
-        computed = True
-        if cache_dir is not None:
-            pvs = _read_atlas_pv_file(_atlas_pv_path(cache_dir, key), key, atlases)
-            if pvs is not None:
-                return _AtlasPvEntry(pvs)
-            rewrite = True
-        return _AtlasPvEntry(_estimate_atlas_pvs(atlases, cfg))
-
-    with _Stage("precompute_atlas_pv"):
-        key, entry = _ATLAS_PV.lookup(parts, load_or_compute)
-    if not computed:
-        entry.reused = True
-    if cache_dir is not None:
-        path = _atlas_pv_path(cache_dir, key)
-        if rewrite or not path.is_file():
-            _write_atlas_pv_file(path, key, entry.pvs)
-    return entry.pvs
-
-
-def _atlas_pv_path(cache_dir, key: bytes) -> Path:
-    return Path(cache_dir) / f"{key.hex()}.pvz"
-
-
-def _loop_normals(atlas_pvs: list[TissuePartialVolumes], seed: int) -> _Normals:
-    """The normal draws of one run() on atlas_pvs. Draws are kept beside the
-    memo's atlas set, for one loop seed at a time, once a lookup has found
-    that set held; a run on a set seen once draws afresh and keeps
-    nothing."""
-    entry = _ATLAS_PV.value
-    if entry is None or entry.pvs is not atlas_pvs or not entry.reused:
-        return _Normals(seed, keep=False)
-    normals = entry.normals
-    if normals is None or normals.seed != seed:
-        # runs racing here each get a working _Normals; the last one is kept
-        normals = entry.normals = _Normals(seed, keep=True)
-    return normals
+    with _ATLAS_SET.lock:
+        entry = _atlas_set(atlases)
+        if entry.pv != cfg:
+            entry.pv, entry.pvs, entry.pv_key = cfg, None, None
+        if cache_dir is not None and entry.pv_key is None:
+            entry.pv_key = content_key(cfg, *_set_parts(atlases))
+        path = None if cache_dir is None else Path(cache_dir) / f"{entry.pv_key.hex()}.pvz"
+        write = path is not None and not path.is_file()
+        if entry.pvs is None:
+            with _Stage("precompute_atlas_pv"):
+                pvs = None if path is None else _read_atlas_pv_file(path, entry.pv_key, atlases)
+                if pvs is None:
+                    pvs = _estimate_atlas_pvs(atlases, cfg)
+                    write = path is not None
+            entry.pvs = pvs
+        if write:
+            _write_atlas_pv_file(path, entry.pv_key, entry.pvs)
+        return entry.pvs
 
 
 def _on_tissue(pv: PartialVolumeSet, labels: LabelVolume) -> TissuePartialVolumes:
@@ -370,11 +375,9 @@ def _checked_foreground(input_image: ScalarVolume, atlases: list[AtlasPair],
 
 def _initial_segmentation(input_image: ScalarVolume, atlases: list[AtlasPair],
                           cfg: LoopConfig, fg: np.ndarray):
-    """Train on the original atlas images and segment the input; returns
-    the atlas side, the model and the stripped labels."""
-    with _Stage("train"):
-        side = precompute_atlas_side(atlases, cfg.segmenter)
-        model = train(side.tissue_values([a.image for a in atlases]), side, cfg.segmenter)
+    """Segment the input with the model trained on the original atlas
+    images; returns the atlas side, the model and the stripped labels."""
+    side, model = _first_model(atlases, cfg.segmenter)
     with _Stage("segment"):
         labels = predict(model, input_image)
     return side, model, _strip(labels, fg)
@@ -437,8 +440,9 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
     (see precompute_atlas_pv).
     """
     fg = _checked_foreground(input_image, atlases, cfg)
-    atlas_pvs = precompute_atlas_pv(atlases, cfg.pv, cache_dir)
-    normals = _loop_normals(atlas_pvs, cfg.seed)
+    with _ATLAS_SET.lock:  # the run is counted on the entry that holds atlas_pvs
+        atlas_pvs = precompute_atlas_pv(atlases, cfg.pv, cache_dir)
+        normals = _atlas_set(atlases).run_normals(cfg.seed)
 
     side, model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
     labels_history = [stripped]

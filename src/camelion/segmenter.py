@@ -216,7 +216,7 @@ def train(values: list[np.ndarray], side: AtlasSide, cfg: SegmenterConfig) -> Se
     slice per atlas and class; the prior support is the side's. Per-atlas
     partial sums are reduced in sorted order, so the result is invariant to
     atlas ordering. The variance floor is VARIANCE_FLOOR_FRACTION of the
-    squared range of the values trained on.
+    squared range of the values trained on. Means and variances are read-only.
     """
     if len(values) != len(side.order):
         raise ArgumentError(
@@ -250,6 +250,8 @@ def train(values: list[np.ndarray], side: AtlasSide, cfg: SegmenterConfig) -> Se
     intensity_range = float(hi.max() - lo.min())
     floor = VARIANCE_FLOOR_FRACTION * intensity_range**2
     var = np.maximum(var, max(floor, np.finfo(np.float64).tiny))
+    for arr in (mean, var):
+        arr.flags.writeable = False
 
     return SegmenterModel(
         header=side.header,

@@ -45,64 +45,55 @@ def content_key(*parts) -> bytes:
 
 
 class LatestMemo:
-    """The value of the most recent content key looked up.
+    """The value made for the parts of the latest lookup, found again by
+    the identity of its arrays.
 
-    A lookup names its key by the parts of content_key. A lookup of another
-    key first drops the held value, then computes the new one, so the
-    process never holds two values at once. The held value is shared
-    between callers and must be immutable.
+    A lookup names its value by a sequence of parts. It matches the held
+    value when every part matches the last lookup's: an array by being
+    the same object and frozen, anything else by equality. Otherwise it
+    drops the held value, then makes a new one, so the process never holds
+    two values at once. An array that was not frozen at its lookup matches
+    nothing later, so a lookup that names one always makes a new value.
+    The memo keeps a weak reference to each array, so it keeps none alive.
 
-    The memo also remembers the parts of the last lookup: a weak reference
-    to each frozen array and the repr of every other part. A lookup whose
-    arrays are those same objects, still frozen, and whose other parts
-    have the same reprs has the held key without hashing anything. The
-    weak references keep no array alive.
+    lock is reentrant and held through every lookup. A caller that fills
+    the held value in place holds it too, so that no two fills run at once.
     """
 
     def __init__(self):
-        self._key: bytes | None = None
+        self.lock = threading.RLock()
         self._value = None
         self._parts: tuple = ()
-        self._lock = threading.Lock()
 
-    def lookup(self, parts, compute):
-        """(key, value) for key = content_key(*parts); compute(key) is called
-        unless key is held."""
-        with self._lock:
-            if not self._same_parts(parts):
-                key = content_key(*parts)
-                if key != self._key:
-                    self._key = self._value = None
-                    self._parts = ()
-                    self._value = compute(key)
-                    self._key = key
+    def lookup(self, parts, make):
+        """The held value if parts match the last lookup's, else make()."""
+        with self.lock:
+            if self._value is None or not self._same_parts(parts):
+                self._value = None
+                self._parts = ()
+                self._value = make()
                 self._parts = tuple(_remembered(part) for part in parts)
-            return self._key, self._value
-
-    @property
-    def value(self):
-        """The held value, or None."""
-        return self._value
+            return self._value
 
     def _same_parts(self, parts) -> bool:
-        if self._key is None or len(parts) != len(self._parts):
+        if len(parts) != len(self._parts):
             return False
         for part, held in zip(parts, self._parts):
             if isinstance(part, np.ndarray):
                 if not (isinstance(held, weakref.ref) and held() is part and _frozen(part)):
                     return False
-            elif held != repr(part):
+            elif held != part:
                 return False
         return True
 
 
 def _remembered(part):
-    """What a memo keeps of one part of a key: a weak reference to a frozen
-    array, None for any other array (hashed on every lookup), and the repr
-    of anything else."""
+    """What a memo keeps of one part: a weak reference to a frozen array,
+    None for any other array (it matches nothing), and anything else
+    itself."""
     if isinstance(part, np.ndarray):
         return weakref.ref(part) if _frozen(part) else None
-    return repr(part)
+    return part
 
 
 def _frozen(arr: np.ndarray) -> bool:

@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
+from camelion import pipeline
+from camelion.util import LatestMemo
 from camelion.volumes import LabelVolume, PartialVolumeSet, ScalarVolume, VolumeHeader
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def fresh_atlas_memo(monkeypatch):
+    """An empty atlas-set memo for the test, as a new process finds it, so
+    that no atlas work an earlier test left in the memo hides a call. The
+    fixture's value empties the memo again when called."""
+    def fresh():
+        monkeypatch.setattr(pipeline, "_ATLAS_SET", LatestMemo())
+
+    fresh()
+    return fresh
 
 
 def random_scalar(rng, dims=(4, 4, 4), voxel=(1.0, 1.0, 1.0), scale=100.0):

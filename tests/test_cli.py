@@ -259,7 +259,7 @@ class TestRunCommand:
         assert (out_dir / "labels_final.mvf").read_bytes() == before
 
     def test_failure_before_first_labels_writes_only_config(self, cohort, tmp_path,
-                                                             monkeypatch):
+                                                             monkeypatch, fresh_atlas_memo):
         def failing_train(*args, **kwargs):
             raise CamelionError("training failed")
 

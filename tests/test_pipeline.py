@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import re
+import sys
+import threading
 import time
 import weakref
 import zlib
@@ -9,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from camelion import metrics, pipeline, segmenter, tissues, util
+from camelion import metrics, pipeline, segmenter, tissues
 from camelion.errors import ArgumentError, CamelionError, EstimationError, PipelineError
 from camelion.phantom import (
     DEFAULT_PROTOCOL_A,
@@ -33,7 +35,7 @@ from camelion.pipeline import (
 from camelion.pv import PvConfig, class_stats, estimate_pv
 from camelion.segmenter import SegmenterConfig
 from camelion.synth import SynthConfig
-from camelion.util import LatestMemo, derived_seed
+from camelion.util import derived_seed
 from camelion.volumes import (
     AtlasPair,
     LabelVolume,
@@ -103,14 +105,13 @@ class TestPrecompute:
 
 class TestAtlasPvMemo:
     @pytest.fixture
-    def pv_calls(self, monkeypatch):
+    def pv_calls(self, monkeypatch, fresh_atlas_memo):
         calls = []
 
         def counting(image, labels, cfg):
             calls.append(labels)
             return estimate_pv(image, labels, cfg)
 
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
         monkeypatch.setattr(pipeline, "estimate_pv", counting)
         return calls
 
@@ -122,13 +123,13 @@ class TestAtlasPvMemo:
             for a in atlases
         ]
 
-    def test_equal_content_hits(self, small_cohort, pv_calls):
+    def test_equal_copies_are_another_set(self, small_cohort, pv_calls):
+        # a set is found again by the identity of its arrays, not by content
         atlases, _, _ = small_cohort
         first = precompute_atlas_pv(atlases, PvConfig())
         again = precompute_atlas_pv(self.copies(atlases), PvConfig())
-        assert len(pv_calls) == len(atlases)
-        for a, b in zip(first, again):
-            assert b is a
+        assert len(pv_calls) == 2 * len(atlases)
+        assert [encode_mvf(pv.full()) for pv in again] == [encode_mvf(pv.full()) for pv in first]
 
     def test_changed_voxel_recomputes_whole_set(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
@@ -171,18 +172,16 @@ class TestWarmRun:
     CFG = LoopConfig(max_iterations=3, change_threshold=0.0001)
 
     @pytest.fixture
-    def key_calls(self, monkeypatch):
-        """The content_key calls, from fresh memos."""
+    def key_calls(self, monkeypatch, fresh_atlas_memo):
+        """The content_key calls, from an empty memo."""
         calls = []
-        real = util.content_key
+        real = pipeline.content_key
 
         def counting(*parts):
             calls.append(len(parts))
             return real(*parts)
 
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
-        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestMemo())
-        monkeypatch.setattr(util, "content_key", counting)
+        monkeypatch.setattr(pipeline, "content_key", counting)
         return calls
 
     @staticmethod
@@ -194,35 +193,32 @@ class TestWarmRun:
         return [encode_mvf(v) for v in volumes], repr(records), result.converged
 
     @staticmethod
-    def kept_normals():
-        entry = pipeline._ATLAS_PV.value
-        return None if entry is None else entry.normals
+    def kept_normals(atlases):
+        """The draws kept for atlases, the set the memo holds."""
+        return pipeline._atlas_set(atlases).normals
 
     def test_every_situation_gives_the_cold_bytes(self, small_cohort, key_calls, monkeypatch):
         atlases, input_image, _ = small_cohort
         cold = run(input_image, atlases, self.CFG)
-        assert key_calls == [4 * len(atlases) + 1, 3 * len(atlases) + 1]
         assert all(r.noise_sigma > 0 for r in cold.records)
         # a run on a set seen once keeps no draws
-        assert self.kept_normals() is None
+        assert self.kept_normals(atlases) is None
 
-        del key_calls[:]
         warm = run(input_image, atlases, self.CFG)
-        assert key_calls == []
         assert self.outputs(warm) == self.outputs(cold)
-        assert self.kept_normals().seed == self.CFG.seed
+        assert self.kept_normals(atlases).seed == self.CFG.seed
 
         run(input_image, atlases, replace(self.CFG, seed=self.CFG.seed + 1))
-        assert self.kept_normals().seed == self.CFG.seed + 1
+        assert self.kept_normals(atlases).seed == self.CFG.seed + 1
         after_seed = run(input_image, atlases, self.CFG)
-        assert key_calls == []
         assert self.outputs(after_seed) == self.outputs(cold)
-        assert self.kept_normals().seed == self.CFG.seed
+        assert self.kept_normals(atlases).seed == self.CFG.seed
+        assert key_calls == []
 
         # the kept draws of the old set are gone before the new set's
         # partial volumes are computed
         n = precompute_atlas_pv(atlases, self.CFG.pv)[0].index.size
-        kept = weakref.ref(self.kept_normals().draw(0, 0, n))
+        kept = weakref.ref(self.kept_normals(atlases).draw(0, 0, n))
         alive_at_compute = []
 
         def checking(image, labels, cfg, stats=None):
@@ -233,31 +229,29 @@ class TestWarmRun:
         monkeypatch.setattr(pipeline, "estimate_pv", checking)
         run(input_image, atlases[::-1], self.CFG)
         assert alive_at_compute == [False] * len(atlases)
-        assert self.kept_normals() is None
+        assert self.kept_normals(atlases[::-1]) is None
         after_set = run(input_image, atlases, self.CFG)
         assert self.outputs(after_set) == self.outputs(cold)
-        assert self.kept_normals() is None
+        assert self.kept_normals(atlases) is None
 
-    def test_copies_hash_again_to_the_same_key(self, small_cohort, key_calls):
-        atlases, _, _ = small_cohort
-        cfg = PvConfig()
-        parts = [cfg]
-        for pair in atlases:
-            parts += [pair.image.header, pair.labels.num_classes, pair.image.data,
-                      pair.labels.data]
-        pvs = precompute_atlas_pv(atlases, cfg)
-        key = pipeline._ATLAS_PV.lookup(parts, None)[0]
-        assert key == util.content_key(*parts)
-        del key_calls[:]
-        copies = TestAtlasPvMemo.copies(atlases)
-        again = precompute_atlas_pv(copies, cfg)
-        assert key_calls == [len(parts)]
-        assert all(b is a for a, b in zip(pvs, again))
-        # the copies are now the arrays the memo knows
-        assert precompute_atlas_pv(copies, cfg) is again
-        assert key_calls == [len(parts)]
-        assert pipeline._ATLAS_PV.lookup(parts, None)[0] == key
-        assert key_calls == [len(parts)] * 2
+    def test_key_only_names_the_file(self, small_cohort, key_calls, fresh_atlas_memo,
+                                     tmp_path):
+        atlases, input_image, _ = small_cohort
+        for arm in sorted(ARMS):
+            fresh_atlas_memo()
+            cold = ARMS[arm](input_image, atlases, self.CFG)
+            warm = ARMS[arm](input_image, atlases, self.CFG)
+            if arm != "camelion":
+                assert encode_mvf(warm) == encode_mvf(cold)
+        assert key_calls == []
+        # once per atlas set and PvConfig, the first time a file needs it
+        beta = replace(self.CFG, pv=PvConfig(beta=0.3))
+        for cfg in (self.CFG, beta):
+            for _ in range(2):
+                run(input_image, atlases, cfg, tmp_path)
+        run(input_image, atlases[::-1], beta, tmp_path)
+        assert len(key_calls) == 3
+        assert len(list(tmp_path.glob("*.pvz"))) == 3
 
 
 def corrupt_truncated(good, other):
@@ -304,8 +298,8 @@ def corrupt_stream_inflates_too_long(good, other):
 
 class TestAtlasPvFile:
     @pytest.fixture
-    def atlas_calls(self, small_cohort, monkeypatch):
-        """The estimate_pv calls on atlas labels, from fresh memos."""
+    def atlas_calls(self, small_cohort, monkeypatch, fresh_atlas_memo):
+        """The estimate_pv calls on atlas labels, from an empty memo."""
         atlases, _, _ = small_cohort
         calls = []
 
@@ -314,8 +308,6 @@ class TestAtlasPvFile:
                 calls.append(labels)
             return estimate_pv(image, labels, cfg, stats)
 
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
-        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestMemo())
         monkeypatch.setattr(pipeline, "estimate_pv", counting)
         return calls
 
@@ -330,14 +322,15 @@ class TestAtlasPvFile:
         [path] = cache_dir.glob("*.pvz")
         return path
 
-    def test_second_run_reads_the_file(self, small_cohort, atlas_calls, monkeypatch, tmp_path):
+    def test_second_run_reads_the_file(self, small_cohort, atlas_calls, fresh_atlas_memo,
+                                       tmp_path):
         atlases, input_image, _ = small_cohort
         cfg = LoopConfig(max_iterations=2)
         first = run(input_image, atlases, cfg, tmp_path)
         first_pvs = precompute_atlas_pv(atlases, cfg.pv)
         assert len(atlas_calls) == len(atlases)
         assert re.fullmatch(r"[0-9a-f]{32}\.pvz", self.pv_file(tmp_path).name)
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
+        fresh_atlas_memo()
         second = run(input_image, atlases, cfg, tmp_path)
         assert len(atlas_calls) == len(atlases)
         assert self.volumes(second) == self.volumes(first)
@@ -351,7 +344,7 @@ class TestAtlasPvFile:
         corrupt_stream_inflates_too_long,
     ])
     def test_bad_file_is_recomputed_and_overwritten(self, small_cohort, atlas_calls,
-                                                    monkeypatch, tmp_path, corrupt):
+                                                    fresh_atlas_memo, tmp_path, corrupt):
         atlases, input_image, _ = small_cohort
         cfg = LoopConfig(max_iterations=1)
         first = run(input_image, atlases, cfg, tmp_path / "good")
@@ -360,7 +353,7 @@ class TestAtlasPvFile:
         precompute_atlas_pv(atlases, PvConfig(beta=0.3), tmp_path / "other")
         other = self.pv_file(tmp_path / "other").read_bytes()
         path.write_bytes(corrupt(good, other))
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
+        fresh_atlas_memo()
         del atlas_calls[:]
         second = run(input_image, atlases, cfg, tmp_path / "good")
         assert len(atlas_calls) == len(atlases)
@@ -382,8 +375,8 @@ class TestAtlasPvFile:
             assert encode_mvf(pv.full()) == encode_mvf(fresh)
 
     @pytest.mark.parametrize("failing", [(1,), (1, 2)], ids=["one", "later-fails-first"])
-    def test_failure_names_first_failing_atlas(self, small_cohort, monkeypatch, tmp_path,
-                                                failing):
+    def test_failure_names_first_failing_atlas(self, small_cohort, monkeypatch,
+                                                fresh_atlas_memo, tmp_path, failing):
         atlases, _, _ = small_cohort
         three = TestAtlasPvMemo.copies([*atlases, atlases[0]])
 
@@ -395,7 +388,6 @@ class TestAtlasPvFile:
                 raise EstimationError(f"atlas {index} failed")
             return estimate_pv(image, labels, cfg)
 
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
         monkeypatch.setattr(pipeline, "estimate_pv", failing_estimate)
         with pytest.raises(PipelineError, match=f"atlas {failing[0]} failed") as err:
             precompute_atlas_pv(three, PvConfig(), tmp_path)
@@ -412,19 +404,19 @@ ARMS = {
 
 class TestAtlasSideLookup:
     @pytest.fixture
-    def counts(self, monkeypatch):
+    def counts(self, monkeypatch, fresh_atlas_memo):
         counts = {"lookups": 0, "builds": 0}
+        first_model = pipeline._first_model
 
-        class CountingMemo(LatestMemo):
-            def lookup(self, key, compute):
-                counts["lookups"] += 1
-                return super().lookup(key, compute)
+        def counting_lookup(atlases, cfg):
+            counts["lookups"] += 1
+            return first_model(atlases, cfg)
 
         def counting_build(atlas_labels, cfg):
             counts["builds"] += 1
             return segmenter.atlas_side(atlas_labels, cfg)
 
-        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", CountingMemo())
+        monkeypatch.setattr(pipeline, "_first_model", counting_lookup)
         monkeypatch.setattr(pipeline, "atlas_side", counting_build)
         return counts
 
@@ -447,6 +439,107 @@ class TestAtlasSideLookup:
         with pytest.raises(PipelineError, match="disagree on the number of classes") as err:
             ARMS[arm](input_image, bad, LoopConfig())
         assert err.value.stage == "train"
+
+
+class TestAtlasSetSlots:
+    """The slots of the atlas-set entry: each filled once, none left half
+    filled by a failing stage, and none filled twice by racing threads."""
+
+    CFG = LoopConfig(max_iterations=2, change_threshold=0.0001)
+
+    @pytest.fixture
+    def calls(self, small_cohort, monkeypatch):
+        """The train, atlas_side and atlas estimate_pv calls; atlas_side
+        sleeps, so that a racing thread arrives while it runs."""
+        atlases, _, _ = small_cohort
+        calls = {"train": 0, "atlas_side": 0, "estimate_pv": 0}
+
+        def counting(name, fn, *args, **kwargs):
+            if name != "estimate_pv" or any(args[1] is a.labels for a in atlases):
+                calls[name] += 1
+            if name == "atlas_side":
+                time.sleep(0.05)
+            return fn(*args, **kwargs)
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name,
+                                functools.partial(counting, name, getattr(pipeline, name)))
+        return calls
+
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_held_set_does_no_atlas_work(self, small_cohort, fresh_atlas_memo, calls, arm):
+        atlases, input_image, _ = small_cohort
+        run(input_image, atlases, self.CFG)
+        for name in calls:
+            calls[name] = 0
+        out = ARMS[arm](input_image, atlases, self.CFG)
+        # the loop trains only for its retrains
+        retrains = out.iterations_run if arm == "camelion" else 0
+        assert calls == {"train": retrains, "atlas_side": 0, "estimate_pv": 0}
+
+    @pytest.mark.parametrize("name,stage", [("train", "train"),
+                                            ("estimate_pv", "precompute_atlas_pv")])
+    def test_failed_stage_leaves_its_slot_empty(self, small_cohort, fresh_atlas_memo,
+                                                monkeypatch, name, stage):
+        atlases, input_image, _ = small_cohort
+        cold = TestWarmRun.outputs(run(input_image, atlases, self.CFG))
+        fresh_atlas_memo()
+        real = getattr(pipeline, name)
+
+        def failing(*args):
+            # the atlas side is built and the first atlas estimated before it
+            if name == "train" or args[1] is atlases[-1].labels:
+                raise CamelionError(f"{name} failed")
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, name, failing)
+            with pytest.raises(PipelineError, match=f"{name} failed") as err:
+                run(input_image, atlases, self.CFG)
+        assert err.value.stage == stage
+        entry = pipeline._atlas_set(atlases)
+        if name == "train":
+            assert (entry.segmenter, entry.side, entry.model) == (None, None, None)
+            assert entry.pvs is not None
+        else:
+            assert entry.pvs is None
+        assert TestWarmRun.outputs(run(input_image, atlases, self.CFG)) == cold
+
+    def test_threads_share_one_set(self, small_cohort, fresh_atlas_memo, calls):
+        atlases, input_image, _ = small_cohort
+        loop = run(input_image, atlases, self.CFG)
+        serial = {"run": TestWarmRun.outputs(loop),
+                  "direct": encode_mvf(run_direct(input_image, atlases, self.CFG))}
+        fresh_atlas_memo()
+        for name in calls:
+            calls[name] = 0
+        arms = {"run": lambda: TestWarmRun.outputs(run(input_image, atlases, self.CFG)),
+                "direct": lambda: encode_mvf(run_direct(input_image, atlases, self.CFG))}
+        start = threading.Barrier(len(arms))
+        got, errors = {}, []
+
+        def go(name):
+            try:
+                start.wait()
+                got[name] = arms[name]()
+            except Exception as exc:
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=go, args=(name,)) for name in arms]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        assert got == serial
+        # one first model, shared, and the loop's retrains
+        assert calls == {"train": 1 + loop.iterations_run, "atlas_side": 1,
+                         "estimate_pv": len(atlases)}
 
 
 def checksum(arr):
@@ -484,12 +577,10 @@ class TestRun:
         assert len(result.atlas_images_history) == 1
         assert not result.converged
 
-    def test_deterministic(self, small_cohort, monkeypatch):
-        # the first run fills the atlas-side caches, the second reuses them
+    def test_deterministic(self, small_cohort, fresh_atlas_memo):
+        # the first run fills the atlas-set memo, the second reuses it
         atlases, input_image, _ = small_cohort
         cfg = LoopConfig(max_iterations=2)
-        monkeypatch.setattr(pipeline, "_ATLAS_PV", LatestMemo())
-        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestMemo())
         r1 = run(input_image, atlases, cfg)
         r2 = run(input_image, atlases, cfg)
 

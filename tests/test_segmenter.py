@@ -13,7 +13,6 @@ from camelion.phantom import (
     restrict_to_top_two,
 )
 from camelion import pipeline, segmenter
-from camelion.pipeline import precompute_atlas_side
 from camelion.segmenter import (
     SegmenterConfig,
     SegmenterModel,
@@ -25,7 +24,6 @@ from camelion.segmenter import (
     prior_support,
     train,
 )
-from camelion.util import LatestMemo
 from camelion.volumes import AtlasPair, LabelVolume, ScalarVolume, VolumeHeader
 from oracles import (
     atlas_prior_reference,
@@ -91,6 +89,15 @@ def test_pooled_mean_across_atlases():
     img_b = np.where(labels == 1, 100.0, labels * 30.0)
     model = fit([pair_from(img_a, labels), pair_from(img_b, labels)], NO_SMOOTH)
     assert model.means[0] == pytest.approx(90.0)  # equal counts, pooled
+
+
+def test_model_statistics_are_read_only():
+    # the pipeline shares one first model between every arm call and thread
+    labels = five_class_labels()
+    model = fit([pair_from(labels * 10.0, labels)], NO_SMOOTH)
+    for arr in (model.means, model.variances):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_missing_class_raises_named_error():
@@ -201,20 +208,23 @@ class TestTrainChecksSide:
 
 
 class TestPriorMemo:
-    """The pipeline's atlas-side lookup: the segmenter's prior and atlas
-    indices are built once per atlas label set and prior_epsilon."""
+    """The pipeline's atlas-set memo: the segmenter's prior and atlas
+    indices are built once per atlas set and prior_epsilon."""
 
     @pytest.fixture
-    def frequency_calls(self, monkeypatch):
+    def frequency_calls(self, monkeypatch, fresh_atlas_memo):
         calls = []
 
         def counting(atlas_labels):
             calls.append(len(atlas_labels))
             return label_frequency(atlas_labels)
 
-        monkeypatch.setattr(pipeline, "_ATLAS_SIDES", LatestMemo())
         monkeypatch.setattr(segmenter, "label_frequency", counting)
         return calls
+
+    @staticmethod
+    def side(pairs, cfg):
+        return pipeline._first_model(pairs, cfg)[0]
 
     @staticmethod
     def assert_support_of(side, prior):
@@ -234,67 +244,48 @@ class TestPriorMemo:
         pairs = self.atlases()
         cfg = SegmenterConfig(prior_epsilon=1e-3)
         expected = atlas_prior_reference([p.labels.data for p in pairs], 5, 1e-3)
-        cold = precompute_atlas_side(pairs, cfg)
-        warm = precompute_atlas_side(pairs, cfg)
+        cold = self.side(pairs, cfg)
+        warm, model = pipeline._first_model(pairs, cfg)
         assert frequency_calls == [3]
         assert warm is cold
+        assert model.support is cold.support
         self.assert_support_of(cold, expected)
         got = atlas_prior([p.labels for p in pairs], cfg)
         assert got.dtype == np.float32
         assert got.tobytes() == expected.tobytes()
         assert not got.flags.writeable
         assert not cold.support.log_prior.flags.writeable
-
-    def test_new_images_same_labels_reuse_prior(self, frequency_calls):
-        pairs = self.atlases()
-        brighter = [pair_from(p.image.data * 2.0, p.labels.data.copy()) for p in pairs]
-        first = precompute_atlas_side(pairs, NO_SMOOTH)
-        second = precompute_atlas_side(brighter, NO_SMOOTH)
-        assert frequency_calls == [3]
-        assert second is first
-        means = [train(first.tissue_values([p.image for p in pp]), first, NO_SMOOTH).means
-                 for pp in (pairs, brighter)]
-        assert not np.array_equal(means[0], means[1])
+        for i, p in enumerate(pairs):
+            flat = p.labels.data.reshape(-1)
+            order, bounds = cold.order[i], cold.bounds[i]
+            for k in range(1, 6):
+                assert np.array_equal(order[bounds[k - 1]:bounds[k]], np.flatnonzero(flat == k))
+            assert bounds[0] == 0 and bounds[-1] == order.size
+            assert np.array_equal(order[cold.inverse[i]], np.flatnonzero(flat > 0))
 
     def test_label_or_epsilon_change_recomputes(self, frequency_calls):
         pairs = self.atlases()
-        precompute_atlas_side(pairs, NO_SMOOTH)
+        self.side(pairs, NO_SMOOTH)
         edited = pairs[1].labels.data.copy()
         edited[6, 6, 6] = 1 if edited[6, 6, 6] != 1 else 2
         changed = [pairs[0], pair_from(pairs[1].image.data, edited), pairs[2]]
-        got = precompute_atlas_side(changed, NO_SMOOTH)
+        got = self.side(changed, NO_SMOOTH)
         assert frequency_calls == [3, 3]
         self.assert_support_of(got, atlas_prior_reference(
             [p.labels.data for p in changed], 5, NO_SMOOTH.prior_epsilon))
 
         eps = SegmenterConfig(prior_epsilon=1e-2, smoothing_weight=0.0)
-        got = precompute_atlas_side(changed, eps)
+        got = self.side(changed, eps)
         assert frequency_calls == [3, 3, 3]
         self.assert_support_of(got, atlas_prior_reference(
             [p.labels.data for p in changed], 5, 1e-2))
 
-    def test_same_labels_as_new_objects_hit(self, frequency_calls):
-        pairs = self.atlases()
-        side = precompute_atlas_side(pairs, NO_SMOOTH)
-        copies = [pair_from(p.image.data.copy(), p.labels.data.copy()) for p in pairs]
-        assert precompute_atlas_side(copies, NO_SMOOTH) is side
-        assert frequency_calls == [3]
-        model = train(side.tissue_values([p.image for p in copies]), side, NO_SMOOTH)
-        assert model.support is side.support
-        for i, p in enumerate(pairs):
-            flat = p.labels.data.reshape(-1)
-            order, bounds = side.order[i], side.bounds[i]
-            for k in range(1, 6):
-                assert np.array_equal(order[bounds[k - 1]:bounds[k]], np.flatnonzero(flat == k))
-            assert bounds[0] == 0 and bounds[-1] == order.size
-            assert np.array_equal(order[side.inverse[i]], np.flatnonzero(flat > 0))
-
     def test_new_label_set_evicts_the_old_one(self, frequency_calls):
         first = self.atlases(seed=5)
         second = self.atlases(seed=6)
-        side = precompute_atlas_side(first, NO_SMOOTH)
-        precompute_atlas_side(second, NO_SMOOTH)
-        again = precompute_atlas_side(first, NO_SMOOTH)
+        side = self.side(first, NO_SMOOTH)
+        self.side(second, NO_SMOOTH)
+        again = self.side(first, NO_SMOOTH)
         assert frequency_calls == [3, 3, 3]
         assert again is not side
         assert again.support.log_prior.tobytes() == side.support.log_prior.tobytes()

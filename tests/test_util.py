@@ -1,12 +1,13 @@
+import functools
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
-from camelion import util
 from camelion.util import LatestMemo, content_key, worker_count
 from camelion.volumes import VolumeHeader
 
@@ -20,56 +21,70 @@ def test_content_key_separates_parts():
     assert content_key(VolumeHeader((2, 3, 1))) != content_key(VolumeHeader((2, 3, 1), (1, 1, 2)))
 
 
-def test_latest_memo_hashes_a_writeable_array_every_time(monkeypatch):
+def test_latest_memo_matches_frozen_arrays_by_identity():
     # only an array that no one can write without unfreezing it first is
-    # trusted to keep the bytes it was hashed with
-    calls = []
-    monkeypatch.setattr(util, "content_key", lambda *parts: calls.append(1) or content_key(*parts))
+    # trusted to keep the bytes its value was made from
     memo = LatestMemo()
+    made = []
+
+    def make():
+        made.append(1)
+        return len(made)
+
     data = np.arange(4, dtype=np.uint8)
     frozen = data.copy()
     frozen.flags.writeable = False
     view = data[:]
     view.flags.writeable = False  # its base can still be written
-    for part in (data, frozen, view):
-        del calls[:]
-        for _ in range(2):
-            assert memo.lookup([part], lambda key: key)[0] == content_key(part)
-        assert calls == ([1] if part is frozen else [1, 1])
-    del calls[:]
-    memo.lookup([frozen], lambda key: key)
-    memo.lookup([frozen], lambda key: key)
+    for part in (data, view):
+        assert memo.lookup([part], make) != memo.lookup([part], make)
+    value = memo.lookup([frozen, 3], make)
+    assert memo.lookup([frozen, 3], make) == value
+    # an equal copy, another small part or another part count is a new value
+    copy = frozen.copy()
+    copy.flags.writeable = False
+    for parts in ([copy, 3], [frozen, 4], [frozen]):
+        memo.lookup([frozen, 3], make)
+        assert memo.lookup(parts, make) != memo.lookup([frozen, 3], make)
+    held = memo.lookup([frozen, 3], make)
     frozen.flags.writeable = True
-    memo.lookup([frozen], lambda key: key)
-    assert calls == [1, 1]
+    assert memo.lookup([frozen, 3], make) != held
+
+
+def test_latest_memo_keeps_no_array_alive():
+    memo = LatestMemo()
+    frozen = np.arange(4, dtype=np.uint8)
+    frozen.flags.writeable = False
+    ref = weakref.ref(frozen)
+    memo.lookup([frozen], object)
+    del frozen
+    assert ref() is None
 
 
 def test_latest_set_memo_under_threads():
-    # threads alternate between two keys, so every lookup evicts the other
-    # key's value; each must still get the value and key of its own parts,
-    # and no two values may be computed at once. Each key's part is one
-    # frozen array shared by all threads, so lookups also take the path that
-    # skips hashing.
+    # threads alternate between two sets of parts, so every lookup drops
+    # the other's value; each must still get the value of its own parts,
+    # and no two values may be made at once. Each set's part is one frozen
+    # array shared by all threads, so lookups also find the held value.
     memo = LatestMemo()
     arrays = [np.frombuffer(b"a", dtype=np.uint8), np.frombuffer(b"c", dtype=np.uint8)]
-    keys = [content_key(a) for a in arrays]
     errors = []
-    computing = []
+    making = []
 
-    def compute(key):
-        computing.append(key)
-        if len(computing) > 1:
-            errors.append(list(computing))
+    def make(j):
+        making.append(j)
+        if len(making) > 1:
+            errors.append(list(making))
         time.sleep(0)  # yield inside the critical section
-        computing.remove(key)
-        return key * 2
+        making.remove(j)
+        return ("value", j)
 
     def worker(n):
         try:
             for i in range(1000):
                 j = (n + i) % 2
-                got = memo.lookup([arrays[j]], compute)
-                if got != (keys[j], keys[j] * 2):
+                got = memo.lookup([arrays[j]], functools.partial(make, j))
+                if got != ("value", j):
                     errors.append(got)
         except Exception as exc:
             errors.append(exc)
