@@ -2,10 +2,10 @@
 
 The loop alternates three stages while the input image and the atlas
 labels stay fixed: segment the input with the current model, estimate
-two-class partial volumes from the input and that segmentation, fit a
-synthesis model on the single (partial volumes, input) pair, and re-render
-every atlas image from its own precomputed partial volumes before
-retraining the segmenter. Everything after the synthesis fit works on the
+two-class partial volumes from the input and that segmentation, at the
+input's tissue voxels, fit a synthesis model on the single (partial
+volumes, input) pair, and re-render every atlas image from its own
+precomputed partial volumes before retraining the segmenter. Everything after the synthesis fit works on the
 atlas tissue voxels only, the voxels the segmenter trains on: rendering,
 the spread-gap noise level, the injected noise and the retrain. The atlas
 images a run returns are zero off their atlas's tissue. Iteration stops
@@ -32,7 +32,9 @@ import numpy as np
 
 from . import harmonize, metrics, synth
 from .errors import ArgumentError, CamelionError, FormatError, PersistenceError, PipelineError
-from .pv import PvConfig, class_stats, estimate_pv
+from .pv import PvConfig, class_stats
+# the loop's PV stage, under the name a traced run rebinds
+from .pv import estimate_tissue_pv as estimate_pv
 from .segmenter import (AtlasSide, SegmenterConfig, SegmenterModel, atlas_side, class_order,
                         predict, train)
 from .synth import SynthConfig, SynthModel, synthesize
@@ -222,8 +224,7 @@ def _first_model(atlases: list[AtlasPair],
 def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
                         cache_dir=None) -> list[TissuePartialVolumes]:
     """Estimate each atlas's partial volumes from its original image and
-    labels, held at the atlas's tissue voxels in class_order (estimate_pv
-    leaves every other voxel all-zero, so nothing is lost).
+    labels, held at the atlas's tissue voxels in class_order.
 
     Computed once per atlas set and cfg per process and kept in the set's
     entry (see _atlas_set), so a second run() on the same atlas list reuses
@@ -258,9 +259,16 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
         return entry.pvs
 
 
-def _on_tissue(pv: PartialVolumeSet, labels: LabelVolume) -> TissuePartialVolumes:
-    """An atlas's partial volumes at its tissue voxels, in class_order."""
-    return TissuePartialVolumes.at(pv, class_order(labels)[0])
+def _on_tissue(pv: PartialVolumeSet | TissuePartialVolumes,
+               labels: LabelVolume) -> TissuePartialVolumes:
+    """An atlas's partial volumes at its tissue voxels, in class_order, from
+    a full-grid set or from a set at those voxels in C order."""
+    order, _, inverse = class_order(labels)
+    if isinstance(pv, PartialVolumeSet):
+        return TissuePartialVolumes.at(pv, order)
+    channels = np.empty_like(pv.channels)
+    channels[:, inverse] = pv.channels
+    return TissuePartialVolumes(pv.header, order, channels)
 
 
 def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissuePartialVolumes]:
@@ -527,10 +535,12 @@ def _spread_gap_sigma(input_sigma: float, synthetic: list[np.ndarray], side: Atl
     count = 0
     for vec, bounds, inverse in zip(synthetic, side.bounds, side.inverse):
         vec = vec.astype(np.float64)
-        means = np.array([vec[a:b].mean() if b > a else 0.0
-                          for a, b in zip(bounds[:-1], bounds[1:])])
-        residual = (vec - np.repeat(means, np.diff(bounds)))[inverse]
-        total += float(np.sum(residual**2))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b > a:
+                vec[a:b] -= vec[a:b].mean()
+        residual = vec[inverse]
+        residual *= residual
+        total += float(np.sum(residual))
         count += vec.size
     pooled_syn_sq = total / max(count, 1)
     return float(np.sqrt(max(input_sigma**2 - pooled_syn_sq, 0.0)))

@@ -33,11 +33,13 @@ from .volumes import (
     LabelVolume,
     PartialVolumeSet,
     ScalarVolume,
+    TissuePartialVolumes,
     require_same_header,
 )
 
 SIGMA_FLOOR_FRACTION = 1e-3  # of the image intensity range
 SEARCH_RADIUS = 10           # nearest-class search, in smallest voxel edges
+PURE_MARGIN = 1e-9           # inward pull of a pure interval's edge, relative
 
 
 @dataclass(frozen=True)
@@ -98,12 +100,14 @@ def class_stats(image: ScalarVolume, labels: LabelVolume) -> ClassStats:
                       sigma=max(sigma, floor, np.finfo(np.float64).tiny))
 
 
-def second_class_map(labels: LabelVolume) -> LabelVolume:
+def second_class_map(labels: LabelVolume, need: np.ndarray | None = None) -> LabelVolume:
     """Per voxel, the label of the nearest different non-background class.
 
     Distances are anisotropic Euclidean using the header voxel size, each
     computed as sqrt((dx*sx)**2 + (dy*sy)**2 + (dz*sz)**2); exact-distance
     ties resolve to the smaller class index. Background voxels map to 0.
+    need, a boolean array of the labels' shape, limits the answer to the
+    voxels where it is True; every other voxel then maps to 0.
 
     The search runs one present class at a time. It walks the offsets of
     _search_table nearest first, one group of equally distant offsets at a
@@ -117,25 +121,33 @@ def second_class_map(labels: LabelVolume) -> LabelVolume:
     voxel whose nearest other class lies beyond SEARCH_RADIUS leaves the
     whole volume to distance transforms.
     """
-    counts = np.bincount(labels.data.ravel(), minlength=labels.num_classes + 1)
-    present = [k for k in range(1, labels.num_classes + 1) if counts[k]]
+    present = [k for k in range(1, labels.num_classes + 1) if (labels.data == k).any()]
     if len(present) < 2:
         raise GeometryError(f"need at least two tissue classes, found {len(present)}")
+    if need is not None:
+        need = np.asarray(need, dtype=bool)
+        if need.shape != labels.header.dims:
+            raise ArgumentError(f"need has shape {need.shape}, labels {labels.header.dims}")
     box = _bounding_box(labels.data > 0)
     crop = labels.data[box]
     table = _search_table(tuple(float(s) for s in labels.header.voxel_size))
-    padded = np.pad(crop, [(r, r) for r in table.reach])
+    pads = [(r, r) for r in table.reach]
+    padded = np.pad(crop, pads)
     flat = padded.reshape(-1)
+    # the voxels to answer, in ascending order; background ones stay 0
+    wanted = np.flatnonzero(flat if need is None else np.pad(need[box], pads))
+    wanted_class = flat[wanted]
     # uint8, so the byte strides are the flat index steps along each axis
     steps = table.offsets @ np.asarray(padded.strides, dtype=np.intp)
     # labels minus one, background wrapping to 255
     minus_one = flat - np.uint8(1)
     found = np.zeros_like(flat)
     for k in present:
-        own = flat == k
+        pending = wanted[wanted_class == k]
+        if not pending.size:
+            continue
         # class k reads as 255 too, so a minimum below 255 is another class
-        others = np.maximum(minus_one, own.view(np.uint8) * np.uint8(255))
-        pending = np.flatnonzero(own)
+        others = np.maximum(minus_one, (flat == k).view(np.uint8) * np.uint8(255))
         for start, stop in table.groups:
             best = others[pending + steps[start:stop, None]].min(axis=0)
             # 255 + 1 wraps to 0, so a voxel not resolved yet stays 0
@@ -144,10 +156,14 @@ def second_class_map(labels: LabelVolume) -> LabelVolume:
             if not pending.size:
                 break
         if pending.size:
-            return _second_class_map_edt(labels, present)
-    nearest = np.zeros(labels.header.dims, dtype=np.uint8)
-    nearest[box] = found.reshape(padded.shape)[
-        tuple(slice(r, r + n) for r, n in zip(table.reach, crop.shape))]
+            nearest = _second_class_map_edt(labels, present)
+            if need is not None:
+                nearest[~need] = 0
+            break
+    else:
+        nearest = np.zeros(labels.header.dims, dtype=np.uint8)
+        nearest[box] = found.reshape(padded.shape)[
+            tuple(slice(r, r + n) for r, n in zip(table.reach, crop.shape))]
     return LabelVolume(labels.header, nearest, num_classes=labels.num_classes)
 
 
@@ -180,8 +196,8 @@ def _search_table(voxel_size: tuple[float, float, float]) -> _SearchTable:
                         reach=tuple(int(r) for r in np.abs(offsets).max(axis=0)))
 
 
-def _second_class_map_edt(labels: LabelVolume, present: list[int]) -> LabelVolume:
-    """second_class_map by one exact distance transform per present class,
+def _second_class_map_edt(labels: LabelVolume, present: list[int]) -> np.ndarray:
+    """second_class_map's grid by one exact distance transform per present class,
     on the bounding box of the tissue voxels. This is exact: every voxel
     that needs an answer and every voxel of every class lies inside the
     box, so the nearest voxel of a class is never cut off, and offsets
@@ -204,7 +220,7 @@ def _second_class_map_edt(labels: LabelVolume, present: list[int]) -> LabelVolum
     inner[crop == 0] = 0
     nearest = np.zeros(labels.header.dims, dtype=np.uint8)
     nearest[box] = inner
-    return LabelVolume(labels.header, nearest, num_classes=labels.num_classes)
+    return nearest
 
 
 def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
@@ -267,35 +283,89 @@ def map_alpha(f: float, c_a: float, c_b: float, sigma: float, beta: float) -> fl
     return float(_map_alpha_arrays(f, c_a, c_b, sigma, beta))
 
 
-def estimate_pv(image: ScalarVolume, labels: LabelVolume, cfg: PvConfig,
-                stats: ClassStats | None = None) -> PartialVolumeSet:
-    """Full per-voxel two-class MAP partial volume estimation.
+def _pure_intervals(means: np.ndarray, present: list[int],
+                    beta: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per class, the closed interval [lo, hi] of intensities at which a
+    voxel of that class takes alpha = 1 whatever its second class is; None
+    when two present classes share a mean.
+
+    With r = f - c_a and d = c_a - c_b, J(1 - u) - J(1) is
+    [u (r d + beta) + u^2 (d^2 - 2 beta) / 2] / sigma^2, which is >= 0 for
+    every u in (0, 1] exactly when r d >= max(-beta, -d^2 / 2). Each
+    present b != a bounds f on one side, at c_a + max(-beta, -d^2 / 2) / d.
+    The bound is pulled inward by PURE_MARGIN times |c_a| + |c_b| + its
+    distance from c_a, which is far more than the solver's rounding error
+    there, so the solver cannot pick another alpha inside it. Absent
+    classes get the empty interval (inf, -inf).
+    """
+    c = means[np.asarray(present) - 1]
+    if np.unique(c).size < c.size:
+        return None
+    lo = np.full(means.size, np.inf)
+    hi = np.full(means.size, -np.inf)
+    for a, c_a in zip(present, c):
+        c_b = c[c != c_a]
+        d = c_a - c_b
+        offset = np.maximum(-beta, -d * d / 2.0) / d
+        edge = c_a + offset
+        margin = PURE_MARGIN * (abs(c_a) + np.abs(c_b) + np.abs(offset))
+        lo[a - 1] = np.max(edge[d > 0] + margin[d > 0], initial=-np.inf)
+        hi[a - 1] = np.min(edge[d < 0] - margin[d < 0], initial=np.inf)
+    return lo, hi
+
+
+def estimate_tissue_pv(image: ScalarVolume, labels: LabelVolume, cfg: PvConfig,
+                       stats: ClassStats | None = None) -> TissuePartialVolumes:
+    """Two-class MAP partial volume estimation at the tissue voxels.
 
     At each non-background voxel the first class is the voxel's label and
     the second class the nearest different class; their fractions are
-    (alpha, 1 - alpha) with alpha the MAP mixing fraction. Background
-    voxels get all-zero fractions. stats, when given, must be
-    class_stats(image, labels); a caller that needs the class statistics
-    too computes them once and passes them in.
+    (alpha, 1 - alpha) with alpha the MAP mixing fraction. The result holds
+    the labels' tissue voxels in C order, every other voxel being
+    background. stats, when given, must be class_stats(image, labels); a
+    caller that needs the class statistics too computes them once and
+    passes them in.
+
+    A voxel whose intensity lies in its class's pure interval (see
+    _pure_intervals) gets (1, 0) without a second class, so the nearest-
+    class search runs on the other voxels only. The bytes are those of the
+    search and the solver run on every voxel.
     """
     if stats is None:
         stats = class_stats(image, labels)
-    second_class = second_class_map(labels)
+    present = [k for k in range(1, labels.num_classes + 1) if (stats.labels == k).any()]
+    first = stats.labels.astype(np.intp) - 1
+    intervals = _pure_intervals(stats.means, present, cfg.beta)
+    if intervals is None:
+        rest = np.arange(first.size)
+        need = None
+    else:
+        lo, hi = intervals
+        rest = np.flatnonzero((stats.values < lo[first]) | (stats.values > hi[first]))
+        need = np.zeros(labels.header.n_voxels, dtype=bool)
+        need[stats.index[rest]] = True
+        need = need.reshape(labels.header.dims)
+    second_class = second_class_map(labels, need)
     beta_abs = cfg.beta / (2.0 * stats.sigma * stats.sigma)
 
-    idx = stats.index
-    first = stats.labels.astype(np.int64)
-    second = second_class.data.reshape(-1)[idx].astype(np.int64)
-    c_a = stats.means[first - 1]
-    c_b = stats.means[second - 1]
+    second = second_class.data.reshape(-1)[stats.index[rest]].astype(np.intp) - 1
+    c_a = stats.means[first[rest]]
+    c_b = stats.means[second]
     coincide = c_a == c_b
     if coincide.any():
-        pairs = {(int(a), int(b)) for a, b in zip(first[coincide], second[coincide])}
+        pairs = {(int(a) + 1, int(b) + 1) for a, b in zip(first[rest][coincide], second[coincide])}
         raise DegeneratePairError(f"classes with identical means: {sorted(pairs)}")
-    alpha = _map_alpha_arrays(stats.values, c_a, c_b, stats.sigma, beta_abs)
+    alpha = np.ones(first.size)
+    alpha[rest] = _map_alpha_arrays(stats.values[rest], c_a, c_b, stats.sigma, beta_abs)
 
-    channels = np.zeros((labels.num_classes, labels.header.n_voxels), dtype=np.float32)
-    channels[first - 1, idx] = alpha
-    channels[second - 1, idx] = 1.0 - alpha
-    channels = channels.reshape((labels.num_classes,) + labels.header.dims)
-    return PartialVolumeSet(labels.header, channels)
+    channels = np.zeros((labels.num_classes, first.size), dtype=np.float32)
+    channels[first, np.arange(first.size)] = alpha
+    channels[second, rest] = 1.0 - alpha[rest]
+    return TissuePartialVolumes(labels.header, stats.index, channels)
+
+
+def estimate_pv(image: ScalarVolume, labels: LabelVolume, cfg: PvConfig,
+                stats: ClassStats | None = None) -> PartialVolumeSet:
+    """estimate_tissue_pv on the full grid: background voxels get all-zero
+    fractions."""
+    return estimate_tissue_pv(image, labels, cfg, stats).full()

@@ -262,19 +262,39 @@ def train(values: list[np.ndarray], side: AtlasSide, cfg: SegmenterConfig) -> Se
     )
 
 
-def _neighbor_counts(labels: np.ndarray, support: PriorSupport, dims, k_max: int) -> np.ndarray:
-    """Per support voxel, the count of 6-neighbors carrying each class;
-    voxels off the support are background and borders count as none."""
+def _neighbors(labels: np.ndarray, support: PriorSupport, dims) -> np.ndarray:
+    """The (6, n) uint8 labels of each support voxel's 6-neighbors; voxels
+    off the support are background and borders read as background."""
     padded = np.zeros(tuple(d + 2 for d in dims), dtype=np.uint8)
     flat = padded.reshape(-1)
     flat[support.padded] = labels
-    classes = np.arange(1, k_max + 1, dtype=np.uint8)[:, None]
-    counts = np.zeros((k_max, labels.size), dtype=np.float64)
     # uint8, so the byte strides are the flat index steps along each axis
-    for step in padded.strides:
-        for offset in (-step, step):
-            counts += flat[support.padded + offset] == classes
-    return counts
+    steps = np.array([sign * step for step in padded.strides for sign in (-1, 1)], dtype=np.intp)
+    return flat[support.padded + steps[:, None]]
+
+
+def _first_argmax(rows) -> np.ndarray:
+    """1 + the row index of each column's maximum over the (n,) float64
+    rows, as uint8: a running strict > compare, so the first maximum wins,
+    as with argmax. The rows must hold no NaN."""
+    rows = iter(rows)
+    best = np.array(next(rows), dtype=np.float64)
+    labels = np.ones(best.size, dtype=np.uint8)
+    for k, row in enumerate(rows, start=2):
+        better = row > best
+        np.copyto(labels, np.uint8(k), where=better)
+        np.maximum(best, row, out=best)
+    return labels
+
+
+def _with_bonus(log_w: np.ndarray, neighbors: np.ndarray, weight: float):
+    """Each row k of log_w plus weight times the count of neighbors holding
+    class k + 1, yielded in turn in one reused buffer."""
+    row = np.empty(log_w.shape[1], dtype=np.float64)
+    for k, log_wk in enumerate(log_w):
+        np.multiply(np.sum(neighbors == k + 1, axis=0, dtype=np.uint8), weight, out=row)
+        row += log_wk
+        yield row
 
 
 def predict(model: SegmenterModel, image: ScalarVolume) -> LabelVolume:
@@ -294,18 +314,22 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> LabelVolume:
     support = model.support
     f = image.data.reshape(-1)[support.index].astype(np.float64)
 
+    # log N(f; mu_k, var_k) + log pi_k, one row per class, computed in place
     log_w = np.empty((k_max, f.size), dtype=np.float64)
-    for k in range(k_max):
+    for k, row in enumerate(log_w):
         mu, var = model.means[k], model.variances[k]
-        log_w[k] = -0.5 * np.log(2.0 * np.pi * var) - (f - mu) ** 2 / (2.0 * var)
-    log_w += support.log_prior
+        np.subtract(f, mu, out=row)
+        np.square(row, out=row)
+        row /= 2.0 * var
+        np.subtract(-0.5 * np.log(2.0 * np.pi * var), row, out=row)
+        row += support.log_prior[k]
 
     # normalizing keeps each voxel's class order, so the posterior argmax
-    # is the log-weight argmax
-    labels = (log_w.argmax(axis=0) + 1).astype(np.uint8)
+    # is the log-weight argmax; no row is NaN, as f is finite and var > 0
+    labels = _first_argmax(log_w)
     if model.smoothing_weight > 0:
-        bonus = model.smoothing_weight * _neighbor_counts(labels, support, image.header.dims, k_max)
-        labels = ((log_w + bonus).argmax(axis=0) + 1).astype(np.uint8)
+        neighbors = _neighbors(labels, support, image.header.dims)
+        labels = _first_argmax(_with_bonus(log_w, neighbors, float(model.smoothing_weight)))
 
     full_labels = np.zeros(image.header.n_voxels, dtype=np.uint8)
     full_labels[support.index] = labels

@@ -12,8 +12,9 @@ pair of the current subject:
   initialized at the least-squares solution, so the linear map is inside
   its hypothesis set and training can only improve on it.
 
-Both fit on the full-grid partial volumes of the subject and render the
-tissue voxels of a TissuePartialVolumes, the only voxels a caller reads.
+Both fit on the partial volumes of the subject, held on the full grid or
+at its tissue voxels, and render the tissue voxels of a
+TissuePartialVolumes, the only voxels a caller reads.
 Synthesized intensities are noiseless by design; callers that want matched
 noise can add it explicitly.
 """
@@ -75,24 +76,28 @@ class SynthModel:
 
 
 def fit_linear(
-    pv: PartialVolumeSet, image: ScalarVolume, fallback_intensities=None
+    pv: PartialVolumeSet | TissuePartialVolumes, image: ScalarVolume, fallback_intensities=None
 ) -> SynthModel:
     """Least-squares per-class intensities over non-background voxels.
 
     Solves min_c sum_j (f_j - sum_k p_jk c_k)^2 through the normal
-    equations. Raises RankError, reporting per-class support counts, when
-    the system is singular (e.g. a class with no support anywhere). When
+    equations. The sums run over the voxels of a TissuePartialVolumes in
+    its order, or over those of TissuePartialVolumes.of a full-grid set; a
+    set from estimate_tissue_pv, in C order with no all-zero voxel, fits
+    to the bytes of its full(). Raises RankError, reporting per-class
+    support counts, when the system is singular (e.g. a class with no
+    support anywhere). When
     ``fallback_intensities`` is given, classes without any support take
     their fallback value instead and the reduced system is solved; the
     adaptation loop uses this so a class that temporarily vanishes from an
     intermediate segmentation keeps its last known intensity.
     """
     require_same_header(pv, image)
+    if isinstance(pv, PartialVolumeSet):
+        pv = TissuePartialVolumes.of(pv)
     k = pv.num_classes
-    ch = pv.channels.reshape(k, -1)
-    mask = ch.any(axis=0)
-    p = ch[:, mask].astype(np.float64)
-    f = image.data.reshape(-1)[mask].astype(np.float64)
+    p = pv.channels.astype(np.float64)
+    f = image.data.reshape(-1)[pv.index].astype(np.float64)
 
     support = (p > 0).sum(axis=1)
     active = support > 0
@@ -164,14 +169,18 @@ class _Adam:
             params[k] -= self.rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -> SynthModel:
+def fit_regressor(pv: PartialVolumeSet | TissuePartialVolumes, image: ScalarVolume,
+                  cfg: SynthConfig) -> SynthModel:
     """Train the patch regressor on the (partial volumes, image) pair.
 
     Mini-batch MSE training with seeded shuffling; fully deterministic for
     a given config. The returned weights are the best epoch by training
     error, and train_mse is recomputed from the weights actually returned.
+    The patches read the grid, so a TissuePartialVolumes is put back on it.
     """
     require_same_header(pv, image)
+    if isinstance(pv, TissuePartialVolumes):
+        pv = pv.full()
     k = pv.num_classes
     mask_flat = pv.channels.reshape(k, -1).any(axis=0)
     flat_index = np.flatnonzero(mask_flat)
@@ -253,7 +262,7 @@ def fit_regressor(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig) -
     )
 
 
-def fit(pv: PartialVolumeSet, image: ScalarVolume, cfg: SynthConfig,
+def fit(pv: PartialVolumeSet | TissuePartialVolumes, image: ScalarVolume, cfg: SynthConfig,
         fallback_intensities=None) -> SynthModel:
     """Fit whichever backend the config selects."""
     if cfg.backend == LINEAR_BACKEND:

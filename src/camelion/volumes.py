@@ -115,6 +115,14 @@ class LabelVolume:
         self.data = _freeze(data)
 
 
+def _check_fractions(channels: np.ndarray) -> None:
+    """ArgumentError unless every fraction is finite and in [0, 1]."""
+    if not np.isfinite(channels).all():
+        raise ArgumentError("partial volumes contain non-finite values")
+    if (channels < 0).any() or (channels > 1).any():
+        raise ArgumentError("partial volumes must lie in [0, 1]")
+
+
 @dataclass(eq=False)
 class PartialVolumeSet:
     """Per-voxel tissue fractions, one float32 plane per non-background class.
@@ -137,10 +145,7 @@ class PartialVolumeSet:
             )
         if ch.shape[0] < 1:
             raise ArgumentError("partial volume set needs at least one channel")
-        if not np.isfinite(ch).all():
-            raise ArgumentError("partial volumes contain non-finite values")
-        if (ch < 0).any() or (ch > 1).any():
-            raise ArgumentError("partial volumes must lie in [0, 1]")
+        _check_fractions(ch)
         self.channels = _freeze(ch)
 
     @property
@@ -153,8 +158,9 @@ class TissuePartialVolumes:
     """A partial-volume set held at its tissue voxels only.
 
     Column j of channels holds the fractions of the voxel with flat C-order
-    index index[j]; every voxel not listed is background (all-zero). The
-    arrays are read-only; full() scatters the set back onto the grid.
+    index index[j]; every voxel not listed is background (all-zero). Each
+    fraction is finite and in [0, 1], as in a PartialVolumeSet. The arrays
+    are read-only; full() scatters the set back onto the grid.
     """
 
     header: VolumeHeader
@@ -169,6 +175,7 @@ class TissuePartialVolumes:
                 f"channels must have shape (K, {index.size}) for {index.size} voxels, got {ch.shape}")
         if ch.shape[0] < 1:
             raise ArgumentError("partial volume set needs at least one channel")
+        _check_fractions(ch)
         self.index = _freeze(index)
         self.channels = _freeze(ch)
 
@@ -176,6 +183,12 @@ class TissuePartialVolumes:
     def at(cls, pv: PartialVolumeSet, index: np.ndarray) -> "TissuePartialVolumes":
         """pv's fractions at the given flat voxel indices, in that order."""
         return cls(pv.header, index, pv.channels.reshape(pv.num_classes, -1)[:, index])
+
+    @classmethod
+    def of(cls, pv: PartialVolumeSet) -> "TissuePartialVolumes":
+        """pv's fractions at its tissue voxels (those with a nonzero
+        fraction), in C order."""
+        return cls.at(pv, np.flatnonzero(pv.channels.any(axis=0)))
 
     @property
     def num_classes(self) -> int:

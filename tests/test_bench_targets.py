@@ -39,9 +39,9 @@ def test_estimate_pv_reaches_second_class_map_through_module_global(monkeypatch)
     calls = []
     real = pv.second_class_map
 
-    def counting(labels):
+    def counting(labels, need=None):
         calls.append(labels)
-        return real(labels)
+        return real(labels, need)
 
     monkeypatch.setattr(pv, "second_class_map", counting)
     data = np.ones((4, 4, 4), dtype=np.uint8)

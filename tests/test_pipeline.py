@@ -32,7 +32,7 @@ from camelion.pipeline import (
     run_nhm,
     save_loop_artifacts,
 )
-from camelion.pv import PvConfig, class_stats, estimate_pv
+from camelion.pv import PvConfig, class_stats, estimate_pv, estimate_tissue_pv
 from camelion.segmenter import SegmenterConfig
 from camelion.synth import SynthConfig
 from camelion.util import derived_seed
@@ -110,7 +110,7 @@ class TestAtlasPvMemo:
 
         def counting(image, labels, cfg):
             calls.append(labels)
-            return estimate_pv(image, labels, cfg)
+            return estimate_tissue_pv(image, labels, cfg)
 
         monkeypatch.setattr(pipeline, "estimate_pv", counting)
         return calls
@@ -224,7 +224,7 @@ class TestWarmRun:
         def checking(image, labels, cfg, stats=None):
             if any(labels is a.labels for a in atlases):
                 alive_at_compute.append(kept() is not None)
-            return estimate_pv(image, labels, cfg, stats)
+            return estimate_tissue_pv(image, labels, cfg, stats)
 
         monkeypatch.setattr(pipeline, "estimate_pv", checking)
         run(input_image, atlases[::-1], self.CFG)
@@ -306,7 +306,7 @@ class TestAtlasPvFile:
         def counting(image, labels, cfg, stats=None):
             if any(labels is a.labels for a in atlases):
                 calls.append(labels)
-            return estimate_pv(image, labels, cfg, stats)
+            return estimate_tissue_pv(image, labels, cfg, stats)
 
         monkeypatch.setattr(pipeline, "estimate_pv", counting)
         return calls
@@ -386,7 +386,7 @@ class TestAtlasPvFile:
                 # the first failing atlas in atlas order fails last
                 time.sleep(0.2 if index == failing[0] and len(failing) > 1 else 0.0)
                 raise EstimationError(f"atlas {index} failed")
-            return estimate_pv(image, labels, cfg)
+            return estimate_tissue_pv(image, labels, cfg)
 
         monkeypatch.setattr(pipeline, "estimate_pv", failing_estimate)
         with pytest.raises(PipelineError, match=f"atlas {failing[0]} failed") as err:

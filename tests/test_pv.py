@@ -222,7 +222,8 @@ def assert_matches_references(vol):
 
 @pytest.fixture(scope="module")
 def label_histories(tmp_path_factory):
-    """Every loop label volume of the 16^3 cohort's three test subjects."""
+    """Every loop label volume of the 16^3 cohort's three test subjects,
+    each with the input image it segments."""
     cfg = cfgmod.load_config(None, ["phantom.base_dims=16 16 16", "phantom.supersample=2",
                                     "phantom.n_atlas=2", "phantom.n_test=3"])
     out = tmp_path_factory.mktemp("cohort16")
@@ -234,7 +235,8 @@ def label_histories(tmp_path_factory):
     for entry in manifest["subjects"]:
         if entry["role"] == "test":
             image = read_mvf(out / entry["image_b"])
-            histories += run(image, atlases, cfgmod.loop_config(cfg)).labels_history
+            loop = run(image, atlases, cfgmod.loop_config(cfg))
+            histories += [(image, labels) for labels in loop.labels_history]
     return histories
 
 
@@ -300,8 +302,12 @@ class TestNearestClassSearch:
 
     def test_loop_label_histories(self, label_histories, edt_calls):
         assert len(label_histories) > 2
-        for vol in label_histories:
+        for image, vol in label_histories:
             assert_matches_references(vol)
+            for beta in (0.1, 0.0, -0.05):
+                channels = estimate_pv_reference(image, vol, PvConfig(beta=beta))[2]
+                got = estimate_pv(image, vol, PvConfig(beta=beta)).channels
+                assert got.tobytes() == channels.tobytes()
         assert edt_calls == []
 
 
@@ -503,8 +509,247 @@ class TestSharedTissueGather:
             model = fit_linear(pv_set, image, fallback_intensities=fallback)
             assert model.class_intensities.tobytes() == c.tobytes()
             assert model.train_mse == mse
+            # the loop's tissue form fits to the same bytes
+            tissue = pv.estimate_tissue_pv(image, labels, PvConfig())
+            model = fit_linear(tissue, image, fallback_intensities=fallback)
+            assert model.class_intensities.tobytes() == c.tobytes()
+            assert model.train_mse == mse
 
     def test_no_tissue_is_estimation_error(self):
         labels = make_labels(np.zeros((3, 3, 3)))
         with pytest.raises(EstimationError):
             class_stats(make_image(np.ones((3, 3, 3))), labels)
+
+
+def blocky_labels(rng, shape, present, background=0.15, flip=0.1):
+    """Labels of the present classes in 2-voxel blocks, with some voxels
+    flipped to another present class and some cleared to background."""
+    codes = np.asarray(present, dtype=np.uint8)
+    blocks = rng.integers(0, codes.size, size=tuple((n + 1) // 2 for n in shape))
+    labels = codes[np.repeat(np.repeat(np.repeat(blocks, 2, 0), 2, 1), 2, 2)]
+    labels = labels[tuple(slice(0, n) for n in shape)].copy()
+    flipped = rng.uniform(size=shape) < flip
+    labels[flipped] = codes[rng.integers(0, codes.size, size=shape)][flipped]
+    labels[rng.uniform(size=shape) < background] = 0
+    labels.flat[:codes.size] = codes  # every listed class is present
+    return labels
+
+
+class TestNeededVoxels:
+    """second_class_map(labels, need) answers the needed voxels as the full
+    map does and leaves every other voxel 0."""
+
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
+    def test_equals_full_map_on_needed_voxels(self, voxel):
+        rng = np.random.default_rng(31)
+        for present in [(1, 2), (2, 3, 5), (1, 2, 3, 4, 5)]:
+            vol = make_labels(blocky_labels(rng, (11, 10, 9), present), voxel=voxel)
+            full = second_class_map(vol).data
+            for share in (0.0, 0.3, 1.0):
+                need = rng.uniform(size=vol.data.shape) < share  # background included
+                got = second_class_map(vol, need).data
+                assert np.array_equal(got[need], full[need])
+                assert not got[~need].any()
+
+    def test_fallback_answers_needed_voxels_only(self, edt_calls):
+        gap = SEARCH_RADIUS + 2
+        labels = np.zeros((10 + gap, 5, 6), dtype=np.uint8)
+        labels[:5, :, :3] = 1
+        labels[:5, :, 3:] = 2
+        labels[5 + gap:] = 3
+        vol = make_labels(labels)
+        need = np.zeros(labels.shape, dtype=bool)
+        need[5 + gap:, :, :2] = True
+        got = second_class_map(vol, need).data
+        assert edt_calls == [1]
+        assert np.array_equal(got[need], second_class_map_edt(vol)[need])
+        assert not got[~need].any()
+
+    def test_need_of_another_shape(self):
+        labels = np.ones((4, 4, 4), dtype=np.uint8)
+        labels[2:] = 2
+        with pytest.raises(ArgumentError):
+            second_class_map(make_labels(labels, k=2), np.ones((4, 4, 3), dtype=bool))
+
+
+def full_path_channels(labels, stats, beta):
+    """The (K, n) fractions of the tissue voxels from the full nearest-class
+    map and the solver run on every voxel, read from stats."""
+    n = stats.index.size
+    first = stats.labels.astype(np.int64)
+    second = second_class_map(labels).data.reshape(-1)[stats.index].astype(np.int64)
+    alpha = pv._map_alpha_arrays(stats.values, stats.means[first - 1], stats.means[second - 1],
+                                 stats.sigma, beta / (2.0 * stats.sigma * stats.sigma))
+    channels = np.zeros((labels.num_classes, n), dtype=np.float32)
+    channels[first - 1, np.arange(n)] = alpha
+    channels[second - 1, np.arange(n)] = 1.0 - alpha
+    return channels
+
+
+class TestPureInterval:
+    """A voxel whose intensity lies in its class's pure interval gets (1, 0)
+    without a nearest-class search; the estimate keeps the bytes of the
+    search and the solver run on every voxel."""
+
+    BETAS = [-0.5, 0.0, 0.1, 10.0]
+
+    @staticmethod
+    def volume(rng, voxel, present, near_equal):
+        """Labels and a noisy image of the present classes; with near_equal,
+        the first two present classes' means are about 0.2 apart, so
+        d^2 < 2 beta for beta 0.1 and 10."""
+        shape = (12, 11, 10)
+        labels = blocky_labels(rng, shape, present)
+        means = {k: 20.0 * k + rng.uniform(-5, 5) for k in present}
+        spread = {k: 3.0 for k in present}
+        if near_equal:
+            means[present[1]] = means[present[0]] + 0.2
+            spread[present[0]] = spread[present[1]] = 0.01
+        image = np.zeros(shape)
+        for k in present:
+            sel = labels == k
+            image[sel] = means[k] + rng.normal(0, spread[k], sel.sum())
+        return make_labels(labels, voxel=voxel), image
+
+    @staticmethod
+    def on_the_edges(rng, image, labels, beta):
+        """image with a few voxels of each class moved onto the float32
+        values at, just inside and just outside each edge of its pure
+        interval. Each move is paired with an opposite move of another
+        voxel of the class, so the class mean shifts only by rounding, and
+        a few rounds bring the moved voxels onto the edges of the final
+        means."""
+        image = image.astype(np.float32)
+        for _ in range(4):
+            stats = class_stats(make_image(image.copy(), labels.header.voxel_size), labels)
+            present = [k for k in range(1, 6) if (labels.data == k).any()]
+            lo, hi = pv._pure_intervals(stats.means, present, beta)
+            for k in present:
+                voxels = np.flatnonzero(labels.data == k)
+                targets = []
+                for edge in (lo[k - 1], hi[k - 1]):
+                    if np.isfinite(edge):
+                        e = np.float32(edge)
+                        targets += [e, np.nextafter(e, np.float32(np.inf)),
+                                    np.nextafter(e, np.float32(-np.inf))]
+                size = min(len(targets), voxels.size // 2)
+                chosen, partners = rng.choice(voxels, size=(2, size), replace=False)
+                moved = np.float32(targets[:size]) - image.flat[chosen]
+                image.flat[partners] -= moved
+                image.flat[chosen] = targets[:size]
+        return make_image(image, labels.header.voxel_size)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75), "random"])
+    def test_matches_reference_on_random_volumes(self, beta, voxel):
+        rng = np.random.default_rng([int(beta * 10) + 7, len(str(voxel))])
+        if voxel == "random":
+            voxel = tuple(float(np.float32(v)) for v in rng.uniform(0.5, 2.0, 3))
+        cfg = PvConfig(beta=beta)
+        pure_seen = searched_seen = 0
+        for n_present in (2, 3, 4, 5):
+            for near_equal in ((False, True) if n_present > 2 else (False,)):
+                present = sorted(rng.choice(np.arange(1, 6), n_present, replace=False).tolist())
+                labels, image = self.volume(rng, voxel, present, near_equal)
+                image = self.on_the_edges(rng, image, labels, beta)
+                _, _, channels = estimate_pv_reference(image, labels, cfg)
+                tissue = pv.estimate_tissue_pv(image, labels, cfg)
+                assert np.array_equal(tissue.index, np.flatnonzero(labels.data))
+                assert tissue.full().channels.tobytes() == channels.tobytes()
+                assert estimate_pv(image, labels, cfg).channels.tobytes() == channels.tobytes()
+
+                stats = class_stats(image, labels)
+                lo, hi = pv._pure_intervals(stats.means, present, beta)
+                for k in present:
+                    for edge in (lo[k - 1], hi[k - 1]):
+                        if np.isfinite(edge):  # a voxel sits on it, to 2 float32 ulps
+                            f = image.data[labels.data == k]
+                            assert np.min(np.abs(f - edge)) <= 2 * np.spacing(np.float32(edge))
+                first = stats.labels - 1
+                pure = (stats.values >= lo[first]) & (stats.values <= hi[first])
+                pure_seen += int(pure.sum())
+                searched_seen += int((~pure).sum())
+        assert pure_seen > 0 and searched_seen > 0
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_exact_edges_through_stats(self, beta):
+        # float64 intensities exactly on each edge and one ulp to either
+        # side, passed as the class statistics the estimate reads
+        rng = np.random.default_rng(int(beta * 10) + 40)
+        labels = make_labels(blocky_labels(rng, (10, 9, 8), (1, 2, 4, 5)))
+        image = make_image(np.where(labels.data > 0, labels.data * 25.0, 0.0))
+        base = class_stats(image, labels)
+        means = base.means + rng.uniform(-2, 2, 5)
+        lo, hi = pv._pure_intervals(means, [1, 2, 4, 5], beta)
+        values = means[base.labels - 1] + rng.normal(0, 3, base.index.size)
+        for k in (1, 2, 4, 5):
+            voxels = np.flatnonzero(base.labels == k)
+            targets = [t for e in (lo[k - 1], hi[k - 1]) if np.isfinite(e)
+                       for t in (e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf))]
+            values[voxels[:len(targets)]] = targets
+        stats = pv.ClassStats(index=base.index, labels=base.labels, values=values,
+                              means=means, sigma=2.5)
+        got = pv.estimate_tissue_pv(image, labels, PvConfig(beta=beta), stats)
+        assert got.channels.tobytes() == full_path_channels(labels, stats, beta).tobytes()
+
+    def test_solver_gives_one_inside_and_less_just_outside(self):
+        # inside the interval every second class gives alpha = 1; just
+        # outside an edge, by more than its margin, the class that sets it
+        # gives less, so the interval is no narrower than it needs to be
+        rng = np.random.default_rng(3)
+        checked = 0
+        for _ in range(400):
+            present = sorted(rng.choice(np.arange(1, 6), rng.integers(2, 6), replace=False))
+            scale = 10.0 ** rng.uniform(-1, 3)
+            means = np.zeros(5)
+            means[np.array(present) - 1] = rng.normal(0, scale, len(present))
+            if len(present) > 2 and rng.uniform() < 0.3:
+                means[present[1] - 1] = means[present[0] - 1] + scale * 1e-3
+            beta = float(rng.choice([-0.5, 0.0, 0.1, 10.0, scale * scale]))
+            sigma = scale * 10.0 ** rng.uniform(-2, 0)
+            beta_abs = beta / (2.0 * sigma * sigma)
+            lo, hi = pv._pure_intervals(means, present, beta)
+            for a in present:
+                l, h = lo[a - 1], hi[a - 1]
+                for edge, outward in ((l, -1.0), (h, 1.0)):
+                    if not np.isfinite(edge) or l > h:
+                        continue
+                    inside = np.array([edge, np.nextafter(edge, edge - outward), (l + h) / 2
+                                       if np.isfinite(l + h) else edge - outward * scale])
+                    inside = inside[(inside >= l) & (inside <= h)]
+                    outside = edge + outward * 1e-3 * (abs(edge) + scale)
+                    worst = 1.0
+                    for b in present:
+                        if b != a:
+                            alpha = pv._map_alpha_arrays(inside, means[a - 1], means[b - 1],
+                                                         sigma, beta_abs)
+                            assert np.all(alpha == 1.0)
+                            worst = min(worst, float(pv._map_alpha_arrays(
+                                outside, means[a - 1], means[b - 1], sigma, beta_abs)))
+                    assert worst < 1.0, (means, present, a, beta, sigma, edge, outward)
+                    checked += 1
+        assert checked > 500
+
+    def test_shared_mean_keeps_the_full_path(self):
+        # classes 1 and 3 share a mean but never pair: the estimate runs the
+        # full search and solver; once they touch, today's error names them
+        labels = np.zeros((6, 6, 6), dtype=np.uint8)
+        labels[:2] = 1
+        labels[2:4] = 2
+        labels[4:] = 3
+        image = np.where(labels == 2, 80.0, 40.0)
+        image[labels == 0] = 0.0
+        vol, img = make_labels(labels.copy()), make_image(image)
+        _, _, channels = estimate_pv_reference(img, vol, PvConfig())
+        assert estimate_pv(img, vol, PvConfig()).channels.tobytes() == channels.tobytes()
+
+        labels[2, :3] = 3
+        vol = make_labels(labels)
+        img = make_image(np.where(labels == 2, 80.0, np.where(labels > 0, 40.0, 0.0)))
+        second = second_class_map(vol).data
+        pairs = sorted({(int(a), int(b)) for a, b in zip(labels[labels > 0], second[labels > 0])
+                        if {a, b} == {1, 3}})
+        assert pairs == [(1, 3), (3, 1)]
+        with pytest.raises(DegeneratePairError) as err:
+            estimate_pv(img, vol, PvConfig())
+        assert str(err.value) == f"classes with identical means: {pairs}"

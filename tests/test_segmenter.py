@@ -461,6 +461,43 @@ class TestSupportMatchesFullGrid:
         assert np.all(out.data[prior[2] == 0] != 3)
 
 
+class TestRunningArgmax:
+    """predict takes both argmaxes as a running strict > compare over the
+    class rows, so the first maximum wins, as with argmax."""
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    def test_tied_classes_go_to_the_smaller(self, weight):
+        # classes 2 and 3 share mean, variance and prior, so their log-weights
+        # tie on every voxel; class 3 must never win, before or after ICM
+        pairs = varied_atlases()
+        base = fit(pairs, NO_SMOOTH)
+        means, variances = base.means.copy(), base.variances.copy()
+        means[2], variances[2] = means[1], variances[1]
+        prior = prior_of(pairs, NO_SMOOTH).copy()
+        prior[2] = prior[1]
+        model = SegmenterModel(base.header, means, variances, prior_support(prior), weight)
+        probe = np.full(model.header.dims, means[1], dtype=np.float32)
+        probe[::2] = probe_image(model.header.dims, seed=4)[::2]
+        out = assert_matches_full_grid(model, prior, probe)
+        assert (out.data == 2).any()
+        assert not (out.data == 3).any()
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    def test_matches_argmax_of_the_stacked_rows(self, weight):
+        pairs = varied_atlases(seed=5)
+        model = fit(pairs, SegmenterConfig(smoothing_weight=weight))
+        probe = probe_image(model.header.dims, seed=6)
+        out = assert_matches_full_grid(model, prior_of(pairs, NO_SMOOTH), probe)
+        f = probe.reshape(-1)[model.support.index].astype(np.float64)
+        log_w = np.stack([-0.5 * np.log(2.0 * np.pi * v) - (f - m) ** 2 / (2.0 * v)
+                          for m, v in zip(model.means, model.variances)])
+        log_w += model.support.log_prior
+        first = segmenter._first_argmax(log_w)
+        assert np.array_equal(first, log_w.argmax(axis=0) + 1)
+        if weight == 0.0:
+            assert np.array_equal(on_support(model, out), first)
+
+
 def test_self_consistency_on_noiseless_phantom():
     params = PhantomParams(base_dims=(48, 48, 48), supersample=4, seed=21)
     hr = generate_label_phantom(params, 0)

@@ -12,6 +12,7 @@ from camelion.volumes import (
     LabelVolume,
     PartialVolumeSet,
     ScalarVolume,
+    TissuePartialVolumes,
     VolumeHeader,
     decode_mvf,
     encode_mvf,
@@ -58,6 +59,32 @@ class TestConstruction:
         ch = np.full((2, 2, 2, 2), 1.5, dtype=np.float32)
         with pytest.raises(ArgumentError):
             PartialVolumeSet(VolumeHeader((2, 2, 2)), ch)
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "partial volumes contain non-finite values"),
+        (np.inf, "partial volumes contain non-finite values"),
+        (-0.25, r"partial volumes must lie in \[0, 1\]"),
+        (1.5, r"partial volumes must lie in \[0, 1\]"),
+    ])
+    def test_tissue_pv_checks_fractions_as_the_grid_set_does(self, bad, message):
+        # the tissue form is the only check of the loop's input fractions
+        header = VolumeHeader((2, 2, 2))
+        ch = np.zeros((2, 3), dtype=np.float32)
+        ch[0] = 1.0
+        ch[1, 2] = bad
+        with pytest.raises(ArgumentError, match=message):
+            TissuePartialVolumes(header, np.array([0, 3, 5]), ch)
+        grid = np.zeros((2, 8), dtype=np.float32)
+        grid[:, [0, 3, 5]] = ch
+        with pytest.raises(ArgumentError, match=message):
+            PartialVolumeSet(header, grid.reshape(2, 2, 2, 2))
+
+    def test_tissue_pv_of_a_grid_set(self, rng):
+        pv = random_pv(rng)
+        tissue = TissuePartialVolumes.of(pv)
+        mask = pv.channels.any(axis=0).reshape(-1)
+        assert np.array_equal(tissue.index, np.flatnonzero(mask))
+        assert encode_mvf(tissue.full()) == encode_mvf(pv)
 
     def test_data_is_frozen(self, rng):
         vol = random_scalar(rng)
