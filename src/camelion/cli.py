@@ -159,8 +159,7 @@ def cmd_run(args) -> int:
 
     if args.method == "camelion":
         try:
-            # the atlas partial volumes, shared by every run into this directory
-            result = run(input_image, atlases, loop_cfg, Path(args.out) / "atlas_pv")
+            result = run(input_image, atlases, loop_cfg)
         except PipelineError as exc:
             # keep the iterations that completed; without labels_final.mvf,
             # eval skips the run

@@ -18,12 +18,7 @@ and "nhm" (histogram-match the input to one atlas image, then direct).
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
-import struct
-import uuid
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,26 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from . import harmonize, metrics, synth
-from .errors import ArgumentError, CamelionError, FormatError, PersistenceError, PipelineError
+from .errors import ArgumentError, CamelionError, PipelineError
 from .pv import PvConfig, class_stats
 # the loop's PV stage, under the name a traced run rebinds
 from .pv import estimate_tissue_pv as estimate_pv
 from .segmenter import (AtlasSide, SegmenterConfig, SegmenterModel, atlas_side, class_order,
                         predict, train)
 from .synth import SynthConfig, SynthModel, synthesize
-from .util import LatestMemo, content_key, derived_seed, worker_count
-from .volumes import (
-    HEADER_SIZE,
-    AtlasPair,
-    LabelVolume,
-    PartialVolumeSet,
-    ScalarVolume,
-    TissuePartialVolumes,
-    decode_mvf,
-    encode_mvf,
-    require_same_header,
-    write_mvf,
-)
+from .util import LatestMemo, derived_seed, worker_count
+from .volumes import (AtlasPair, LabelVolume, ScalarVolume, TissuePartialVolumes,
+                      require_same_header, write_mvf)
 
 
 @dataclass(frozen=True)
@@ -164,16 +149,15 @@ class _AtlasSet:
     and kept until another set replaces this one: the segmenter's
     AtlasSide and the model trained on the original atlas images, for the
     latest SegmenterConfig; the tissue partial volumes, for the latest
-    PvConfig, with their content key once a cache_dir has needed it; the
-    count of run() calls on the set; and, from the second run on, the
-    loop's kept normal draws for the latest loop seed."""
+    PvConfig; the count of run() calls on the set; and, from the second
+    run on, the loop's kept normal draws for the latest loop seed. The
+    entry lives in the process only: every process computes its own."""
 
     segmenter: SegmenterConfig | None = None
     side: AtlasSide | None = None
     model: SegmenterModel | None = None
     pv: PvConfig | None = None
     pvs: list[TissuePartialVolumes] | None = None
-    pv_key: bytes | None = None
     runs: int = 0
     normals: _Normals | None = None
 
@@ -221,143 +205,44 @@ def _first_model(atlases: list[AtlasPair],
         return entry.side, entry.model
 
 
-def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig,
-                        cache_dir=None) -> list[TissuePartialVolumes]:
+def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissuePartialVolumes]:
     """Estimate each atlas's partial volumes from its original image and
     labels, held at the atlas's tissue voxels in class_order.
 
-    Computed once per atlas set and cfg per process and kept in the set's
-    entry (see _atlas_set), so a second run() on the same atlas list reuses
-    them. A new set drops the old one, with its kept noise draws, before
-    its partial volumes are computed.
-
-    With cache_dir, the set is also kept across processes in the file
-    ``<cache_dir>/<key hex>.pvz``, named by the content key of cfg and the
-    set's parts (see _set_parts), computed once per set and cfg. A process
-    that has not computed the set reads the file back only if it passes
-    every check of _read_atlas_pv_file, and otherwise computes the set and
-    overwrites the file; a file that is absent is written even when the
-    set is held.
+    Computed once per atlas set and cfg per process, on a thread pool (see
+    _estimate_atlas_pvs), and kept in the set's entry (see _atlas_set), so
+    a second run() on the same atlas list reuses them. A new set drops the
+    old one, with its kept noise draws, before its partial volumes are
+    computed; a failed compute keeps none.
     """
     with _ATLAS_SET.lock:
         entry = _atlas_set(atlases)
-        if entry.pv != cfg:
-            entry.pv, entry.pvs, entry.pv_key = cfg, None, None
-        if cache_dir is not None and entry.pv_key is None:
-            entry.pv_key = content_key(cfg, *_set_parts(atlases))
-        path = None if cache_dir is None else Path(cache_dir) / f"{entry.pv_key.hex()}.pvz"
-        write = path is not None and not path.is_file()
-        if entry.pvs is None:
+        if entry.pv != cfg or entry.pvs is None:
+            entry.pv, entry.pvs = cfg, None
             with _Stage("precompute_atlas_pv"):
-                pvs = None if path is None else _read_atlas_pv_file(path, entry.pv_key, atlases)
-                if pvs is None:
-                    pvs = _estimate_atlas_pvs(atlases, cfg)
-                    write = path is not None
-            entry.pvs = pvs
-        if write:
-            _write_atlas_pv_file(path, entry.pv_key, entry.pvs)
+                entry.pvs = _estimate_atlas_pvs(atlases, cfg)
         return entry.pvs
-
-
-def _on_tissue(pv: PartialVolumeSet | TissuePartialVolumes,
-               labels: LabelVolume) -> TissuePartialVolumes:
-    """An atlas's partial volumes at its tissue voxels, in class_order, from
-    a full-grid set or from a set at those voxels in C order."""
-    order, _, inverse = class_order(labels)
-    if isinstance(pv, PartialVolumeSet):
-        return TissuePartialVolumes.at(pv, order)
-    channels = np.empty_like(pv.channels)
-    channels[:, inverse] = pv.channels
-    return TissuePartialVolumes(pv.header, order, channels)
 
 
 def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissuePartialVolumes]:
     """estimate_pv of every atlas on a thread pool, in atlas order, each
-    kept at its tissue voxels as soon as it is estimated; a failure raises
-    the error of the first failing atlas in that order. Most of
-    estimate_pv's time goes to NumPy gathers, comparisons and reductions
+    kept at its tissue voxels in class_order as soon as it is estimated; a
+    failure raises the error of the first failing atlas in that order. Most
+    of estimate_pv's time goes to NumPy gathers, comparisons and reductions
     over whole arrays of voxels, which run without the GIL, so the atlases
     overlap."""
     def one(pair):
         # estimate_pv is looked up at call time, so a rebound module global
         # is the one that runs
-        return _on_tissue(estimate_pv(pair.image, pair.labels, cfg), pair.labels)
+        pv = estimate_pv(pair.image, pair.labels, cfg)
+        order, _, inverse = class_order(pair.labels)
+        channels = np.empty_like(pv.channels)
+        channels[:, inverse] = pv.channels
+        return TissuePartialVolumes(pv.header, order, channels)
 
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(atlases)) or 1) as pool:
         futures = [pool.submit(one, pair) for pair in atlases]
         return [future.result() for future in futures]
-
-
-# the atlas-PV file: magic | content key | atlas count u32 | per atlas, in
-# atlas order: length u64 | zlib(encode_mvf(pv))
-_PVZ_HEAD = struct.Struct("<4s16sI")
-_PVZ_MAGIC = b"PVZ1"
-_PVZ_LENGTH = struct.Struct("<Q")
-
-
-def _read_atlas_pv_file(path: Path, key: bytes,
-                        atlases: list[AtlasPair]) -> list[TissuePartialVolumes] | None:
-    """The atlas PV set that path holds for key and atlases, or None when
-    the file is absent or fails any check: magic, key, atlas count, lengths
-    that fit the file exactly, zlib and MVF decoding, and each volume's
-    kind, header and class count against its atlas. Each atlas is decoded
-    and reduced to its tissue voxels before the next is read."""
-    try:
-        buf = memoryview(path.read_bytes())
-    except OSError:
-        return None
-    if len(buf) < _PVZ_HEAD.size or _PVZ_HEAD.unpack_from(buf) != (_PVZ_MAGIC, key, len(atlases)):
-        return None
-    pos = _PVZ_HEAD.size
-    pvs = []
-    for pair in atlases:
-        if pos + _PVZ_LENGTH.size > len(buf):
-            return None
-        (size,) = _PVZ_LENGTH.unpack_from(buf, pos)
-        pos += _PVZ_LENGTH.size
-        if size > len(buf) - pos:
-            return None
-        # inflated no further than the MVF size this atlas implies
-        expected = HEADER_SIZE + 4 * pair.labels.num_classes * pair.image.header.n_voxels
-        inflate = zlib.decompressobj()
-        try:
-            raw = inflate.decompress(buf[pos:pos + size], expected)
-            if not inflate.eof or inflate.unused_data:
-                return None
-            pv = decode_mvf(raw, source=str(path))
-        except (zlib.error, FormatError):
-            return None
-        pos += size
-        if (not isinstance(pv, PartialVolumeSet) or pv.header != pair.image.header
-                or pv.num_classes != pair.labels.num_classes):
-            return None
-        pvs.append(_on_tissue(pv, pair.labels))
-    return pvs if pos == len(buf) else None
-
-
-def _write_atlas_pv_file(path: Path, key: bytes, pvs: list[TissuePartialVolumes]) -> None:
-    """Write the atlas-PV file under a unique temporary name, then move it
-    into place, so concurrent writers are safe and no reader sees a partial
-    file. Each atlas is put back on the grid, encoded and compressed on its
-    own, so no full-grid copy of the whole set is ever held."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # opened by name, not by mkstemp, so the file takes the umask's mode
-        tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-        try:
-            with open(tmp, "xb") as fh:
-                fh.write(_PVZ_HEAD.pack(_PVZ_MAGIC, key, len(pvs)))
-                for pv in pvs:
-                    blob = zlib.compress(encode_mvf(pv.full()), 1)
-                    fh.write(_PVZ_LENGTH.pack(len(blob)))
-                    fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise PersistenceError(f"cannot write {path}: {exc}") from exc
 
 
 def _strip(labels: LabelVolume, fg: np.ndarray) -> LabelVolume:
@@ -438,18 +323,15 @@ def foreground_mask(image: ScalarVolume, rel_threshold: float) -> np.ndarray:
     return data > max(cut, 0.0)
 
 
-def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig,
-        cache_dir=None) -> LoopResult:
+def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) -> LoopResult:
     """Run the full adaptation loop on one input image.
 
     Deterministic for a given config seed. On non-convergence at the
     iteration cap the last labels are returned with converged = False.
-    cache_dir, when given, keeps the atlas partial volumes across processes
-    (see precompute_atlas_pv).
     """
     fg = _checked_foreground(input_image, atlases, cfg)
     with _ATLAS_SET.lock:  # the run is counted on the entry that holds atlas_pvs
-        atlas_pvs = precompute_atlas_pv(atlases, cfg.pv, cache_dir)
+        atlas_pvs = precompute_atlas_pv(atlases, cfg.pv)
         normals = _atlas_set(atlases).run_normals(cfg.seed)
 
     side, model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)

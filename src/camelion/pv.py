@@ -252,8 +252,7 @@ def _map_alpha_arrays(f, c_a, c_b, sigma, beta):
 
     # candidates in descending alpha; strict improvement keeps the larger
     # alpha on ties, as required
-    best_alpha = np.ones(np.broadcast(f, c_a, c_b, sigma, beta).shape)
-    best_j = _objective(best_alpha, f, c_a, c_b, sigma, beta)
+    best_j = _objective(1.0, f, c_a, c_b, sigma, beta)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         stationary = (d * (f - c_b) / sig2 - 2.0 * beta) / curvature
@@ -261,7 +260,7 @@ def _map_alpha_arrays(f, c_a, c_b, sigma, beta):
     convex = curvature > 0
     j_st = _objective(stationary, f, c_a, c_b, sigma, beta)
     take = convex & (j_st < best_j)
-    best_alpha = np.where(take, stationary, best_alpha)
+    best_alpha = np.where(take, stationary, 1.0)
     best_j = np.where(take, j_st, best_j)
 
     j0 = _objective(0.0, f, c_a, c_b, sigma, beta)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import weakref
@@ -20,28 +19,6 @@ def worker_count() -> int:
 def derived_seed(*parts: int) -> int:
     """Collapse a tuple of non-negative integers into one stable 64-bit seed."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1, np.uint64)[0])
-
-
-def content_key(*parts) -> bytes:
-    """blake2b digest of arrays (dtype, shape and C-order bytes) and of the
-    repr of anything else: headers, frozen config dataclasses, numbers.
-
-    Every part is length-prefixed, so different part sequences cannot
-    produce the same byte stream.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            # hashed in place through the buffer protocol, without a copy
-            blob = np.ascontiguousarray(part).reshape(-1).view(np.uint8)
-            meta = f"{part.dtype.str}{part.shape}".encode()
-        else:
-            blob = b""
-            meta = repr(part).encode()
-        for chunk in (meta, blob):
-            digest.update(len(chunk).to_bytes(8, "little"))
-            digest.update(chunk)
-    return digest.digest()
 
 
 class LatestMemo:

@@ -162,7 +162,7 @@ class TestRunCommand:
         assert (out_dir / "labels_0.mvf").exists()
         assert (out_dir / "atlas0_1.mvf").exists()
         assert not list(out_dir.glob("synth_*"))
-        assert len(list((runs / "atlas_pv").glob("*.pvz"))) == 1
+        assert [p.name for p in runs.iterdir()] == ["s002"]
         assert traj[0].split(",")[-8:] == [
             "input_sigma", "noise_sigma",
             "synth_train_mse", "intensity_csf", "intensity_ventricles",

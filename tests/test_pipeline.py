@@ -1,11 +1,9 @@
 import functools
 import hashlib
-import re
 import sys
 import threading
 import time
 import weakref
-import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +160,26 @@ class TestAtlasPvMemo:
         precompute_atlas_pv(atlases, PvConfig())
         assert len(pv_calls) == 2 * len(atlases) + 1
 
+    @pytest.mark.parametrize("failing", [(1,), (1, 2)], ids=["one", "later-fails-first"])
+    def test_failure_names_first_failing_atlas(self, small_cohort, monkeypatch,
+                                                fresh_atlas_memo, failing):
+        atlases, _, _ = small_cohort
+        three = self.copies([*atlases, atlases[0]])
+
+        def failing_estimate(image, labels, cfg):
+            index = next(i for i, a in enumerate(three) if labels is a.labels)
+            if index in failing:
+                # the first failing atlas in atlas order fails last
+                time.sleep(0.2 if index == failing[0] and len(failing) > 1 else 0.0)
+                raise EstimationError(f"atlas {index} failed")
+            return estimate_tissue_pv(image, labels, cfg)
+
+        monkeypatch.setattr(pipeline, "estimate_pv", failing_estimate)
+        with pytest.raises(PipelineError, match=f"atlas {failing[0]} failed") as err:
+            precompute_atlas_pv(three, PvConfig())
+        assert err.value.stage == "precompute_atlas_pv"
+        assert pipeline._atlas_set(three).pvs is None
+
 
 class TestWarmRun:
     """One subject run in-process cold, warm, after a run with another seed
@@ -170,19 +188,6 @@ class TestWarmRun:
     time."""
 
     CFG = LoopConfig(max_iterations=3, change_threshold=0.0001)
-
-    @pytest.fixture
-    def key_calls(self, monkeypatch, fresh_atlas_memo):
-        """The content_key calls, from an empty memo."""
-        calls = []
-        real = pipeline.content_key
-
-        def counting(*parts):
-            calls.append(len(parts))
-            return real(*parts)
-
-        monkeypatch.setattr(pipeline, "content_key", counting)
-        return calls
 
     @staticmethod
     def outputs(result):
@@ -197,7 +202,8 @@ class TestWarmRun:
         """The draws kept for atlases, the set the memo holds."""
         return pipeline._atlas_set(atlases).normals
 
-    def test_every_situation_gives_the_cold_bytes(self, small_cohort, key_calls, monkeypatch):
+    def test_every_situation_gives_the_cold_bytes(self, small_cohort, fresh_atlas_memo,
+                                                   monkeypatch):
         atlases, input_image, _ = small_cohort
         cold = run(input_image, atlases, self.CFG)
         assert all(r.noise_sigma > 0 for r in cold.records)
@@ -213,7 +219,6 @@ class TestWarmRun:
         after_seed = run(input_image, atlases, self.CFG)
         assert self.outputs(after_seed) == self.outputs(cold)
         assert self.kept_normals(atlases).seed == self.CFG.seed
-        assert key_calls == []
 
         # the kept draws of the old set are gone before the new set's
         # partial volumes are computed
@@ -234,165 +239,13 @@ class TestWarmRun:
         assert self.outputs(after_set) == self.outputs(cold)
         assert self.kept_normals(atlases) is None
 
-    def test_key_only_names_the_file(self, small_cohort, key_calls, fresh_atlas_memo,
-                                     tmp_path):
+    def test_direct_and_nhm_give_the_cold_bytes(self, small_cohort, fresh_atlas_memo):
         atlases, input_image, _ = small_cohort
-        for arm in sorted(ARMS):
+        for arm in ("direct", "nhm"):
             fresh_atlas_memo()
             cold = ARMS[arm](input_image, atlases, self.CFG)
             warm = ARMS[arm](input_image, atlases, self.CFG)
-            if arm != "camelion":
-                assert encode_mvf(warm) == encode_mvf(cold)
-        assert key_calls == []
-        # once per atlas set and PvConfig, the first time a file needs it
-        beta = replace(self.CFG, pv=PvConfig(beta=0.3))
-        for cfg in (self.CFG, beta):
-            for _ in range(2):
-                run(input_image, atlases, cfg, tmp_path)
-        run(input_image, atlases[::-1], beta, tmp_path)
-        assert len(key_calls) == 3
-        assert len(list(tmp_path.glob("*.pvz"))) == 3
-
-
-def corrupt_truncated(good, other):
-    return good[:-100]
-
-
-def corrupt_flipped_byte(good, other):
-    bad = bytearray(good)
-    bad[len(bad) // 2] ^= 0x01
-    return bytes(bad)
-
-
-def corrupt_other_key(good, other):
-    return other
-
-
-def corrupt_atlas_count(good, other):
-    count = int.from_bytes(good[20:24], "little")
-    return good[:20] + (count + 1).to_bytes(4, "little") + good[24:]
-
-
-def corrupt_trailing_garbage(good, other):
-    return good + b"\0" * 16
-
-
-def reframe_first_atlas(good, edit):
-    """good with the first atlas's zlib stream replaced by edit(stream)."""
-    size = int.from_bytes(good[24:32], "little")
-    blob = edit(good[32:32 + size])
-    return good[:24] + len(blob).to_bytes(8, "little") + blob + good[32 + size:]
-
-
-def corrupt_stream_without_checksum(good, other):
-    return reframe_first_atlas(good, lambda blob: blob[:-4])
-
-
-def corrupt_bytes_after_stream(good, other):
-    return reframe_first_atlas(good, lambda blob: blob + b"\0")
-
-
-def corrupt_stream_inflates_too_long(good, other):
-    return reframe_first_atlas(good, lambda blob: zlib.compress(zlib.decompress(blob) + b"\0", 1))
-
-
-class TestAtlasPvFile:
-    @pytest.fixture
-    def atlas_calls(self, small_cohort, monkeypatch, fresh_atlas_memo):
-        """The estimate_pv calls on atlas labels, from an empty memo."""
-        atlases, _, _ = small_cohort
-        calls = []
-
-        def counting(image, labels, cfg, stats=None):
-            if any(labels is a.labels for a in atlases):
-                calls.append(labels)
-            return estimate_tissue_pv(image, labels, cfg, stats)
-
-        monkeypatch.setattr(pipeline, "estimate_pv", counting)
-        return calls
-
-    @staticmethod
-    def volumes(result):
-        return [encode_mvf(v) for v in
-                [*result.labels_history,
-                 *(img for imgs in result.atlas_images_history for img in imgs)]]
-
-    @staticmethod
-    def pv_file(cache_dir):
-        [path] = cache_dir.glob("*.pvz")
-        return path
-
-    def test_second_run_reads_the_file(self, small_cohort, atlas_calls, fresh_atlas_memo,
-                                       tmp_path):
-        atlases, input_image, _ = small_cohort
-        cfg = LoopConfig(max_iterations=2)
-        first = run(input_image, atlases, cfg, tmp_path)
-        first_pvs = precompute_atlas_pv(atlases, cfg.pv)
-        assert len(atlas_calls) == len(atlases)
-        assert re.fullmatch(r"[0-9a-f]{32}\.pvz", self.pv_file(tmp_path).name)
-        fresh_atlas_memo()
-        second = run(input_image, atlases, cfg, tmp_path)
-        assert len(atlas_calls) == len(atlases)
-        assert self.volumes(second) == self.volumes(first)
-        pvs = precompute_atlas_pv(atlases, cfg.pv)
-        assert [encode_mvf(pv.full()) for pv in pvs] == [encode_mvf(pv.full()) for pv in first_pvs]
-
-    @pytest.mark.parametrize("corrupt", [
-        corrupt_truncated, corrupt_flipped_byte, corrupt_other_key,
-        corrupt_atlas_count, corrupt_trailing_garbage,
-        corrupt_stream_without_checksum, corrupt_bytes_after_stream,
-        corrupt_stream_inflates_too_long,
-    ])
-    def test_bad_file_is_recomputed_and_overwritten(self, small_cohort, atlas_calls,
-                                                    fresh_atlas_memo, tmp_path, corrupt):
-        atlases, input_image, _ = small_cohort
-        cfg = LoopConfig(max_iterations=1)
-        first = run(input_image, atlases, cfg, tmp_path / "good")
-        path = self.pv_file(tmp_path / "good")
-        good = path.read_bytes()
-        precompute_atlas_pv(atlases, PvConfig(beta=0.3), tmp_path / "other")
-        other = self.pv_file(tmp_path / "other").read_bytes()
-        path.write_bytes(corrupt(good, other))
-        fresh_atlas_memo()
-        del atlas_calls[:]
-        second = run(input_image, atlases, cfg, tmp_path / "good")
-        assert len(atlas_calls) == len(atlases)
-        assert path.read_bytes() == good
-        assert self.volumes(second) == self.volumes(first)
-        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
-
-    def test_memo_hit_still_writes_the_file(self, small_cohort, atlas_calls, tmp_path):
-        atlases, _, _ = small_cohort
-        pvs = precompute_atlas_pv(atlases, PvConfig())
-        again = precompute_atlas_pv(atlases, PvConfig(), tmp_path)
-        assert len(atlas_calls) == len(atlases)
-        assert all(b is a for a, b in zip(pvs, again))
-        path = self.pv_file(tmp_path)
-        stored = pipeline._read_atlas_pv_file(path, bytes.fromhex(path.stem), atlases)
-        assert [encode_mvf(pv.full()) for pv in stored] == [encode_mvf(pv.full()) for pv in pvs]
-        for pair, pv in zip(atlases, stored):
-            fresh = estimate_pv(pair.image, pair.labels, PvConfig())
-            assert encode_mvf(pv.full()) == encode_mvf(fresh)
-
-    @pytest.mark.parametrize("failing", [(1,), (1, 2)], ids=["one", "later-fails-first"])
-    def test_failure_names_first_failing_atlas(self, small_cohort, monkeypatch,
-                                                fresh_atlas_memo, tmp_path, failing):
-        atlases, _, _ = small_cohort
-        three = TestAtlasPvMemo.copies([*atlases, atlases[0]])
-
-        def failing_estimate(image, labels, cfg):
-            index = next(i for i, a in enumerate(three) if labels is a.labels)
-            if index in failing:
-                # the first failing atlas in atlas order fails last
-                time.sleep(0.2 if index == failing[0] and len(failing) > 1 else 0.0)
-                raise EstimationError(f"atlas {index} failed")
-            return estimate_tissue_pv(image, labels, cfg)
-
-        monkeypatch.setattr(pipeline, "estimate_pv", failing_estimate)
-        with pytest.raises(PipelineError, match=f"atlas {failing[0]} failed") as err:
-            precompute_atlas_pv(three, PvConfig(), tmp_path)
-        assert err.value.stage == "precompute_atlas_pv"
-        assert not list(tmp_path.glob("*.pvz"))
+            assert encode_mvf(warm) == encode_mvf(cold)
 
 
 ARMS = {

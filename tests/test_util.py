@@ -8,17 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from camelion.util import LatestMemo, content_key, worker_count
-from camelion.volumes import VolumeHeader
-
-
-def test_content_key_separates_parts():
-    a = np.arange(6, dtype=np.uint8)
-    assert content_key(a) == content_key(a.copy())
-    assert content_key(a) != content_key(a.reshape(2, 3))
-    assert content_key(a) != content_key(a.astype(np.int16))
-    assert content_key(a[:3], a[3:]) != content_key(a[:2], a[2:])
-    assert content_key(VolumeHeader((2, 3, 1))) != content_key(VolumeHeader((2, 3, 1), (1, 1, 2)))
+from camelion.util import LatestMemo, worker_count
 
 
 def test_latest_memo_matches_frozen_arrays_by_identity():
