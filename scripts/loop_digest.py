@@ -5,7 +5,8 @@ digest, a volumes digest and their combination.
 
 For each test subject of the manifest, in manifest order, the adaptation
 loop runs on its protocol-B image against the cohort's atlases, with the
-built-in defaults and the --set overrides, as ``camelion run`` would. The
+built-in defaults and the --set overrides, as ``camelion run`` would, and
+always keeps the synthesized atlas images (``loop.atlas_images``). The
 subject's digest is a sha256 over, in this order: the MVF bytes of every
 ``LoopResult`` volume (the final labels, the label history, then every
 synthesized atlas image of every iteration), the ``repr`` of the list of
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from camelion import config as cfgmod
@@ -71,7 +73,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = cfgmod.load_config(None, args.set_pairs)
-        loop_cfg = cfgmod.loop_config(cfg)
+        loop_cfg = replace(cfgmod.loop_config(cfg), atlas_images=True)
         manifest = load_manifest(args.manifest)
         atlases = _load_atlases(manifest)
     except CamelionError as exc:

@@ -41,6 +41,7 @@ DEFAULTS: dict[str, object] = {
     "loop.max_iterations": _LOOP.max_iterations,
     "loop.change_threshold": _LOOP.change_threshold,
     "loop.mask_rel_threshold": _LOOP.mask_rel_threshold,
+    "loop.atlas_images": _LOOP.atlas_images,
     "segmenter.prior_epsilon": _LOOP.segmenter.prior_epsilon,
     "segmenter.smoothing_weight": _LOOP.segmenter.smoothing_weight,
     "pv.beta": _LOOP.pv.beta,
@@ -53,6 +54,10 @@ DEFAULTS: dict[str, object] = {
 def _parse_value(key: str, raw: str):
     default = DEFAULTS[key]
     raw = raw.strip()
+    if isinstance(default, bool):
+        if raw not in ("true", "false"):
+            raise ConfigError(f"bad value for {key}: expected true or false, got {raw!r}")
+        return raw == "true"
     try:
         if isinstance(default, int):
             return int(raw)
@@ -107,6 +112,8 @@ def load_config(path=None, set_pairs=()) -> dict:
 
 
 def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, tuple):
         return " ".join(_format_value(v) for v in value)
     if isinstance(value, float):
@@ -147,4 +154,5 @@ def loop_config(cfg: dict) -> LoopConfig:
         seed=cfg["seed"],
         nhm_percentiles=cfg["nhm.percentiles"],
         mask_rel_threshold=cfg["loop.mask_rel_threshold"],
+        atlas_images=cfg["loop.atlas_images"],
     )

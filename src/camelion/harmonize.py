@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
+from .util import percentile
 from .volumes import LabelVolume, ScalarVolume
 
 DEFAULT_PERCENTILES = (1.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 99.0)
@@ -79,7 +80,7 @@ def landmarks(image: ScalarVolume, mask=None, percentiles=DEFAULT_PERCENTILES) -
     """
     pcts = check_percentiles(percentiles)
     fg = _foreground(image, mask)
-    return np.percentile(image.data[fg].astype(np.float64), pcts)
+    return percentile(image.data[fg], pcts)
 
 
 def apply(lmap: LandmarkMap, image: ScalarVolume, mask=None) -> ScalarVolume:

@@ -7,8 +7,9 @@ input's tissue voxels, fit a synthesis model on the single (partial
 volumes, input) pair, and re-render every atlas image from its own
 precomputed partial volumes before retraining the segmenter. Everything after the synthesis fit works on the
 atlas tissue voxels only, the voxels the segmenter trains on: rendering,
-the spread-gap noise level, the injected noise and the retrain. The atlas
-images a run returns are zero off their atlas's tissue. Iteration stops
+the spread-gap noise level, the injected noise and the retrain. Only a
+run configured with atlas_images puts the synthesized atlases back on
+the grid, as images that are zero off their atlas's tissue. Iteration stops
 when fewer than the configured fraction of voxels change labels, or at
 the iteration cap.
 
@@ -33,7 +34,7 @@ from .pv import estimate_tissue_pv as estimate_pv
 from .segmenter import (AtlasSide, SegmenterConfig, SegmenterModel, atlas_side, class_order,
                         predict, train)
 from .synth import SynthConfig, SynthModel, synthesize
-from .util import LatestMemo, derived_seed, worker_count
+from .util import LatestMemo, derived_seed, percentile, worker_count
 from .volumes import (AtlasPair, LabelVolume, ScalarVolume, TissuePartialVolumes,
                       require_same_header, write_mvf)
 
@@ -48,6 +49,8 @@ class LoopConfig:
     seed: int = 0
     nhm_percentiles: tuple[float, ...] = harmonize.DEFAULT_PERCENTILES
     mask_rel_threshold: float = 0.1
+    # keep every iteration's synthesized atlas images on the LoopResult
+    atlas_images: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -77,7 +80,12 @@ class IterationRecord:
 
 @dataclass
 class LoopResult:
-    """Everything the loop produced, including the full trajectory."""
+    """Everything the loop produced, including the full trajectory.
+
+    atlas_images_history holds, per iteration, every atlas image the
+    iteration synthesized, in atlas order, when the run's LoopConfig sets
+    atlas_images; otherwise it is empty.
+    """
 
     labels_history: list[LabelVolume]          # initial labels first
     atlas_images_history: list[list[ScalarVolume]]
@@ -319,7 +327,7 @@ def foreground_mask(image: ScalarVolume, rel_threshold: float) -> np.ndarray:
     positive = data[data > 0]
     if positive.size == 0:
         raise ArgumentError("image has no positive intensities")
-    cut = rel_threshold * float(np.percentile(positive.astype(np.float64), 99))
+    cut = rel_threshold * float(percentile(positive, 99))
     return data > max(cut, 0.0)
 
 
@@ -328,6 +336,9 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
 
     Deterministic for a given config seed. On non-convergence at the
     iteration cap the last labels are returned with converged = False.
+    The synthesized atlas images are put on the grid and kept only when
+    cfg.atlas_images is set; the tissue vectors the segmenter retrains on
+    are the same either way.
     """
     fg = _checked_foreground(input_image, atlases, cfg)
     with _ATLAS_SET.lock:  # the run is counted on the entry that holds atlas_pvs
@@ -371,7 +382,8 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
             new_labels = _strip(predict(model, input_image), fg)
         change = metrics.label_change_fraction(current, new_labels)
         labels_history.append(new_labels)
-        atlas_images_history.append([_on_grid(vec, pv) for vec, pv in zip(values, atlas_pvs)])
+        if cfg.atlas_images:
+            atlas_images_history.append([_on_grid(vec, pv) for vec, pv in zip(values, atlas_pvs)])
         records.append(IterationRecord(change, model_t, stats.sigma, sigma))
         if change < cfg.change_threshold:
             converged = True
@@ -429,10 +441,11 @@ def _spread_gap_sigma(input_sigma: float, synthetic: list[np.ndarray], side: Atl
 
 
 def save_loop_artifacts(result: LoopResult, out_dir, truth_labels: LabelVolume | None = None) -> None:
-    """Write per-iteration artifacts: labels_t.mvf, atlas{i}_t.mvf and
-    trajectory.csv (each iteration's label change, input and noise sigma,
-    synthesis training error and fitted class intensities, with
-    Dice-vs-truth columns when truth labels are supplied)."""
+    """Write per-iteration artifacts: labels_t.mvf, trajectory.csv (each
+    iteration's label change, input and noise sigma, synthesis training
+    error and fitted class intensities, with Dice-vs-truth columns when
+    truth labels are supplied) and, when the result holds the atlas images
+    (LoopConfig.atlas_images), atlas{i}_t.mvf."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for t, labels in enumerate(result.labels_history):

@@ -298,7 +298,7 @@ def _pure_intervals(means: np.ndarray, present: list[int],
     classes get the empty interval (inf, -inf).
     """
     c = means[np.asarray(present) - 1]
-    if np.unique(c).size < c.size:
+    if (np.diff(np.sort(c)) == 0).any():
         return None
     lo = np.full(means.size, np.inf)
     hi = np.full(means.size, -np.inf)

@@ -91,12 +91,14 @@ def label_frequency(atlas_labels: list[LabelVolume]) -> np.ndarray:
         raise ArgumentError("need at least one atlas")
     header = require_same_header(*atlas_labels)
     k_max = atlas_labels[0].num_classes
-    freq = np.zeros((k_max,) + header.dims, dtype=np.float32)
-    for lab in atlas_labels:
-        if lab.num_classes != k_max:
-            raise ArgumentError("atlases disagree on the number of classes")
-        for k in range(1, k_max + 1):
-            freq[k - 1] += lab.data == k
+    if any(lab.num_classes != k_max for lab in atlas_labels):
+        raise ArgumentError("atlases disagree on the number of classes")
+    stack = np.stack([lab.data for lab in atlas_labels])
+    # each class's atlas count, in the narrowest integer type that holds it
+    count_type = np.min_scalar_type(len(atlas_labels))
+    freq = np.empty((k_max,) + header.dims, dtype=np.float32)
+    for k in range(1, k_max + 1):
+        freq[k - 1] = np.sum(stack == k, axis=0, dtype=count_type)
     freq /= len(atlas_labels)
     return freq
 
@@ -111,18 +113,27 @@ def box_filter(data: np.ndarray, size: int) -> np.ndarray:
     window on the right; a float64 running sum starts from the first window
     summed left to right and then adds entering minus leaving value; every
     sum is divided by size, and the axis result is cast to float32 before
-    the next axis.
+    the next axis. The filtered axis is moved to the front, so each step
+    of a running sum is one add over a whole plane of lines.
     """
     out = np.asarray(data, dtype=np.float32)
     left = size // 2
     for axis in range(out.ndim - 3, out.ndim):
-        line = np.moveaxis(out, axis, -1).astype(np.float64)
-        padded = np.pad(line, [(0, 0)] * (line.ndim - 1) + [(left, size - 1 - left)])
-        steps = np.empty_like(line)
-        steps[..., 0] = np.cumsum(padded[..., :size], axis=-1)[..., -1]
-        np.subtract(padded[..., size:], padded[..., :-size], out=steps[..., 1:])
-        out = np.moveaxis((np.cumsum(steps, axis=-1) / size).astype(np.float32), -1, axis)
-    return out
+        line = np.moveaxis(out, axis, 0)
+        n = line.shape[0]
+        padded = np.zeros((n + size - 1,) + line.shape[1:], dtype=np.float64)
+        padded[left:left + n] = line
+        sums = np.empty((n,) + line.shape[1:], dtype=np.float64)
+        np.copyto(sums[0], padded[0])
+        for j in range(1, size):
+            sums[0] += padded[j]
+        step = np.empty(line.shape[1:], dtype=np.float64)
+        for i in range(1, n):
+            np.subtract(padded[size + i - 1], padded[i - 1], out=step)
+            np.add(sums[i - 1], step, out=sums[i])
+        sums /= size
+        out = np.moveaxis(sums.astype(np.float32), 0, axis)
+    return np.ascontiguousarray(out)
 
 
 def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.ndarray:

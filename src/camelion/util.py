@@ -16,6 +16,37 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def percentile(values, q):
+    """np.percentile(values, q) with its default linear method, bit for bit,
+    for a non-empty array of values without NaN, q a scalar or a 1-D
+    sequence in [0, 100]: a float64 for a scalar q, else an array.
+
+    numpy's steps, without the np.unique call whose first use imports
+    numpy.ma: the virtual index (n - 1) q / 100; one partition of a float64
+    copy of the values on the sorted set of 0, -1 (the last index) and
+    every floor and floor + 1 of a virtual index, both -1 where it reaches
+    n - 1; and numpy's lerp between the two neighbours, taken from the
+    upper one when the weight t is at least 0.5.
+    """
+    arr = np.array(values, dtype=np.float64).reshape(-1)
+    n = arr.size
+    virtual = (n - 1) * (np.array(q, dtype=np.float64, ndmin=1) / 100)
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = -1
+    above[last] = -1
+    below = below.astype(np.intp)
+    above = above.astype(np.intp)
+    arr.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    lo, hi = arr[below], arr[above]
+    t = virtual - below
+    diff = hi - lo
+    out = lo + diff * t
+    np.subtract(hi, diff * (1 - t), out=out, where=t >= 0.5)
+    return out if np.ndim(q) else out[0]
+
+
 def derived_seed(*parts: int) -> int:
     """Collapse a tuple of non-negative integers into one stable 64-bit seed."""
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1, np.uint64)[0])

@@ -11,7 +11,7 @@ import pytest
 import camelion
 from camelion import cli, pipeline
 from camelion.cli import main
-from camelion.config import DEFAULTS, format_config, load_config, parse_config_text
+from camelion.config import DEFAULTS, format_config, load_config, loop_config, parse_config_text
 from camelion.errors import CamelionError, ConfigError
 
 # small, fast setup for command-level tests
@@ -68,6 +68,20 @@ class TestConfig:
                           ["nhm.percentiles=1 50 99.99999999"]):
             cfg = load_config(None, overrides)
             assert parse_config_text(format_config(cfg)) == cfg, overrides
+
+    def test_bool_key_round_trips(self):
+        assert DEFAULTS["loop.atlas_images"] is False
+        assert "loop.atlas_images = false\n" in format_config(DEFAULTS)
+        for raw, value in (("true", True), ("false", False), (" true ", True)):
+            cfg = load_config(None, [f"loop.atlas_images={raw}"])
+            assert cfg["loop.atlas_images"] is value
+            assert parse_config_text(format_config(cfg)) == cfg
+            assert loop_config(cfg).atlas_images is value
+
+    @pytest.mark.parametrize("raw", ["True", "FALSE", "1", "0", "yes", ""])
+    def test_bad_bool_value_exits_2(self, raw, capsys):
+        assert run_cli("config", "--set", f"loop.atlas_images={raw}") == 2
+        assert "expected true or false" in capsys.readouterr().err
 
     def test_unknown_key_in_file_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
@@ -151,7 +165,8 @@ class TestRunCommand:
         runs = tmp_path / "runs"
         code = run_cli(
             "run", "--method", "camelion", "--subject", "s002",
-            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL
+            "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
+            "--set", "loop.atlas_images=true",
         )
         assert code == 0
         out_dir = runs / "s002" / "camelion"
@@ -218,7 +233,7 @@ class TestRunCommand:
         runs = tmp_path / "runs"
         args = ["run", "--method", "camelion", "--subject", "s002",
                 "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL,
-                "--set", "loop.change_threshold=0.0001"]
+                "--set", "loop.change_threshold=0.0001", "--set", "loop.atlas_images=true"]
         assert run_cli(*args, "--set", "loop.max_iterations=3") == 0
         out_dir = runs / "s002" / "camelion"
         assert (out_dir / "labels_3.mvf").exists()
@@ -228,6 +243,41 @@ class TestRunCommand:
             "atlas0_1.mvf", "atlas1_1.mvf", "effective_config.txt", "labels_0.mvf",
             "labels_1.mvf", "labels_final.mvf", "notes.txt", "trajectory.csv"]
         assert len((out_dir / "trajectory.csv").read_text().splitlines()) == 2
+
+    def test_default_run_writes_no_atlas_images(self, cohort, tmp_path):
+        runs = {}
+        for name, extra in (("default", []), ("kept", ["--set", "loop.atlas_images=true"])):
+            runs[name] = tmp_path / name
+            assert run_cli(
+                "run", "--method", "camelion", "--subject", "s002",
+                "--manifest", str(cohort / "manifest.json"), "--out", str(runs[name]), *SMALL,
+                "--set", "loop.change_threshold=0.0001", *extra,
+            ) == 0
+        default, kept = (runs[name] / "s002" / "camelion" for name in ("default", "kept"))
+        names = sorted(p.name for p in default.iterdir())
+        assert not [name for name in names if name.startswith("atlas")]
+        assert "atlas1_2.mvf" in {p.name for p in kept.iterdir()}
+        assert names == sorted(p.name for p in kept.iterdir() if not p.name.startswith("atlas"))
+        for name in names:
+            if name != "effective_config.txt":
+                assert (default / name).read_bytes() == (kept / name).read_bytes(), name
+        # the echoed configurations differ in the key's line alone
+        default_cfg, kept_cfg = ((d / "effective_config.txt").read_text().splitlines()
+                                 for d in (default, kept))
+        assert [a for a, b in zip(default_cfg, kept_cfg, strict=True) if a != b] == [
+            "loop.atlas_images = false"]
+        assert "loop.atlas_images = true" in kept_cfg
+
+    def test_default_rerun_clears_earlier_atlas_images(self, cohort, tmp_path):
+        runs = tmp_path / "runs"
+        args = ["run", "--method", "camelion", "--subject", "s002",
+                "--manifest", str(cohort / "manifest.json"), "--out", str(runs), *SMALL]
+        assert run_cli(*args, "--set", "loop.atlas_images=true") == 0
+        out_dir = runs / "s002" / "camelion"
+        assert list(out_dir.glob("atlas*_*.mvf"))
+        assert run_cli(*args) == 0
+        assert not list(out_dir.glob("atlas*_*.mvf"))
+        assert (out_dir / "labels_final.mvf").exists()
 
     def test_failed_rerun_leaves_no_earlier_labels(self, cohort, tmp_path, monkeypatch):
         runs = tmp_path / "runs"
@@ -551,6 +601,18 @@ def test_import_leaves_scipy_ndimage_unloaded(cohort, tmp_path):
             f"code = camelion.cli.main({argv!r}); print(code, 'scipy.ndimage' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False", (argv[:3], proc.stdout)
+
+
+def test_runs_leave_numpy_ma_unloaded(cohort, tmp_path):
+    # np.percentile and np.unique import numpy.ma on their first call
+    manifest = str(cohort / "manifest.json")
+    for method in ("direct", "camelion"):
+        argv = ["run", "--method", method, "--subject", "s002", "--manifest", manifest,
+                "--out", str(tmp_path / "runs"), *SMALL]
+        proc = run_after_cli_import(
+            f"code = camelion.cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False", (method, proc.stdout)
 
 
 def test_cli_import_loads_every_module():

@@ -187,7 +187,7 @@ class TestWarmRun:
     the atlas-set work done once and the kept noise draws dropped in
     time."""
 
-    CFG = LoopConfig(max_iterations=3, change_threshold=0.0001)
+    CFG = LoopConfig(max_iterations=3, change_threshold=0.0001, atlas_images=True)
 
     @staticmethod
     def outputs(result):
@@ -424,7 +424,7 @@ class TestRun:
 
     def test_single_iteration_bound(self, small_cohort):
         atlases, input_image, _ = small_cohort
-        cfg = LoopConfig(max_iterations=1, change_threshold=0.0001)
+        cfg = LoopConfig(max_iterations=1, change_threshold=0.0001, atlas_images=True)
         result = run(input_image, atlases, cfg)
         assert result.iterations_run == 1
         assert len(result.atlas_images_history) == 1
@@ -433,7 +433,7 @@ class TestRun:
     def test_deterministic(self, small_cohort, fresh_atlas_memo):
         # the first run fills the atlas-set memo, the second reuses it
         atlases, input_image, _ = small_cohort
-        cfg = LoopConfig(max_iterations=2)
+        cfg = LoopConfig(max_iterations=2, atlas_images=True)
         r1 = run(input_image, atlases, cfg)
         r2 = run(input_image, atlases, cfg)
 
@@ -470,7 +470,7 @@ class TestRun:
         # fixed partial volumes
         atlases, input_image, _ = small_cohort
         monkeypatch.setattr(pipeline, "_with_noise", lambda values, sigma, normals: values)
-        cfg = LoopConfig(max_iterations=1)
+        cfg = LoopConfig(max_iterations=1, atlas_images=True)
         result = run(input_image, atlases, cfg)
         c = result.records[0].synth.class_intensities
         pvs = precompute_atlas_pv(atlases, cfg.pv)
@@ -482,7 +482,7 @@ class TestRun:
     def test_atlas_images_are_zero_off_tissue(self, small_cohort, backend):
         atlases, input_image, _ = small_cohort
         cfg = LoopConfig(max_iterations=2, change_threshold=0.0001,
-                         synth=SynthConfig(backend=backend, epochs=1))
+                         synth=SynthConfig(backend=backend, epochs=1), atlas_images=True)
         result = run(input_image, atlases, cfg)
         assert result.atlas_images_history
         for images in result.atlas_images_history:
@@ -491,6 +491,28 @@ class TestRun:
                 assert np.all(image.data[background] == 0.0)
                 # noise was added on the tissue, so no tissue voxel is left at 0
                 assert np.all(image.data[~background] != 0.0)
+
+    def test_atlas_images_only_on_request(self, small_cohort, monkeypatch):
+        atlases, input_image, _ = small_cohort
+        cfg = LoopConfig(max_iterations=3, change_threshold=0.0001)
+        assert not cfg.atlas_images
+        kept = run(input_image, atlases, replace(cfg, atlas_images=True))
+        assert len(kept.atlas_images_history) == kept.iterations_run
+
+        def no_grid(values, pv):
+            raise AssertionError("atlas images put on the grid without a request")
+
+        monkeypatch.setattr(pipeline, "_on_grid", no_grid)
+        result = run(input_image, atlases, cfg)
+        assert result.atlas_images_history == []
+        # the images are kept or not; the loop itself is the same
+        assert ([encode_mvf(v) for v in result.labels_history]
+                == [encode_mvf(v) for v in kept.labels_history])
+        assert result.converged == kept.converged
+        for got, want in zip(result.records, kept.records, strict=True):
+            assert (got.change_fraction, got.input_sigma, got.noise_sigma, got.synth.train_mse) \
+                == (want.change_fraction, want.input_sigma, want.noise_sigma, want.synth.train_mse)
+            assert got.synth.class_intensities.tobytes() == want.synth.class_intensities.tobytes()
 
     def test_records_carry_both_sigmas(self, small_cohort):
         atlases, input_image, _ = small_cohort
@@ -550,6 +572,29 @@ class TestRun:
         assert err.value.stage == "synthesize[1]"
         assert len(err.value.partial.records) == 1
         assert len(err.value.partial.labels_history) == 2
+
+    @pytest.mark.parametrize("atlas_images", [False, True])
+    def test_partial_result_keeps_atlas_images_only_on_request(self, small_cohort, monkeypatch,
+                                                               fresh_atlas_memo, atlas_images):
+        atlases, input_image, _ = small_cohort
+        real = pipeline.train
+        calls = []
+
+        def train_failing_in_iteration_1(values, side, cfg):
+            # the first model, then one retrain per iteration
+            calls.append(values)
+            if len(calls) == 3:
+                raise CamelionError("training failed")
+            return real(values, side, cfg)
+
+        monkeypatch.setattr(pipeline, "train", train_failing_in_iteration_1)
+        cfg = LoopConfig(max_iterations=3, change_threshold=0.0001, atlas_images=atlas_images)
+        with pytest.raises(PipelineError) as err:
+            run(input_image, atlases, cfg)
+        assert err.value.stage == "retrain[1]"
+        partial = err.value.partial
+        assert len(partial.records) == 1
+        assert len(partial.atlas_images_history) == (1 if atlas_images else 0)
 
     def test_stage_error_is_tagged(self, small_cohort):
         atlases, input_image, _ = small_cohort
@@ -730,7 +775,8 @@ class TestSpreadGapAndNoise:
 class TestArtifacts:
     def test_save_loop_artifacts(self, small_cohort, tmp_path):
         atlases, input_image, truth = small_cohort
-        result = run(input_image, atlases, LoopConfig(max_iterations=2, change_threshold=0.001))
+        result = run(input_image, atlases,
+                     LoopConfig(max_iterations=2, change_threshold=0.001, atlas_images=True))
         save_loop_artifacts(result, tmp_path, truth_labels=truth)
         for t in range(result.iterations_run + 1):
             assert (tmp_path / f"labels_{t}.mvf").exists()
@@ -746,6 +792,20 @@ class TestArtifacts:
             "intensity_ventricles,intensity_gray_matter,intensity_white_matter,"
             "intensity_brainstem"
         )
+
+    def test_default_result_writes_no_atlas_images(self, small_cohort, tmp_path):
+        atlases, input_image, truth = small_cohort
+        cfg = LoopConfig(max_iterations=2, change_threshold=0.001)
+        for name, atlas_images in (("default", False), ("kept", True)):
+            result = run(input_image, atlases, replace(cfg, atlas_images=atlas_images))
+            save_loop_artifacts(result, tmp_path / name, truth_labels=truth)
+        default, kept = (sorted(p.name for p in (tmp_path / name).iterdir())
+                         for name in ("default", "kept"))
+        assert default == [name for name in kept if not name.startswith("atlas")]
+        assert "atlas0_1.mvf" in kept
+        for name in default:
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "kept" / name).read_bytes(), name
 
     def test_trajectory_holds_each_fit(self, small_cohort, tmp_path):
         atlases, input_image, truth = small_cohort

@@ -120,6 +120,24 @@ def test_label_frequency_before_smoothing():
     assert freq[2, 0, 0, 0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("n_atlas", [1, 3, 255, 256, 300])
+def test_label_frequency_matches_running_count(n_atlas):
+    # past 255 atlases a class count no longer fits in uint8
+    rng = np.random.default_rng(n_atlas)
+    arrays = rng.integers(0, 6, (n_atlas, 2, 3, 4)).astype(np.uint8)
+    arrays[:, 0, 0, 0] = 2
+    expected = np.zeros((5, 2, 3, 4), dtype=np.float32)
+    for lab in arrays:
+        for k in range(1, 6):
+            expected[k - 1] += lab == k
+    expected /= n_atlas
+    header = VolumeHeader((2, 3, 4), (1.0, 1.0, 1.0))
+    got = label_frequency([LabelVolume(header, a, num_classes=5) for a in arrays])
+    assert got.dtype == np.float32
+    assert got.tobytes() == expected.tobytes()
+    assert got[1, 0, 0, 0] == 1.0
+
+
 def test_atlas_order_invariance():
     rng = np.random.default_rng(3)
     labels = five_class_labels()

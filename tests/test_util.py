@@ -8,7 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from camelion.util import LatestMemo, worker_count
+from camelion.harmonize import DEFAULT_PERCENTILES
+from camelion.util import LatestMemo, percentile, worker_count
 
 
 def test_latest_memo_matches_frozen_arrays_by_identity():
@@ -98,3 +99,27 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     # the environment no longer caps the pool; taskset does
     monkeypatch.setenv("CAMELION_THREADS", "1")
     assert worker_count() == len(os.sched_getaffinity(0))
+
+
+def percentile_inputs(rng):
+    """Arrays of several sizes with ties, signed zeros and float32 values."""
+    for n in (1, 2, 3, 5, 10, 101, 4096, 43597):
+        yield rng.normal(size=n)
+        yield rng.integers(-3, 4, size=n).astype(np.float64)
+        yield rng.choice([-0.0, 0.0, 1.0, -1.0], size=n)
+        yield (rng.random(n) * 100).astype(np.float32)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 12.5, 50.0, 99.0, 100.0, 1e-9, 100 - 1e-12,
+                               DEFAULT_PERCENTILES, (0.0, 50.0, 100.0), [99.0]])
+def test_percentile_matches_numpy_bit_for_bit(q):
+    rng = np.random.default_rng(17)
+    for values in percentile_inputs(rng):
+        before = values.copy()
+        expected = np.percentile(values.astype(np.float64), q)
+        got = percentile(values, q)
+        assert type(got) is type(expected)
+        assert np.shape(got) == np.shape(expected)
+        # tobytes tells -0.0 from 0.0
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (values.size, q)
+        assert values.tobytes() == before.tobytes()
