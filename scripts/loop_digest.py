@@ -1,5 +1,5 @@
-"""Print the loop digest of a cohort: one sha256 per test subject, an arms
-digest, a volumes digest and their combination.
+"""Print the loop digest of a cohort: a cohort digest, one sha256 per test
+subject, an arms digest, a volumes digest and their combination.
 
     PYTHONPATH=src python3 scripts/loop_digest.py COHORT/manifest.json [--set KEY=VALUE ...]
 
@@ -22,8 +22,15 @@ digest, and the same volumes when they print the same volumes digest. A
 change that alters the loop's bytes by design leaves the comparison arms
 alone when the arms digest stays the same.
 
-The lines are, in order: one ``<subject id> <hex>`` line per test
-subject, then ``arms <hex>``, ``volumes <hex>`` and ``combined <hex>``.
+The cohort digest is a sha256 over the bytes of every file the manifest
+lists, subject by subject in manifest order and, within a subject, its
+``image_a``, ``image_b`` and ``labels`` files. It covers what the loop
+never reads: the test subjects' truth labels and protocol-A images and
+the atlases' protocol-B images.
+
+The lines are, in order: ``cohort <hex>``, one ``<subject id> <hex>``
+line per test subject, then ``arms <hex>``, ``volumes <hex>`` and
+``combined <hex>``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from pathlib import Path
 
 from camelion import config as cfgmod
 from camelion.cli import _load_atlases
-from camelion.errors import CamelionError
+from camelion.errors import CamelionError, PersistenceError
 from camelion.phantom import load_manifest
 from camelion.pipeline import run, run_direct, run_nhm
 from camelion.volumes import encode_mvf, read_mvf
@@ -64,6 +71,21 @@ def subject_digest(input_image, atlases, loop_cfg, reference_atlas: int, volumes
     return digest.digest()
 
 
+def cohort_digest(manifest) -> str:
+    """sha256 hex over the bytes of every file the manifest lists, in
+    manifest order."""
+    root = Path(manifest["_dir"])
+    digest = hashlib.sha256()
+    for entry in manifest["subjects"]:
+        for key in ("image_a", "image_b", "labels"):
+            path = root / entry[key]
+            try:
+                digest.update(path.read_bytes())
+            except OSError as exc:
+                raise PersistenceError(f"cannot read {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("manifest", help="cohort manifest (from 'camelion phantom')")
@@ -76,9 +98,11 @@ def main(argv=None) -> int:
         loop_cfg = replace(cfgmod.loop_config(cfg), atlas_images=True)
         manifest = load_manifest(args.manifest)
         atlases = _load_atlases(manifest)
+        cohort = cohort_digest(manifest)
     except CamelionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(f"cohort {cohort}")
     root = Path(manifest["_dir"])
     arms = hashlib.sha256()
     volumes = hashlib.sha256()

@@ -7,11 +7,19 @@ cylinder extending inferiorly. Geometry is defined on a supersampled grid;
 averaging the supersampled labels down to the working resolution yields
 exact partial-volume ground truth. The subvoxels are tested only in the
 low-res cells a structure surface crosses.
+
+A cohort builds each subject's truth per low-res cell, without the
+supersampled grid: a pure cell takes its fractions and label from its base
+label, and the counting, the top-two rule and the argmax run only in the
+mixed cells. The oracle chain restrict_to_top_two(downsample_to_pv(
+generate_label_phantom(...))) and pv_to_labels rebuild the same truth byte
+for byte through the full grid.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +42,8 @@ LOW_RES_VOXEL_MM = 1.0
 MANIFEST_NAME = "manifest.json"
 # the string fields of every manifest subject entry, besides its role
 _ENTRY_STRINGS = ("id", "image_a", "image_b", "labels")
+# the name of every subject file a cohort writes
+_SUBJECT_FILE = re.compile(r"s\d+_(image_a|image_b|labels)\.mvf")
 
 
 @dataclass(frozen=True)
@@ -154,10 +164,11 @@ def _ellipsoid_terms(coords, center, radii) -> tuple[np.ndarray, ...]:
     return tuple(((c - m) / r) ** 2 for c, m, r in zip(coords, center, radii))
 
 
-def _outer_sum(tx, ty, tz) -> np.ndarray:
-    # (tx + ty) + tz over every (x, y, z) triple, batched over any leading
-    # axes; every structure test adds its terms in this order
-    return (tx[..., :, None, None] + ty[..., None, :, None]) + tz[..., None, None, :]
+def _outer_sum(tx, ty, tz, out=None) -> np.ndarray:
+    # (tx + ty) + tz over every (x, y, z) triple of the first axes, batched
+    # over any trailing axes; every structure test adds its terms in this
+    # order
+    return np.add(tx[:, None, None] + ty[None, :, None], tz[None, None, :], out=out)
 
 
 def _geometry(params: PhantomParams, subject_index: int) -> list:
@@ -202,6 +213,19 @@ def _geometry(params: PhantomParams, subject_index: int) -> list:
     ]
 
 
+def _sum_within(terms, dims) -> np.ndarray:
+    """The test (tx + ty) + tz <= 1 over the low-res cells, for per-axis
+    terms of one value per cell. The sum runs only in the box where every
+    term is <= 1: elsewhere a term is above 1, and a rounded sum of
+    non-negative terms is never below an addend."""
+    spans = [np.flatnonzero(t <= 1.0) for t in terms]
+    holds = np.zeros(dims, dtype=bool)
+    if all(span.size for span in spans):
+        box = tuple(slice(span[0], span[-1] + 1) for span in spans)
+        holds[box] = _outer_sum(*(t[b] for t, b in zip(terms, box))) <= 1.0
+    return holds
+
+
 def _classify(params: PhantomParams, subject_index: int):
     """Rasterize one subject per low-res cell: (base, mixed, blocks).
 
@@ -219,19 +243,23 @@ def _classify(params: PhantomParams, subject_index: int):
     """
     f = params.supersample
     dims = params.base_dims
+    # each per-axis term as an (f, cells) array: subvoxel-major, so that
+    # the per-subvoxel sums run along the cells
     geometry = [
-        (label, [tuple(t.reshape(-1, f) for t in terms) for terms in tests])
+        (label, [tuple(np.ascontiguousarray(t.reshape(-1, f).T) for t in terms)
+                 for terms in tests])
         for label, tests in _geometry(params, subject_index)
     ]
     inside, undecided = [], []
     for _, tests in geometry:
-        hit = np.ones(dims, dtype=bool)
-        miss = np.zeros(dims, dtype=bool)
-        for terms in tests:
-            hit &= _outer_sum(*(t.max(axis=1) for t in terms)) <= 1.0
-            miss |= _outer_sum(*(t.min(axis=1) for t in terms)) > 1.0
+        # hit: every subvoxel passes (the largest terms do); near: some
+        # subvoxel may (the smallest terms do)
+        hit = np.logical_and.reduce(
+            [_sum_within([t.max(axis=0) for t in terms], dims) for terms in tests])
+        near = np.logical_and.reduce(
+            [_sum_within([t.min(axis=0) for t in terms], dims) for terms in tests])
         inside.append(hit)
-        undecided.append(~(hit | miss))
+        undecided.append(near & ~hit)
     covered = np.zeros(dims, dtype=bool)
     for todo, hit in zip(reversed(undecided), reversed(inside)):
         todo &= ~covered
@@ -243,15 +271,24 @@ def _classify(params: PhantomParams, subject_index: int):
     mixed = np.flatnonzero(np.logical_or.reduce(undecided))
     blocks = np.empty((mixed.size, f, f, f), dtype=np.uint8)
     blocks[...] = base.ravel()[mixed, None, None, None]
+    # one buffer takes every per-subvoxel sum, rather than fresh pages per test
+    sums = np.empty((f, f, f, mixed.size))
     for (label, tests), todo in zip(geometry, undecided):
         pick = np.flatnonzero(todo.ravel()[mixed])
         cells = np.unravel_index(mixed[pick], dims)
-        holds = np.ones((pick.size, f, f, f), dtype=bool)
-        for terms in tests:
-            holds &= _outer_sum(*(t[c] for t, c in zip(terms, cells))) <= 1.0
-        painted = blocks[pick]
-        painted[holds] = label
-        blocks[pick] = painted
+        out = sums[..., :pick.size]
+        # np.take keeps each gathered (f, cells) term C-contiguous
+        holds = np.logical_and.reduce([
+            _outer_sum(*(np.take(t, c, axis=1) for t, c in zip(terms, cells)), out=out) <= 1.0
+            for terms in tests
+        ])
+        # beneath + (label - beneath) * holds in wrapping uint8: label where
+        # the tests hold, else the label beneath; several times cheaper than
+        # a masked write
+        beneath = blocks[pick]
+        step = np.subtract(label, beneath, dtype=np.uint8)
+        step *= np.moveaxis(holds, 3, 0)
+        blocks[pick] = beneath + step
     return base, mixed, blocks
 
 
@@ -288,25 +325,6 @@ def _fractions(counts: np.ndarray, cell: int) -> np.ndarray:
     return np.where(keep, counts[1:] / denom, 0.0).astype(np.float32)
 
 
-def _subject_pv(params: PhantomParams, subject_index: int) -> PartialVolumeSet:
-    """downsample_to_pv(generate_label_phantom(params, subject_index),
-    params.supersample), counted per cell without the supersampled grid: a
-    cell of one label holds supersample^3 of it, and the mixed cells share
-    one bincount."""
-    base, mixed, blocks = _classify(params, subject_index)
-    f = params.supersample
-    n_codes = tissues.NUM_CLASSES + 1
-    counts = np.zeros((n_codes, base.size), dtype=np.int64)
-    counts[base.ravel(), np.arange(base.size)] = f**3
-    codes = np.arange(mixed.size)[:, None] * n_codes + blocks.reshape(mixed.size, f**3)
-    per_cell = np.bincount(codes.ravel(), minlength=mixed.size * n_codes)
-    counts[:, mixed] = per_cell.reshape(mixed.size, n_codes).T
-    channels = _fractions(counts.reshape((n_codes,) + params.base_dims), f**3)
-    # the supersampled voxel scaled back up, as downsample_to_pv computes it
-    voxel = tuple(LOW_RES_VOXEL_MM / f * f for _ in range(3))
-    return PartialVolumeSet(VolumeHeader(params.base_dims, voxel), channels)
-
-
 def downsample_to_pv(hr: LabelVolume, factor: int) -> PartialVolumeSet:
     """Average supersampled labels into per-class fractions.
 
@@ -341,16 +359,10 @@ def downsample_to_pv(hr: LabelVolume, factor: int) -> PartialVolumeSet:
     return PartialVolumeSet(VolumeHeader(out_dims, voxel), _fractions(counts, factor**3))
 
 
-def restrict_to_top_two(pv: PartialVolumeSet) -> PartialVolumeSet:
-    """Zero all but the two largest channels per voxel and renormalize.
-
-    Ties keep the smaller class index. Background voxels stay background.
-    Only voxels with three or more nonzero channels are sorted: elsewhere
-    the two largest channels already hold every nonzero fraction.
-    """
-    ch = pv.channels.astype(np.float64)
-    if ch.shape[0] <= 2:
-        return pv
+def _top_two(channels: np.ndarray) -> np.ndarray:
+    """:func:`restrict_to_top_two`'s rule on a (K, ...) stack of channels,
+    returned as a new float32 array of the same shape."""
+    ch = channels.astype(np.float64)
     flat = ch.reshape(ch.shape[0], -1)
     crowded = np.flatnonzero(np.count_nonzero(flat, axis=0) > 2)
     stacks = flat[:, crowded]
@@ -359,16 +371,66 @@ def restrict_to_top_two(pv: PartialVolumeSet) -> PartialVolumeSet:
     flat[:, crowded] = stacks
     total = ch.sum(axis=0)
     tissue = total > 0
-    kept = np.where(tissue, ch / np.where(tissue, total, 1.0), 0.0)
-    return PartialVolumeSet(pv.header, kept.astype(np.float32))
+    return np.where(tissue, ch / np.where(tissue, total, 1.0), 0.0).astype(np.float32)
+
+
+def _argmax_labels(channels: np.ndarray) -> np.ndarray:
+    """:func:`pv_to_labels`'s rule on a (K, ...) stack of channels, returned
+    as a new uint8 array of the trailing shape."""
+    labels = (channels.argmax(axis=0) + 1).astype(np.uint8)
+    labels[~channels.any(axis=0)] = 0
+    return labels
+
+
+def restrict_to_top_two(pv: PartialVolumeSet) -> PartialVolumeSet:
+    """Zero all but the two largest channels per voxel and renormalize.
+
+    Ties keep the smaller class index. Background voxels stay background.
+    Only voxels with three or more nonzero channels are sorted: elsewhere
+    the two largest channels already hold every nonzero fraction.
+    """
+    if pv.num_classes <= 2:
+        return pv
+    return PartialVolumeSet(pv.header, _top_two(pv.channels))
 
 
 def pv_to_labels(pv: PartialVolumeSet) -> LabelVolume:
     """Hard labels: per-voxel argmax channel, ties to the smaller class index."""
-    ch = pv.channels
-    labels = (ch.argmax(axis=0) + 1).astype(np.uint8)
-    labels[~ch.any(axis=0)] = 0
-    return LabelVolume(pv.header, labels, num_classes=pv.num_classes)
+    return LabelVolume(pv.header, _argmax_labels(pv.channels), num_classes=pv.num_classes)
+
+
+def _subject_truth(params: PhantomParams, subject_index: int):
+    """One subject's truth (pv, labels): the partial volumes
+    restrict_to_top_two(downsample_to_pv(generate_label_phantom(params,
+    subject_index), params.supersample)) and their pv_to_labels, built per
+    low-res cell without the supersampled grid.
+
+    A pure cell is one-hot in its base label (f^3 / f^3 = 1.0, kept by the
+    top-two rule as 1.0 / 1.0), or all-zero on background. Only the mixed
+    cells are counted, one bincount for all of them, and only their
+    columns go through the fraction, top-two and argmax rules.
+    """
+    base, mixed, blocks = _classify(params, subject_index)
+    f = params.supersample
+    k = tissues.NUM_CLASSES
+    labels = base.copy()
+    channels = np.zeros((k,) + base.shape, dtype=np.float32)
+    # flat views, one column per cell
+    flat_labels = labels.reshape(-1)
+    flat_channels = channels.reshape(k, -1)
+    flat_labels[mixed] = 0
+    pure = np.flatnonzero(flat_labels)
+    flat_channels[flat_labels[pure] - 1, pure] = 1.0
+    n_codes = k + 1
+    codes = np.arange(mixed.size)[:, None] * n_codes + blocks.reshape(mixed.size, f**3)
+    counts = np.bincount(codes.ravel(), minlength=mixed.size * n_codes)
+    kept = _top_two(_fractions(counts.reshape(mixed.size, n_codes).T, f**3))
+    flat_channels[:, mixed] = kept
+    flat_labels[mixed] = _argmax_labels(kept)
+    # the supersampled voxel scaled back up, as downsample_to_pv computes it
+    voxel = tuple(LOW_RES_VOXEL_MM / f * f for _ in range(3))
+    header = VolumeHeader(params.base_dims, voxel)
+    return PartialVolumeSet(header, channels), LabelVolume(header, labels, num_classes=k)
 
 
 def bias_field(dims: tuple[int, int, int], amplitude: float) -> np.ndarray:
@@ -404,8 +466,7 @@ def render(pv: PartialVolumeSet, proto: ProtocolParams, seed: int) -> ScalarVolu
 
 
 def _build_subject(params: PhantomParams, index: int, proto_a, proto_b, out_dir: Path, sid: str):
-    pv = restrict_to_top_two(_subject_pv(params, index))
-    labels = pv_to_labels(pv)
+    pv, labels = _subject_truth(params, index)
     img_a = render(pv, proto_a, derived_seed(params.seed, index, 1))
     img_b = render(pv, proto_b, derived_seed(params.seed, index, 2))
     files = {
@@ -431,13 +492,18 @@ def generate_cohort(
 
     Every subject gets three files (protocol-A image, protocol-B image,
     truth labels); the manifest lists them with relative paths so a cohort
-    directory is relocatable. Each subject's labels are counted per low-res
-    cell, without the supersampled grid. The truth partial volumes are not
-    written: restrict_to_top_two(downsample_to_pv(generate_label_phantom(
-    params, i), params.supersample)) rebuilds them, byte for byte, from the
-    seed. Subjects are rendered in parallel, one worker per CPU the process
-    may run on, but the output is byte-identical for a given seed
-    regardless of worker count.
+    directory is relocatable. Each subject's truth is built per low-res
+    cell, without the supersampled grid: pure cells come from their base
+    label, and the subvoxel counts and the top-two rule run only in the
+    mixed cells a structure surface crosses. The truth partial volumes are
+    not written: restrict_to_top_two(downsample_to_pv(generate_label_phantom(
+    params, i), params.supersample)) rebuilds them, and pv_to_labels the
+    labels, byte for byte, from the seed. Subjects are rendered in
+    parallel, one worker per CPU the process may run on, but the output is
+    byte-identical for a given seed regardless of worker count. A rerun
+    into the directory of a larger cohort removes that cohort's subject
+    files (``s<digits>_image_a.mvf``, ``_image_b.mvf``, ``_labels.mvf``)
+    that the new manifest does not list, and keeps every other file.
     """
     if n_atlas < 1 or n_test < 1:
         raise ArgumentError("need at least one atlas and one test subject")
@@ -479,7 +545,19 @@ def generate_cohort(
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise PersistenceError(f"cannot write {manifest_path}: {exc}") from exc
+    _remove_stale_subjects(out_dir, {name for files in all_files for name in files.values()})
     return manifest
+
+
+def _remove_stale_subjects(out_dir: Path, listed: set) -> None:
+    """Remove the subject files of an earlier, larger cohort in out_dir
+    that the new manifest does not list; any other file is kept."""
+    try:
+        for path in out_dir.iterdir():
+            if _SUBJECT_FILE.fullmatch(path.name) and path.name not in listed and path.is_file():
+                path.unlink()
+    except OSError as exc:
+        raise PersistenceError(f"cannot clear the earlier cohort in {out_dir}: {exc}") from exc
 
 
 def load_manifest(path) -> dict:

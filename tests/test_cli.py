@@ -110,6 +110,17 @@ class TestPhantomCommand:
         for f in sorted(cohort.iterdir()):
             assert f.read_bytes() == (out2 / f.name).read_bytes(), f.name
 
+    def test_rerun_with_fewer_subjects_keeps_only_the_listed_files(self, tmp_path):
+        out = tmp_path / "cohort"
+        assert run_cli("phantom", "--out", str(out), *SMALL, "--set", "phantom.n_test=4") == 0
+        (out / "notes.txt").write_text("kept")
+        assert run_cli("phantom", "--out", str(out), *SMALL) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {entry[key] for entry in manifest["subjects"]
+                  for key in ("image_a", "image_b", "labels")}
+        assert {f.name for f in out.iterdir()} == listed | {
+            "manifest.json", "effective_config.txt", "notes.txt"}
+
     def test_unwritable_out_is_exit_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where a directory should go")

@@ -1,15 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
 
 from camelion import phantom, tissues
-from camelion.errors import ArgumentError
+from camelion.errors import ArgumentError, PersistenceError
 from camelion.phantom import (
     DEFAULT_PROTOCOL_A,
     DEFAULT_PROTOCOL_B,
     PhantomParams,
     ProtocolParams,
-    _subject_pv,
+    _subject_truth,
     bias_field,
     downsample_to_pv,
     generate_cohort,
@@ -42,6 +44,16 @@ RASTER_CASES = {
         PhantomParams(base_dims=(8, 8, 8), supersample=5, seed=3, shape_jitter=0.0), 0),
     "odd_dims_ss5_jitter_0.3": (
         PhantomParams(base_dims=(8, 9, 11), supersample=5, seed=3, shape_jitter=0.3), 4),
+}
+
+# (params, subject) pairs whose cohort truth is checked against the oracle
+# chain: the raster cases, a supersample-5 cohort setting and a grid coarse
+# enough for cells that mix three classes before the top-two rule
+TRUTH_CASES = {
+    **RASTER_CASES,
+    "cohort_32_ss5": (PhantomParams(base_dims=(32, 32, 32), supersample=5, seed=12345), 0),
+    "corners_10_12_10_ss4_jitter_0.3": (
+        PhantomParams(base_dims=(10, 12, 10), supersample=4, seed=5, shape_jitter=0.3), 3),
 }
 
 
@@ -138,14 +150,23 @@ class TestDownsample:
         assert pv.header.dims == params.base_dims
         assert np.array_equal(pv.channels, expected.astype(np.float32))
 
-    @pytest.mark.parametrize("case", sorted(RASTER_CASES))
+    @pytest.mark.parametrize("case", sorted(TRUTH_CASES))
     def test_cohort_fractions_match_downsampled_phantom(self, case):
-        # the cohort counts labels per cell without the supersampled grid
-        params, subject = RASTER_CASES[case]
-        expected = downsample_to_pv(generate_label_phantom(params, subject), params.supersample)
-        pv = _subject_pv(params, subject)
+        # the cohort builds each subject's truth per low-res cell: pure cells
+        # from their base label, only the mixed cells counted; the oracle
+        # chain goes through the supersampled grid
+        params, subject = TRUTH_CASES[case]
+        fractions = downsample_to_pv(generate_label_phantom(params, subject), params.supersample)
+        if case.startswith("corners"):
+            assert (np.count_nonzero(fractions.channels, axis=0) > 2).any()
+        expected = restrict_to_top_two(fractions)
+        expected_labels = pv_to_labels(expected)
+        pv, labels = _subject_truth(params, subject)
         assert pv.header == expected.header
         assert pv.channels.tobytes() == expected.channels.tobytes()
+        assert labels.header == expected_labels.header
+        assert labels.num_classes == expected_labels.num_classes
+        assert labels.data.tobytes() == expected_labels.data.tobytes()
 
     def test_non_divisible_dims(self):
         data = np.zeros((5, 4, 4), dtype=np.uint8)
@@ -345,3 +366,39 @@ class TestCohort:
         manifest = load_manifest(tmp_path / "manifest.json")
         assert manifest["_dir"] == str(tmp_path)
         assert manifest["n_atlas"] == 1
+
+    def test_rerun_with_fewer_subjects_leaves_no_stale_files(self, tmp_path):
+        params = PhantomParams(base_dims=(16, 16, 16), supersample=2, seed=3)
+        generate_cohort(params, 3, 2, DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, tmp_path)
+        manifest = generate_cohort(params, 1, 1, DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, tmp_path)
+        listed = {entry[key] for entry in manifest["subjects"]
+                  for key in ("image_a", "image_b", "labels")}
+        assert len(listed) == 6
+        assert {f.name for f in tmp_path.iterdir()} == listed | {"manifest.json"}
+
+    def test_rerun_keeps_unrelated_files(self, tmp_path):
+        params = PhantomParams(base_dims=(16, 16, 16), supersample=2, seed=3)
+        generate_cohort(params, 2, 2, DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, tmp_path)
+        unrelated = ["notes.txt", "effective_config.txt", "s003_image_a.mvf.bak",
+                     "s003_extra.mvf", "S003_labels.mvf", "sx03_labels.mvf", "s003_labels.mvf2"]
+        for name in unrelated:
+            (tmp_path / name).write_text(name)
+        (tmp_path / "s009_labels.mvf").mkdir()  # not a file
+        generate_cohort(params, 1, 1, DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, tmp_path)
+        for name in unrelated:
+            assert (tmp_path / name).read_text() == name
+        assert (tmp_path / "s009_labels.mvf").is_dir()
+        for sid in ("s002", "s003"):
+            for kind in ("image_a", "image_b", "labels"):
+                assert not (tmp_path / f"{sid}_{kind}.mvf").exists()
+
+    def test_stale_file_that_cannot_be_removed(self, tmp_path, monkeypatch):
+        params = PhantomParams(base_dims=(16, 16, 16), supersample=2, seed=3)
+        generate_cohort(params, 2, 1, DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, tmp_path)
+
+        def refuse(path, missing_ok=False):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        with pytest.raises(PersistenceError, match="earlier cohort"):
+            generate_cohort(params, 1, 1, DEFAULT_PROTOCOL_A, DEFAULT_PROTOCOL_B, tmp_path)
