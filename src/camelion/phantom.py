@@ -18,6 +18,7 @@ for byte through the full grid.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -83,8 +84,8 @@ class ProtocolParams:
     global monotone contrast warp (exponent gamma over the class-mean
     range), bias is a smooth separable multiplicative field around 1, and
     the noise is Gaussian with standard deviation noise_sigma. The warp
-    divides by the largest class mean and clamps negative signal to 0, so
-    it needs every class mean > 0; the field stays positive only for
+    divides by the largest class mean and needs every class mean > 0, so
+    that no signal is negative; the field stays positive only for
     bias_amplitude < 1.
     """
 
@@ -305,14 +306,15 @@ def generate_label_phantom(params: PhantomParams, subject_index: int) -> LabelVo
     base, mixed, blocks = _classify(params, subject_index)
     f = params.supersample
     nx, ny, nz = params.base_dims
-    labels = np.empty((nx, f, ny, f, nz, f), dtype=np.uint8)
-    labels[...] = base[:, None, :, None, :, None]
-    cx, cy, cz = np.unravel_index(mixed, params.base_dims)
-    labels[cx, :, cy, :, cz, :] = blocks
     dims = (nx * f, ny * f, nz * f)
+    labels = np.empty(dims, dtype=np.uint8)
+    # each cell's f^3 subvoxels, as axes 1, 3 and 5 of a view
+    cells = labels.reshape(nx, f, ny, f, nz, f)
+    cells[...] = base[:, None, :, None, :, None]
+    cx, cy, cz = np.unravel_index(mixed, params.base_dims)
+    cells[cx, :, cy, :, cz, :] = blocks
     voxel = tuple(LOW_RES_VOXEL_MM / f for _ in range(3))
-    return LabelVolume(VolumeHeader(dims, voxel), labels.reshape(dims),
-                       num_classes=tissues.NUM_CLASSES)
+    return LabelVolume(VolumeHeader(dims, voxel), labels, num_classes=tissues.NUM_CLASSES)
 
 
 def _fractions(counts: np.ndarray, cell: int) -> np.ndarray:
@@ -433,18 +435,37 @@ def _subject_truth(params: PhantomParams, subject_index: int):
     return PartialVolumeSet(header, channels), LabelVolume(header, labels, num_classes=k)
 
 
+@functools.lru_cache(maxsize=4)
 def bias_field(dims: tuple[int, int, int], amplitude: float) -> np.ndarray:
-    """Smooth separable low-order multiplicative field around 1."""
+    """Smooth separable low-order multiplicative field around 1, made once
+    per (dims, amplitude) and read-only."""
     if amplitude == 0:
-        return np.ones(dims)
-    cx = np.cos(np.pi * (np.arange(dims[0]) + 0.5) / dims[0])
-    cy = np.cos(np.pi * (np.arange(dims[1]) + 0.5) / dims[1])
-    cz = np.cos(np.pi * (np.arange(dims[2]) + 0.5) / dims[2])
-    return 1.0 + amplitude * cx[:, None, None] * cy[None, :, None] * cz[None, None, :]
+        field = np.ones(dims)
+    else:
+        cx = np.cos(np.pi * (np.arange(dims[0]) + 0.5) / dims[0])
+        cy = np.cos(np.pi * (np.arange(dims[1]) + 0.5) / dims[1])
+        cz = np.cos(np.pi * (np.arange(dims[2]) + 0.5) / dims[2])
+        field = 1.0 + amplitude * cx[:, None, None] * cy[None, :, None] * cz[None, None, :]
+    field.flags.writeable = False
+    return field
 
 
 def render(pv: PartialVolumeSet, proto: ProtocolParams, seed: int) -> ScalarVolume:
     """Render an intensity image from partial volumes under one protocol.
+
+    The signal sum_k c_k p_k is accumulated class by class in float64,
+    with no BLAS call: cohort subjects render on worker threads, and after
+    a BLAS call OpenBLAS's own thread keeps spinning on a CPU that the
+    other cohort worker needs. The bytes equal those of an np.tensordot
+    over the classes when every voxel mixes at most two classes (as the
+    top-two rule makes it) and every class mean is an integer, as in the
+    default protocols: each product of such a mean and a float32 fraction
+    is exact in float64, so both forms round once per voxel, fused or not.
+    (When every class mean is negative and there is no noise, a voxel
+    without tissue reads -0.0 where tensordot gives 0.0.) With other means,
+    tensordot's own result depends on the BLAS kernel the CPU picks. The
+    bias field is made once per grid and amplitude, and the warp runs only
+    where the signal is above 0, since it maps 0 to 0.
 
     Noise comes from a counter-based generator (Philox), so the result is
     bit-reproducible for a given seed regardless of evaluation order.
@@ -453,15 +474,20 @@ def render(pv: PartialVolumeSet, proto: ProtocolParams, seed: int) -> ScalarVolu
         raise ArgumentError(
             f"protocol has {len(proto.class_means)} class means, volume has {pv.num_classes} classes"
         )
-    means = np.asarray(proto.class_means, dtype=np.float64)
-    signal = np.tensordot(means, pv.channels.astype(np.float64), axes=(0, 0))
-    signal *= bias_field(pv.header.dims, proto.bias_amplitude)
+    means = proto.class_means
+    signal = np.multiply(pv.channels[0], means[0], dtype=np.float64)
+    term = np.empty_like(signal)
+    for mean, fraction in zip(means[1:], pv.channels[1:]):
+        signal += np.multiply(fraction, mean, out=term, dtype=np.float64)
+    if proto.bias_amplitude != 0:
+        signal *= bias_field(pv.header.dims, proto.bias_amplitude)
     if proto.gamma != 1.0:
-        x_max = float(means.max())
-        signal = x_max * np.power(np.maximum(signal, 0.0) / x_max, proto.gamma)
+        x_max = max(means)
+        lit = signal > 0
+        signal[lit] = x_max * np.power(signal[lit] / x_max, proto.gamma)
     if proto.noise_sigma > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-        signal = signal + rng.normal(0.0, proto.noise_sigma, size=signal.shape)
+        signal += rng.normal(0.0, proto.noise_sigma, size=signal.shape)
     return ScalarVolume(pv.header, signal.astype(np.float32))
 
 

@@ -154,13 +154,16 @@ class _Normals:
 @dataclass
 class _AtlasSet:
     """What one atlas set alone determines, each slot filled on first use
-    and kept until another set replaces this one: the segmenter's
-    AtlasSide and the model trained on the original atlas images, for the
-    latest SegmenterConfig; the tissue partial volumes, for the latest
-    PvConfig; the count of run() calls on the set; and, from the second
-    run on, the loop's kept normal draws for the latest loop seed. The
-    entry lives in the process only: every process computes its own."""
+    and kept until another set replaces this one: the class_order of each
+    atlas's labels, which the AtlasSide and the tissue partial volumes
+    share; the segmenter's AtlasSide and the model trained on the original
+    atlas images, for the latest SegmenterConfig; the tissue partial
+    volumes, for the latest PvConfig; the count of run() calls on the set;
+    and, from the second run on, the loop's kept normal draws for the
+    latest loop seed. The entry lives in the process only: every process
+    computes its own."""
 
+    orders: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     segmenter: SegmenterConfig | None = None
     side: AtlasSide | None = None
     model: SegmenterModel | None = None
@@ -168,6 +171,12 @@ class _AtlasSet:
     pvs: list[TissuePartialVolumes] | None = None
     runs: int = 0
     normals: _Normals | None = None
+
+    def class_orders(self, atlases: list[AtlasPair]) -> list:
+        """class_order of each atlas's labels, computed on first use."""
+        if self.orders is None:
+            self.orders = [class_order(pair.labels) for pair in atlases]
+        return self.orders
 
     def run_normals(self, seed: int) -> _Normals:
         """The normal draws of one more run() on this set: drawn afresh and
@@ -207,7 +216,7 @@ def _first_model(atlases: list[AtlasPair],
         entry = _atlas_set(atlases)
         if entry.segmenter != cfg:
             with _Stage("train"):
-                side = atlas_side([a.labels for a in atlases], cfg)
+                side = atlas_side([a.labels for a in atlases], cfg, entry.class_orders(atlases))
                 model = train(side.tissue_values([a.image for a in atlases]), side, cfg)
             entry.segmenter, entry.side, entry.model = cfg, side, model
         return entry.side, entry.model
@@ -215,7 +224,8 @@ def _first_model(atlases: list[AtlasPair],
 
 def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissuePartialVolumes]:
     """Estimate each atlas's partial volumes from its original image and
-    labels, held at the atlas's tissue voxels in class_order.
+    labels, held at the atlas's tissue voxels in class_order: the index of
+    atlas i's partial volumes is the order array of the set's AtlasSide.
 
     Computed once per atlas set and cfg per process, on a thread pool (see
     _estimate_atlas_pvs), and kept in the set's entry (see _atlas_set), so
@@ -228,28 +238,29 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissueP
         if entry.pv != cfg or entry.pvs is None:
             entry.pv, entry.pvs = cfg, None
             with _Stage("precompute_atlas_pv"):
-                entry.pvs = _estimate_atlas_pvs(atlases, cfg)
+                entry.pvs = _estimate_atlas_pvs(atlases, cfg, entry.class_orders(atlases))
         return entry.pvs
 
 
-def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissuePartialVolumes]:
+def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig,
+                        orders: list) -> list[TissuePartialVolumes]:
     """estimate_pv of every atlas on a thread pool, in atlas order, each
-    kept at its tissue voxels in class_order as soon as it is estimated; a
-    failure raises the error of the first failing atlas in that order. Most
-    of estimate_pv's time goes to NumPy gathers, comparisons and reductions
-    over whole arrays of voxels, which run without the GIL, so the atlases
-    overlap."""
-    def one(pair):
+    kept at its tissue voxels in class_order (orders[i] for atlas i) as
+    soon as it is estimated; a failure raises the error of the first
+    failing atlas in that order. Most of estimate_pv's time goes to NumPy
+    gathers, comparisons and reductions over whole arrays of voxels, which
+    run without the GIL, so the atlases overlap."""
+    def one(pair, order, inverse):
         # estimate_pv is looked up at call time, so a rebound module global
         # is the one that runs
         pv = estimate_pv(pair.image, pair.labels, cfg)
-        order, _, inverse = class_order(pair.labels)
         channels = np.empty_like(pv.channels)
         channels[:, inverse] = pv.channels
         return TissuePartialVolumes(pv.header, order, channels)
 
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(atlases)) or 1) as pool:
-        futures = [pool.submit(one, pair) for pair in atlases]
+        futures = [pool.submit(one, pair, order, inverse)
+                   for pair, (order, _, inverse) in zip(atlases, orders)]
         return [future.result() for future in futures]
 
 
@@ -407,9 +418,9 @@ def _with_noise(values: np.ndarray, sigma: float, normals) -> np.ndarray:
 
 def _on_grid(values: np.ndarray, pv: TissuePartialVolumes) -> ScalarVolume:
     """The image holding values at pv's voxels and 0 everywhere else."""
-    data = np.zeros(pv.header.n_voxels, dtype=np.float32)
-    data[pv.index] = values
-    return ScalarVolume(pv.header, data.reshape(pv.header.dims))
+    data = np.zeros(pv.header.dims, dtype=np.float32)
+    data.reshape(-1)[pv.index] = values
+    return ScalarVolume(pv.header, data)
 
 
 def _spread_gap_sigma(input_sigma: float, synthetic: list[np.ndarray], side: AtlasSide) -> float:

@@ -167,6 +167,7 @@ def class_order(labels: LabelVolume) -> tuple[np.ndarray, np.ndarray, np.ndarray
     tissue voxels by ascending index. A gather through order yields each
     class's values in the order of a boolean-mask selection of that class,
     and a vector in order's order, gathered through inverse, is in C order.
+    The arrays are read-only.
     """
     flat = labels.data.reshape(-1)
     tissue = np.flatnonzero(flat)
@@ -176,7 +177,10 @@ def class_order(labels: LabelVolume) -> tuple[np.ndarray, np.ndarray, np.ndarray
     inverse[perm] = np.arange(perm.size)
     counts = np.bincount(classes, minlength=labels.num_classes + 1)[1:]
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    return tissue[perm], bounds, inverse
+    order = tissue[perm]
+    for arr in (order, bounds, inverse):
+        arr.flags.writeable = False
+    return order, bounds, inverse
 
 
 @dataclass(frozen=True)
@@ -209,12 +213,15 @@ class AtlasSide:
         return [image.data.reshape(-1)[order] for image, order in zip(images, self.order)]
 
 
-def atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> AtlasSide:
-    """Build the AtlasSide of these atlas labels (in this order)."""
+def atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig,
+               orders: list | None = None) -> AtlasSide:
+    """Build the AtlasSide of these atlas labels (in this order). orders,
+    when given, is class_order of each atlas's labels, and the side holds
+    those arrays."""
     prior = atlas_prior(atlas_labels, cfg)
-    order, bounds, inverse = zip(*(class_order(lab) for lab in atlas_labels))
-    for arr in (*order, *bounds, *inverse):
-        arr.flags.writeable = False
+    if orders is None:
+        orders = [class_order(lab) for lab in atlas_labels]
+    order, bounds, inverse = zip(*orders)
     return AtlasSide(header=atlas_labels[0].header, support=prior_support(prior),
                      order=order, bounds=bounds, inverse=inverse)
 
@@ -342,6 +349,6 @@ def predict(model: SegmenterModel, image: ScalarVolume) -> LabelVolume:
         neighbors = _neighbors(labels, support, image.header.dims)
         labels = _first_argmax(_with_bonus(log_w, neighbors, float(model.smoothing_weight)))
 
-    full_labels = np.zeros(image.header.n_voxels, dtype=np.uint8)
-    full_labels[support.index] = labels
-    return LabelVolume(image.header, full_labels.reshape(image.header.dims), num_classes=k_max)
+    full_labels = np.zeros(image.header.dims, dtype=np.uint8)
+    full_labels.reshape(-1)[support.index] = labels
+    return LabelVolume(image.header, full_labels, num_classes=k_max)

@@ -88,7 +88,7 @@ class LatestMemo:
             return False
         for part, held in zip(parts, self._parts):
             if isinstance(part, np.ndarray):
-                if not (isinstance(held, weakref.ref) and held() is part and _frozen(part)):
+                if not (isinstance(held, weakref.ref) and held() is part and frozen(part)):
                     return False
             elif held != part:
                 return False
@@ -100,11 +100,11 @@ def _remembered(part):
     None for any other array (it matches nothing), and anything else
     itself."""
     if isinstance(part, np.ndarray):
-        return weakref.ref(part) if _frozen(part) else None
+        return weakref.ref(part) if frozen(part) else None
     return part
 
 
-def _frozen(arr: np.ndarray) -> bool:
+def frozen(arr: np.ndarray) -> bool:
     """Whether no one can write arr's bytes without first making it writeable
     again: arr and every array it views are read-only, down to memory that
     arr owns or an immutable bytes object."""

@@ -25,6 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ArgumentError, FormatError, PersistenceError, ValidationError
+from .util import frozen
 
 MVF_MAGIC = b"MVF1"
 KIND_SCALAR = 1
@@ -66,6 +67,12 @@ class VolumeHeader:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, or a read-only copy of it when it views an array
+    that is writeable: clearing arr's own flag would leave its bytes
+    writable through that array. A view of read-only arrays down to bytes
+    (as np.frombuffer makes) is kept."""
+    if arr.base is not None and not frozen(arr.base):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -195,9 +202,9 @@ class TissuePartialVolumes:
         return self.channels.shape[0]
 
     def full(self) -> PartialVolumeSet:
-        channels = np.zeros((self.num_classes, self.header.n_voxels), dtype=np.float32)
-        channels[:, self.index] = self.channels
-        return PartialVolumeSet(self.header, channels.reshape((self.num_classes,) + self.header.dims))
+        channels = np.zeros((self.num_classes,) + self.header.dims, dtype=np.float32)
+        channels.reshape(self.num_classes, -1)[:, self.index] = self.channels
+        return PartialVolumeSet(self.header, channels)
 
 
 Volume = Union[ScalarVolume, LabelVolume, PartialVolumeSet]

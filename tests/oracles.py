@@ -216,6 +216,27 @@ def top_two_reference(channels):
     return np.where(tissue, kept / np.where(tissue, total, 1.0), 0.0).astype(np.float32)
 
 
+def render_reference(channels, proto, seed):
+    """phantom.render's float32 image as it was computed before it
+    accumulated the classes one by one: one np.tensordot of the class means
+    with a float64 copy of every channel, the bias field on every voxel,
+    the warp on every voxel with negative signal clamped to 0, then the
+    Philox noise. Returns the float32 data."""
+    means = np.asarray(proto.class_means, dtype=np.float64)
+    signal = np.tensordot(means, np.asarray(channels).astype(np.float64), axes=(0, 0))
+    if proto.bias_amplitude != 0:
+        cx, cy, cz = (np.cos(np.pi * (np.arange(n) + 0.5) / n) for n in signal.shape)
+        signal *= 1.0 + (proto.bias_amplitude * cx[:, None, None] * cy[None, :, None]
+                         * cz[None, None, :])
+    if proto.gamma != 1.0:
+        x_max = float(means.max())
+        signal = x_max * np.power(np.maximum(signal, 0.0) / x_max, proto.gamma)
+    if proto.noise_sigma > 0:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+        signal = signal + rng.normal(0.0, proto.noise_sigma, size=signal.shape)
+    return signal.astype(np.float32)
+
+
 def pearson_direct(x, y):
     """Pearson r by the textbook formula."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from camelion.phantom import (
     render,
     restrict_to_top_two,
 )
+from camelion.util import derived_seed
 from camelion.volumes import (
     LabelVolume,
     PartialVolumeSet,
@@ -28,7 +30,8 @@ from camelion.volumes import (
     read_mvf,
     validate_partial_volumes,
 )
-from oracles import block_label_fractions, label_phantom_reference, top_two_reference
+from oracles import (block_label_fractions, label_phantom_reference, render_reference,
+                     top_two_reference)
 
 SMALL = PhantomParams(base_dims=(24, 24, 24), supersample=2, seed=7)
 
@@ -54,6 +57,20 @@ TRUTH_CASES = {
     "cohort_32_ss5": (PhantomParams(base_dims=(32, 32, 32), supersample=5, seed=12345), 0),
     "corners_10_12_10_ss4_jitter_0.3": (
         PhantomParams(base_dims=(10, 12, 10), supersample=4, seed=5, shape_jitter=0.3), 3),
+}
+
+# (params, subject) pairs whose cohort truth is rendered against the
+# tensordot oracle
+RENDER_CASES = {**RASTER_CASES, "cohort_32_ss5": TRUTH_CASES["cohort_32_ss5"]}
+
+# the default protocols, protocol B with its GM/WM contrast swapped, with
+# T2-like means, and with a stronger warp
+RENDER_PROTOCOLS = {
+    "a": DEFAULT_PROTOCOL_A,
+    "b": DEFAULT_PROTOCOL_B,
+    "gm_wm_swap": replace(DEFAULT_PROTOCOL_B, class_means=(35.0, 20.0, 95.0, 75.0, 50.0)),
+    "t2_like": replace(DEFAULT_PROTOCOL_B, class_means=(90.0, 95.0, 60.0, 40.0, 55.0)),
+    "gamma_0.4": replace(DEFAULT_PROTOCOL_B, gamma=0.4),
 }
 
 
@@ -288,6 +305,20 @@ class TestRender:
         assert wm == pytest.approx(95.0, abs=1e-4)
         assert wm - gm < 95.0 - 75.0  # GM pulled up toward WM
 
+    @pytest.mark.parametrize("case", sorted(RENDER_CASES))
+    def test_cohort_truth_matches_tensordot_reference(self, case):
+        """render accumulates the classes one by one, the oracle in one
+        tensordot. On the cohort's truth every voxel mixes at most two
+        classes, and every protocol here has integer class means, so each
+        product is exact in float64 and both forms round once per voxel:
+        the bytes must be equal."""
+        params, subject = RENDER_CASES[case]
+        pv, _ = _subject_truth(params, subject)
+        for i, (name, proto) in enumerate(sorted(RENDER_PROTOCOLS.items())):
+            seed = derived_seed(params.seed, subject, i)
+            expected = render_reference(pv.channels, proto, seed)
+            assert render(pv, proto, seed).data.tobytes() == expected.tobytes(), name
+
     def test_bias_field_range(self):
         field = bias_field((8, 8, 8), 0.1)
         assert field.min() >= 0.9 - 1e-9
@@ -301,7 +332,7 @@ class TestRender:
     @pytest.mark.parametrize("means", [(-10.0, -20.0, -30.0, -40.0, -50.0),
                                        (0.0, 15.0, 60.0, 100.0, 80.0)])
     def test_warp_needs_positive_means(self, means):
-        # the warp clamps negative signal to 0 and divides by the largest mean
+        # the warp divides by the largest mean and must see no negative signal
         with pytest.raises(ArgumentError):
             ProtocolParams(means, gamma=0.5)
         ProtocolParams(means, gamma=1.0)

@@ -106,9 +106,9 @@ class TestAtlasPvMemo:
     def pv_calls(self, monkeypatch, fresh_atlas_memo):
         calls = []
 
-        def counting(image, labels, cfg):
+        def counting(image, labels, *args):
             calls.append(labels)
-            return estimate_tissue_pv(image, labels, cfg)
+            return estimate_tissue_pv(image, labels, *args)
 
         monkeypatch.setattr(pipeline, "estimate_pv", counting)
         return calls
@@ -159,6 +159,41 @@ class TestAtlasPvMemo:
         assert len(pv_calls) == len(atlases) + 1
         precompute_atlas_pv(atlases, PvConfig())
         assert len(pv_calls) == 2 * len(atlases) + 1
+
+    def test_views_of_fresh_arrays_are_copied_and_frozen(self, small_cohort, pv_calls):
+        # a volume built on a reshape view of a writeable array holds a
+        # frozen copy, so the set is found again on the second run
+        atlases, input_image, _ = small_cohort
+        dims = atlases[0].image.header.dims
+        views = [
+            AtlasPair(ScalarVolume(a.image.header, a.image.data.copy().reshape(-1).reshape(dims)),
+                      LabelVolume(a.labels.header, a.labels.data.copy().reshape(-1).reshape(dims),
+                                  a.labels.num_classes))
+            for a in atlases
+        ]
+        cfg = LoopConfig(max_iterations=1)
+        for _ in range(2):
+            run(input_image, views, cfg)
+        assert sum(any(labels is a.labels for a in views) for labels in pv_calls) == len(views)
+
+    def test_one_class_order_per_atlas(self, small_cohort, fresh_atlas_memo, monkeypatch):
+        # the atlas side and the partial volumes share each atlas's order
+        atlases, input_image, _ = small_cohort
+        calls = []
+
+        def counting(labels):
+            calls.append(labels)
+            return segmenter.class_order(labels)
+
+        monkeypatch.setattr(pipeline, "class_order", counting)
+        # a second PvConfig, then a second SegmenterConfig, on the same set
+        one = LoopConfig(max_iterations=1)
+        for cfg in (one, replace(one, pv=PvConfig(beta=0.3))):
+            run(input_image, atlases, cfg)
+        run_direct(input_image, atlases, replace(one, segmenter=SegmenterConfig(smoothing_weight=0.0)))
+        assert [id(labels) for labels in calls] == [id(a.labels) for a in atlases]
+        entry = pipeline._atlas_set(atlases)
+        assert all(pv.index is order for pv, order in zip(entry.pvs, entry.side.order))
 
     @pytest.mark.parametrize("failing", [(1,), (1, 2)], ids=["one", "later-fails-first"])
     def test_failure_names_first_failing_atlas(self, small_cohort, monkeypatch,
@@ -265,9 +300,9 @@ class TestAtlasSideLookup:
             counts["lookups"] += 1
             return first_model(atlases, cfg)
 
-        def counting_build(atlas_labels, cfg):
+        def counting_build(*args):
             counts["builds"] += 1
-            return segmenter.atlas_side(atlas_labels, cfg)
+            return segmenter.atlas_side(*args)
 
         monkeypatch.setattr(pipeline, "_first_model", counting_lookup)
         monkeypatch.setattr(pipeline, "atlas_side", counting_build)
