@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import tissues
 from .errors import ArgumentError, FormatError, PersistenceError
-from .util import derived_seed, worker_count
+from .util import derived_seed, map_in_order, worker_count
 from .volumes import (
     LabelVolume,
     PartialVolumeSet,
@@ -524,12 +523,13 @@ def generate_cohort(
     mixed cells a structure surface crosses. The truth partial volumes are
     not written: restrict_to_top_two(downsample_to_pv(generate_label_phantom(
     params, i), params.supersample)) rebuilds them, and pv_to_labels the
-    labels, byte for byte, from the seed. Subjects are rendered in
-    parallel, one worker per CPU the process may run on, but the output is
-    byte-identical for a given seed regardless of worker count. A rerun
-    into the directory of a larger cohort removes that cohort's subject
-    files (``s<digits>_image_a.mvf``, ``_image_b.mvf``, ``_labels.mvf``)
-    that the new manifest does not list, and keeps every other file.
+    labels, byte for byte, from the seed. Subjects are built in parallel,
+    by the calling thread beside one started thread per further CPU the
+    process may run on (see map_in_order), but the output is byte-identical
+    for a given seed regardless of worker count. A rerun into the
+    directory of a larger cohort removes that cohort's subject files
+    (``s<digits>_image_a.mvf``, ``_image_b.mvf``, ``_labels.mvf``) that
+    the new manifest does not list, and keeps every other file.
     """
     if n_atlas < 1 or n_test < 1:
         raise ArgumentError("need at least one atlas and one test subject")
@@ -552,8 +552,7 @@ def generate_cohort(
     def build(i):
         return _build_subject(params, i, proto_a, proto_b, out_dir, sids[i])
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), total)) as pool:
-        all_files = list(pool.map(build, range(total)))
+    all_files = map_in_order(build, range(total), worker_count())
 
     manifest = {
         "seed": params.seed,

@@ -20,7 +20,6 @@ and "nhm" (histogram-match the input to one atlas image, then direct).
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .pv import estimate_tissue_pv as estimate_pv
 from .segmenter import (AtlasSide, SegmenterConfig, SegmenterModel, atlas_side, class_order,
                         predict, train)
 from .synth import SynthConfig, SynthModel, synthesize
-from .util import LatestMemo, derived_seed, percentile, worker_count
+from .util import LatestMemo, derived_seed, map_in_order, percentile, worker_count
 from .volumes import (AtlasPair, LabelVolume, ScalarVolume, TissuePartialVolumes,
                       require_same_header, write_mvf)
 
@@ -227,11 +226,12 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissueP
     labels, held at the atlas's tissue voxels in class_order: the index of
     atlas i's partial volumes is the order array of the set's AtlasSide.
 
-    Computed once per atlas set and cfg per process, on a thread pool (see
-    _estimate_atlas_pvs), and kept in the set's entry (see _atlas_set), so
-    a second run() on the same atlas list reuses them. A new set drops the
-    old one, with its kept noise draws, before its partial volumes are
-    computed; a failed compute keeps none.
+    Computed once per atlas set and cfg per process, on the calling thread
+    and one started thread per further CPU (see _estimate_atlas_pvs), and
+    kept in the set's entry (see _atlas_set), so a second run() on the same
+    atlas list reuses them. A new set drops the old one, with its kept
+    noise draws, before its partial volumes are computed; a failed compute
+    keeps none.
     """
     with _ATLAS_SET.lock:
         entry = _atlas_set(atlases)
@@ -244,13 +244,16 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissueP
 
 def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig,
                         orders: list) -> list[TissuePartialVolumes]:
-    """estimate_pv of every atlas on a thread pool, in atlas order, each
-    kept at its tissue voxels in class_order (orders[i] for atlas i) as
-    soon as it is estimated; a failure raises the error of the first
-    failing atlas in that order. Most of estimate_pv's time goes to NumPy
-    gathers, comparisons and reductions over whole arrays of voxels, which
-    run without the GIL, so the atlases overlap."""
-    def one(pair, order, inverse):
+    """estimate_pv of every atlas, in atlas order, each kept at its tissue
+    voxels in class_order (orders[i] for atlas i) as soon as it is
+    estimated; a failure raises the error of the first failing atlas in
+    that order. The calling thread estimates atlases beside one started
+    thread per further CPU the process may run on (see map_in_order). Most
+    of estimate_pv's time goes to NumPy gathers, comparisons and reductions
+    over whole arrays of voxels, which run without the GIL, so the atlases
+    overlap."""
+    def one(item):
+        pair, (order, _, inverse) = item
         # estimate_pv is looked up at call time, so a rebound module global
         # is the one that runs
         pv = estimate_pv(pair.image, pair.labels, cfg)
@@ -258,10 +261,7 @@ def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig,
         channels[:, inverse] = pv.channels
         return TissuePartialVolumes(pv.header, order, channels)
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(atlases)) or 1) as pool:
-        futures = [pool.submit(one, pair, order, inverse)
-                   for pair, (order, _, inverse) in zip(atlases, orders)]
-        return [future.result() for future in futures]
+    return map_in_order(one, zip(atlases, orders), worker_count())
 
 
 def _strip(labels: LabelVolume, fg: np.ndarray) -> LabelVolume:

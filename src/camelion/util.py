@@ -16,6 +16,48 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def map_in_order(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], computed on the calling thread and at
+    most workers - 1 started threads, each taking the next item from a
+    shared counter.
+
+    Every item is tried. Once every started thread has ended, the error of
+    the first failing item in item order is raised. With workers <= 1, or
+    at most one item, no thread starts. An interrupt in the calling thread
+    propagates once the started threads end.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors = {}
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    started = []
+    try:
+        for _ in range(min(workers, len(items)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            started.append(thread)
+        work()
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def percentile(values, q):
     """np.percentile(values, q) with its default linear method, bit for bit,
     for a non-empty array of values without NaN, q a scalar or a 1-D

@@ -614,6 +614,15 @@ def test_import_leaves_scipy_ndimage_unloaded(cohort, tmp_path):
         assert proc.stdout.splitlines()[-1] == "0 False", (argv[:3], proc.stdout)
 
 
+def test_import_leaves_thread_pool_and_logging_unloaded():
+    # the parallel sections run on util.map_in_order, not concurrent.futures,
+    # which would import logging with it
+    proc = run_after_cli_import(
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_runs_leave_numpy_ma_unloaded(cohort, tmp_path):
     # np.percentile and np.unique import numpy.ma on their first call
     manifest = str(cohort / "manifest.json")

@@ -195,6 +195,22 @@ class TestAtlasPvMemo:
         entry = pipeline._atlas_set(atlases)
         assert all(pv.index is order for pv, order in zip(entry.pvs, entry.side.order))
 
+    def test_worker_count_does_not_change_pvs(self, small_cohort, pv_calls, monkeypatch):
+        # one, two and four workers on the same set's entry: the compute runs
+        # each time, with the same bytes and the set's own class orders
+        atlases, _, _ = small_cohort
+        outputs = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(pipeline, "worker_count", lambda: workers)
+            pipeline._atlas_set(atlases).pvs = None
+            outputs.append(precompute_atlas_pv(atlases, PvConfig()))
+        assert len(pv_calls) == 3 * len(atlases)
+        orders = [order for order, _, _ in pipeline._atlas_set(atlases).orders]
+        for pvs in outputs:
+            assert all(pv.index is order for pv, order in zip(pvs, orders))
+            assert [pv.channels.tobytes() for pv in pvs] == [
+                pv.channels.tobytes() for pv in outputs[0]]
+
     @pytest.mark.parametrize("failing", [(1,), (1, 2)], ids=["one", "later-fails-first"])
     def test_failure_names_first_failing_atlas(self, small_cohort, monkeypatch,
                                                 fresh_atlas_memo, failing):

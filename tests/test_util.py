@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from camelion.harmonize import DEFAULT_PERCENTILES
-from camelion.util import LatestMemo, percentile, worker_count
+from camelion.util import LatestMemo, map_in_order, percentile, worker_count
 
 
 def test_latest_memo_matches_frozen_arrays_by_identity():
@@ -92,6 +92,96 @@ def test_latest_set_memo_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def started_threads(before):
+    """The threads alive now that were not in before."""
+    return [t for t in threading.enumerate() if t not in before]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_map_in_order_keeps_item_order(n, workers):
+    # later items finish first, so completion order differs from item order;
+    # 4 workers exceed both 1 item and the CPUs of a 2-CPU machine
+    def slow_square(i):
+        time.sleep(0.002 * (n - i))
+        return i * i
+
+    before = threading.enumerate()
+    assert map_in_order(slow_square, range(n), workers) == [i * i for i in range(n)]
+    assert started_threads(before) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_map_in_order_raises_first_failing_item(workers):
+    # item 2 fails after item 4 has failed, yet its error is the one raised,
+    # and only once every item has been tried
+    tried = []
+    errors = {2: ValueError("item 2"), 4: KeyError("item 4")}
+
+    def fn(i):
+        tried.append(i)
+        if i == 2:
+            time.sleep(0.2)
+        if i in errors:
+            raise errors[i]
+        return i
+
+    before = threading.enumerate()
+    with pytest.raises(ValueError) as err:
+        map_in_order(fn, range(7), workers)
+    assert err.value is errors[2]
+    assert sorted(tried) == list(range(7))
+    assert started_threads(before) == []
+
+
+@pytest.mark.parametrize("workers,n", [(1, 5), (0, 5), (4, 1)])
+def test_map_in_order_starts_no_thread_for_one_worker_or_item(monkeypatch, workers, n):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    caller = threading.current_thread()
+    on = []
+
+    def fn(i):
+        on.append(threading.current_thread())
+        return -i
+
+    assert map_in_order(fn, range(n), workers) == [-i for i in range(n)]
+    assert on == [caller] * n
+
+
+def test_map_in_order_under_threads():
+    # more workers than CPUs and a short switch interval: every item is
+    # computed exactly once and lands in its own slot
+    n = 3000
+    calls = []
+    got = []
+
+    def fn(i):
+        calls.append(i)
+        time.sleep(0)  # let another thread take the next item
+        return (i, threading.get_ident())
+
+    def caller():
+        got.append(map_in_order(fn, range(n), 8))
+
+    before = threading.enumerate()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=caller)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not thread.is_alive()
+    assert sorted(calls) == list(range(n))
+    assert [i for i, _ in got[0]] == list(range(n))
+    assert len({ident for _, ident in got[0]}) > 1
+    assert started_threads(before) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
