@@ -316,18 +316,17 @@ def decode_mvf(buf: bytes, source: str = "<bytes>") -> Volume:
     if got != expected:
         raise FormatError(f"{source}: payload is {got} bytes, header promises {expected}")
 
-    # geometry, finiteness and value ranges are checked by the constructors
-    raw = buf[HEADER_SIZE:]
+    # geometry, finiteness and value ranges are checked by the constructors;
+    # the arrays view buf, and _freeze copies them only when buf is writable
     try:
         header = VolumeHeader(dims, (v0, v1, v2))
-        if kind == KIND_SCALAR:
-            data = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-            return ScalarVolume(header, data)
         if kind == KIND_LABEL:
-            data = np.frombuffer(raw, dtype=np.uint8).reshape(dims).copy()
-            return LabelVolume(header, data, num_classes=k_byte)
-        channels = np.frombuffer(raw, dtype="<f4").reshape((k_byte,) + dims).copy()
-        return PartialVolumeSet(header, channels)
+            data = np.frombuffer(buf, dtype=np.uint8, offset=HEADER_SIZE)
+            return LabelVolume(header, data.reshape(dims), num_classes=k_byte)
+        data = np.frombuffer(buf, dtype="<f4", offset=HEADER_SIZE)
+        if kind == KIND_SCALAR:
+            return ScalarVolume(header, data.reshape(dims))
+        return PartialVolumeSet(header, data.reshape((k_byte,) + dims))
     except ArgumentError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 

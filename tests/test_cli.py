@@ -588,19 +588,23 @@ def test_every_subcommand_has_help(capsys):
         assert "--help" in capsys.readouterr().out
 
 
-def run_after_cli_import(check):
-    """Run the Python statement check in a fresh process that has imported camelion.cli."""
+def run_after_cli_import(check, block_scipy=False):
+    """Run the Python statement check in a fresh process that has imported
+    camelion.cli; with block_scipy, every import of scipy in it fails."""
     src = str(Path(camelion.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-c", f"import sys, camelion.cli; {check}"],
+    block = "sys.modules['scipy'] = None; " if block_scipy else ""
+    return subprocess.run([sys.executable, "-c", f"import sys; {block}import camelion.cli; {check}"],
                           env=env, timeout=60, capture_output=True, text=True)
 
 
+SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
 def test_import_leaves_scipy_ndimage_unloaded(cohort, tmp_path):
-    assert run_after_cli_import("sys.exit('scipy.ndimage' in sys.modules)").returncode == 0
-    # nor does any command on the 16^3 cohort: scipy.ndimage is imported only
-    # for a tissue voxel whose nearest other class lies beyond the search radius
+    assert run_after_cli_import(f"sys.exit({SCIPY_LOADED})").returncode == 0
+    # nor does any command on the 16^3 cohort load any scipy module
     manifest = str(cohort / "manifest.json")
     runs = str(tmp_path / "runs")
     commands = [["run", "--method", method, "--subject", "s002", "--manifest", manifest,
@@ -609,9 +613,39 @@ def test_import_leaves_scipy_ndimage_unloaded(cohort, tmp_path):
                      "--out", str(tmp_path / "eval"), *SMALL])
     for argv in commands:
         proc = run_after_cli_import(
-            f"code = camelion.cli.main({argv!r}); print(code, 'scipy.ndimage' in sys.modules)")
+            f"code = camelion.cli.main({argv!r}); print(code, {SCIPY_LOADED})")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False", (argv[:3], proc.stdout)
+
+
+def test_commands_run_without_scipy(cohort, tmp_path):
+    # a process in which scipy cannot be imported gives the bytes of one in
+    # which it can: the nearest-class map of classes farther apart than twice
+    # the search radius, and every file of a camelion run
+    blocked = run_after_cli_import("import scipy", block_scipy=True)
+    assert blocked.returncode != 0 and "ModuleNotFoundError" in blocked.stderr
+    far = ("import hashlib, numpy as np; from camelion.pv import SEARCH_RADIUS, second_class_map; "
+           "from camelion.volumes import LabelVolume, VolumeHeader; "
+           "data = np.zeros((12 + 2 * SEARCH_RADIUS, 5, 6), dtype=np.uint8); "
+           "data[:5, :, :3] = 1; data[:5, :, 3:] = 2; data[-5:] = 3; "
+           "vol = LabelVolume(VolumeHeader(data.shape, (1.0, 1.25, 0.75)), data, num_classes=5); "
+           "print(hashlib.sha256(second_class_map(vol).data.tobytes()).hexdigest())")
+    maps = [run_after_cli_import(far, block_scipy=block) for block in (False, True)]
+    assert [p.returncode for p in maps] == [0, 0], maps[1].stderr
+    assert maps[0].stdout == maps[1].stdout
+    runs = []
+    for block in (False, True):
+        out = tmp_path / f"runs_{block}"
+        argv = ["run", "--method", "camelion", "--subject", "s002",
+                "--manifest", str(cohort / "manifest.json"), "--out", str(out), *SMALL]
+        proc = run_after_cli_import(f"sys.exit(camelion.cli.main({argv!r}))", block_scipy=block)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(out / "s002" / "camelion")
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert "labels_final.mvf" in names
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_import_leaves_thread_pool_and_logging_unloaded():

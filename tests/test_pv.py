@@ -201,17 +201,19 @@ class TestSecondClassMap:
 
 
 @pytest.fixture
-def edt_calls(monkeypatch):
-    """Counts the second_class_map calls that fall back to distance transforms."""
-    calls = []
-    real = pv._second_class_map_edt
+def far_walks(monkeypatch):
+    """The radii of the search tables that second_class_map takes past
+    SEARCH_RADIUS, one per walk on beyond the previous table."""
+    radii = []
+    real = pv._search_table
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(voxel_size, radius):
+        if radius > SEARCH_RADIUS:
+            radii.append(radius)
+        return real(voxel_size, radius)
 
-    monkeypatch.setattr(pv, "_second_class_map_edt", counting)
-    return calls
+    monkeypatch.setattr(pv, "_search_table", counting)
+    return radii
 
 
 def assert_matches_references(vol):
@@ -243,39 +245,104 @@ def label_histories(tmp_path_factory):
 class TestNearestClassSearch:
     """second_class_map's offset search against the distance transforms it
     replaced and the brute-force scan, on the cases that stress the search:
-    classes beyond SEARCH_RADIUS, many classes and the loop's own labels."""
+    classes beyond SEARCH_RADIUS, ties beyond it, many classes and the
+    loop's own labels."""
 
     @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
-    def test_classes_beyond_the_radius_fall_back(self, voxel, edt_calls):
+    def test_classes_beyond_the_radius_fall_back(self, voxel, far_walks):
         gap = SEARCH_RADIUS + 2
         labels = np.zeros((10 + gap, 5, 6), dtype=np.uint8)
         labels[:5, :, :3] = 1
         labels[:5, :, 3:] = 2
         labels[5 + gap:] = 3
         assert_matches_references(make_labels(labels, voxel=voxel))
-        assert edt_calls == [1]
+        # the far side of class 3 lies 17.0 along x from classes 1 and 2:
+        # within twice the radius of 1.0 voxel edges, beyond that of 0.75 ones
+        assert far_walks == ([2 * SEARCH_RADIUS] if min(voxel) == 1.0
+                             else [2 * SEARCH_RADIUS, 4 * SEARCH_RADIUS])
+
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
+    def test_gap_beyond_twice_the_radius_walks_on_twice(self, voxel, far_walks):
+        # the gap exceeds 2 * SEARCH_RADIUS smallest voxel edges, so the voxels
+        # facing it walk on through the tables of twice and four times the radius
+        gap = int(2 * SEARCH_RADIUS / voxel[0] * min(voxel)) + 2
+        labels = np.zeros((10 + gap, 5, 6), dtype=np.uint8)
+        labels[:5, :, :3] = 1
+        labels[:5, :, 3:] = 2
+        labels[5 + gap:] = 3
+        assert_matches_references(make_labels(labels, voxel=voxel))
+        assert far_walks == [2 * SEARCH_RADIUS, 4 * SEARCH_RADIUS]
+
+    @pytest.mark.parametrize("voxel, offsets", [
+        ((1.0, 1.0, 1.0), [(13, 0, 0), (-13, 0, 0)]),
+        # 12 * 1.0 and 16 * 0.75 are both exactly 12, beyond the 7.5 of the radius
+        ((1.0, 1.25, 0.75), [(12, 0, 0), (0, 0, 16)]),
+    ])
+    def test_tie_beyond_the_radius_takes_the_smaller_class(self, voxel, offsets, far_walks):
+        # class 3 is as far from class 2, at the first offset, as from
+        # class 1, at the second: it takes class 1
+        labels = np.zeros((27, 3, 19), dtype=np.uint8)
+        centre = np.array((13, 1, 1))
+        labels[tuple(centre)] = 3
+        for k, offset in zip((2, 1), offsets):
+            labels[tuple(centre + offset)] = k
+        vol = make_labels(labels, voxel=voxel)
+        assert_matches_references(vol)
+        assert second_class_map(vol).data[tuple(centre)] == 1
+        assert far_walks == [2 * SEARCH_RADIUS] * 2
 
     @pytest.mark.parametrize("distance", [SEARCH_RADIUS - 1, SEARCH_RADIUS + 3])
-    def test_single_far_voxel(self, distance, edt_calls):
+    def test_single_far_voxel(self, distance, far_walks):
         rng = np.random.default_rng(23)
         labels = np.zeros((8 + distance, 7, 7), dtype=np.uint8)
         labels[:8] = rng.integers(1, 3, size=(8, 7, 7))
         labels[7 + distance, 3, 3] = 4
         assert_matches_references(make_labels(labels))
-        assert edt_calls == ([1] if distance > SEARCH_RADIUS else [])
+        assert far_walks == ([2 * SEARCH_RADIUS] if distance > SEARCH_RADIUS else [])
+
+    @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
+    def test_walk_on_starts_at_the_first_group_beyond_the_radius(self, voxel):
+        # class 2 lies in the first group of offsets beyond the radius and
+        # class 1 in the next, so a walk that skipped a group would pick 1
+        inner = pv._search_table(voxel, SEARCH_RADIUS)
+        outer = pv._search_table(voxel, 2 * SEARCH_RADIUS)
+        first, second = (outer.offsets[outer.groups[len(inner.groups) + i][0]] for i in (0, 1))
+        centre = np.maximum(np.abs(first), np.abs(second))
+        labels = np.zeros(tuple(2 * centre + 1), dtype=np.uint8)
+        labels[tuple(centre)] = 3
+        labels[tuple(centre + first)] = 2
+        labels[tuple(centre + second)] = 1
+        vol = make_labels(labels, voxel=voxel)
+        assert_matches_references(vol)
+        assert second_class_map(vol).data[tuple(centre)] == 2
+
+    @pytest.mark.parametrize("limit", [1, 7, 100])
+    def test_gathers_in_chunks(self, limit, monkeypatch):
+        # a gather of more than GATHER_LIMIT offsets times voxels runs in
+        # chunks of voxels, one voxel at a time where one group exceeds it
+        rng = np.random.default_rng(limit)
+        labels = np.zeros((8 + SEARCH_RADIUS + 3, 9, 8), dtype=np.uint8)
+        labels[:8] = rng.integers(0, 4, size=(8, 9, 8))
+        labels[-2:, 3:5, 2:6] = 5
+        vols = [make_labels(labels, voxel=voxel) for voxel in [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)]]
+        expected = [second_class_map(vol).data for vol in vols]
+        monkeypatch.setattr(pv, "GATHER_LIMIT", limit)
+        for vol, want in zip(vols, expected):
+            assert np.array_equal(second_class_map(vol).data, want)
+            assert_matches_references(vol)
 
     @pytest.mark.parametrize("k", [9, 255])
-    def test_many_classes(self, k, edt_calls):
+    def test_many_classes(self, k, far_walks):
         rng = np.random.default_rng(k)
         labels = rng.integers(0, k + 1, size=(10, 9, 8)).astype(np.uint8)
         labels[0, 0, :2] = (k, k - 1)
         assert_matches_references(make_labels(labels, k=k))
         anisotropic = np.where(rng.uniform(size=labels.shape) < 0.7, 0, labels)
         assert_matches_references(make_labels(anisotropic, voxel=(1.0, 1.25, 0.75), k=k))
-        assert edt_calls == []
+        assert far_walks == []
 
     @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
-    def test_twelve_classes_some_absent(self, voxel, edt_calls):
+    def test_twelve_classes_some_absent(self, voxel, far_walks):
         # the search runs once per present class; absent classes, the first
         # and the last included, are skipped
         rng = np.random.default_rng(12)
@@ -285,22 +352,21 @@ class TestNearestClassSearch:
             labels[rng.uniform(size=labels.shape) < 0.4] = 0
             labels[0, 0, :2] = present[:2]  # at least two classes present
             assert_matches_references(make_labels(labels, voxel=voxel, k=12))
-        assert edt_calls == []
+        assert far_walks == []
 
     @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 1.25, 0.75)])
-    def test_last_class_falls_back_after_the_others_resolve(self, voxel, edt_calls):
+    def test_last_class_falls_back_after_the_others_resolve(self, voxel, far_walks):
         # classes 1-3 touch, class 4 is absent and class 5 lies beyond the
-        # radius: classes 1-3 resolve, then class 5 sends the whole volume to
-        # the distance transforms, whose bytes are those of the oracle
+        # radius: classes 1-3 resolve within it, and class 5 alone walks on
         gap = SEARCH_RADIUS + 2
         rng = np.random.default_rng(5)
         labels = np.zeros((8 + gap, 7, 6), dtype=np.uint8)
         labels[:6] = rng.integers(1, 4, size=(6, 7, 6))
         labels[6 + gap:, 2:5, 1:4] = 5
         assert_matches_references(make_labels(labels, voxel=voxel))
-        assert edt_calls == [1]
+        assert far_walks == [2 * SEARCH_RADIUS]
 
-    def test_loop_label_histories(self, label_histories, edt_calls):
+    def test_loop_label_histories(self, label_histories, far_walks):
         assert len(label_histories) > 2
         for image, vol in label_histories:
             assert_matches_references(vol)
@@ -308,7 +374,7 @@ class TestNearestClassSearch:
                 channels = estimate_pv_reference(image, vol, PvConfig(beta=beta))[2]
                 got = estimate_pv(image, vol, PvConfig(beta=beta)).channels
                 assert got.tobytes() == channels.tobytes()
-        assert edt_calls == []
+        assert far_walks == []
 
 
 class TestMapAlpha:
@@ -551,7 +617,7 @@ class TestNeededVoxels:
                 assert np.array_equal(got[need], full[need])
                 assert not got[~need].any()
 
-    def test_fallback_answers_needed_voxels_only(self, edt_calls):
+    def test_fallback_answers_needed_voxels_only(self, far_walks):
         gap = SEARCH_RADIUS + 2
         labels = np.zeros((10 + gap, 5, 6), dtype=np.uint8)
         labels[:5, :, :3] = 1
@@ -561,8 +627,9 @@ class TestNeededVoxels:
         need = np.zeros(labels.shape, dtype=bool)
         need[5 + gap:, :, :2] = True
         got = second_class_map(vol, need).data
-        assert edt_calls == [1]
+        assert far_walks == [2 * SEARCH_RADIUS]
         assert np.array_equal(got[need], second_class_map_edt(vol)[need])
+        assert np.array_equal(got[need], nearest_different_label(labels, (1.0, 1.0, 1.0))[need])
         assert not got[~need].any()
 
     def test_need_of_another_shape(self):

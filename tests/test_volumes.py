@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camelion import pipeline
 from camelion.errors import ArgumentError, FormatError, PersistenceError, ValidationError
 from camelion.volumes import (
     HEADER_SIZE,
@@ -21,6 +22,7 @@ from camelion.volumes import (
     validate_partial_volumes,
     write_mvf,
 )
+from camelion.util import frozen
 from conftest import random_labels, random_pv, random_scalar
 
 
@@ -128,6 +130,20 @@ class TestRoundTrip:
         write_mvf(vol, path)
         back = read_mvf(path)
         assert back.channels.tobytes() == vol.channels.tobytes()
+
+    def test_read_arrays_view_the_file_bytes(self, rng, tmp_path, fresh_atlas_memo):
+        # read-only views of the bytes read, not copies, which the atlas-set
+        # memo finds again
+        for name, vol in (("image", random_scalar(rng)), ("labels", random_labels(rng)),
+                          ("pv", random_pv(rng))):
+            write_mvf(vol, tmp_path / f"{name}.mvf")
+        image, labels, pvs = (read_mvf(tmp_path / f"{name}.mvf") for name in ("image", "labels", "pv"))
+        for arr in (image.data, labels.data, pvs.channels):
+            assert not arr.flags.writeable
+            assert not arr.flags.owndata
+            assert frozen(arr)
+        atlases = [AtlasPair(image, labels)]
+        assert pipeline._atlas_set(atlases) is pipeline._atlas_set(atlases)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
