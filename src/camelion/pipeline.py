@@ -4,14 +4,20 @@ The loop alternates three stages while the input image and the atlas
 labels stay fixed: segment the input with the current model, estimate
 two-class partial volumes from the input and that segmentation, at the
 input's tissue voxels, fit a synthesis model on the single (partial
-volumes, input) pair, and re-render every atlas image from its own
-precomputed partial volumes before retraining the segmenter. Everything after the synthesis fit works on the
-atlas tissue voxels only, the voxels the segmenter trains on: rendering,
-the spread-gap noise level, the injected noise and the retrain. Only a
-run configured with atlas_images puts the synthesized atlases back on
-the grid, as images that are zero off their atlas's tissue. Iteration stops
-when fewer than the configured fraction of voxels change labels, or at
-the iteration cap.
+volumes, input) pair, and retrain the segmenter on every atlas as the
+model synthesizes it from the atlas's own precomputed partial volumes,
+plus matched noise. The segmenter reads only per-class sums and sums of
+squares (segmenter.ClassMoments), so the retrain never holds the
+synthesized atlases. Under linear synthesis those moments are quadratic
+forms in the fitted class intensities over the fractions' per-class sums
+and Gram matrices, kept once per atlas set, and the noise enters through
+the per-class moments of the loop's normal draws, kept once per loop
+seed and iteration. The regressor renders every atlas's tissue voxels
+and reduces them with fresh draws. Only a run configured with
+atlas_images renders the noisy atlases and puts them back on the grid,
+as images that are zero off their atlas's tissue. Iteration stops when
+fewer than the configured fraction of voxels change labels, or at the
+iteration cap.
 
 Comparison arms: "direct" (train on the original atlases, predict once)
 and "nhm" (histogram-match the input to one atlas image, then direct).
@@ -30,8 +36,8 @@ from .errors import ArgumentError, CamelionError, PipelineError
 from .pv import PvConfig, class_stats
 # the loop's PV stage, under the name a traced run rebinds
 from .pv import estimate_tissue_pv as estimate_pv
-from .segmenter import (AtlasSide, SegmenterConfig, SegmenterModel, atlas_side, class_order,
-                        predict, train)
+from .segmenter import (AtlasSide, ClassMoments, SegmenterConfig, SegmenterModel, atlas_side,
+                        class_moments, class_order, fit_moments, predict, train)
 from .synth import SynthConfig, SynthModel, synthesize
 from .util import LatestMemo, derived_seed, map_in_order, percentile, worker_count
 from .volumes import (AtlasPair, LabelVolume, ScalarVolume, TissuePartialVolumes,
@@ -125,29 +131,25 @@ class _Stage:
         return False
 
 
-class _Normals:
-    """The loop's standard normal draws for one loop seed: atlas i at
-    iteration t draws from the Philox stream derived_seed(seed, t, 211, i).
-    With keep, each draw is kept, read-only, and handed to every later
-    request for it; otherwise each request draws afresh."""
+def _normals(seed: int, t: int, i: int, n: int) -> np.ndarray:
+    """The n float64 standard normals of atlas i (n tissue voxels) at
+    iteration t of a loop with this seed: the Philox stream
+    derived_seed(seed, t, 211, i)."""
+    stream = np.random.SeedSequence(derived_seed(seed, t, 211, i))
+    return np.random.Generator(np.random.Philox(stream)).standard_normal(n)
 
-    def __init__(self, seed: int, keep: bool):
-        self.seed = seed
-        self._kept: dict[tuple[int, int], np.ndarray] | None = {} if keep else None
 
-    def draw(self, t: int, i: int, n: int) -> np.ndarray:
-        """The n float64 standard normals of atlas i (n tissue voxels) at
-        iteration t."""
-        if self._kept is not None and (t, i) in self._kept:
-            return self._kept[t, i]
-        seed = derived_seed(self.seed, t, 211, i)
-        normals = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))) \
-            .standard_normal(n)
-        if self._kept is None:
-            return normals
-        normals.flags.writeable = False
-        # two threads may draw the same stream; both draws are equal
-        return self._kept.setdefault((t, i), normals)
+@dataclass(frozen=True)
+class _Fractions:
+    """Atlas i's tissue partial volumes p (K fractions per voxel), reduced
+    over each class slice k of the AtlasSide in float64: sums[i][k] is the
+    sum of p, (K,), and grams[i][k] the sum of p p^T, (K, K). Linear
+    synthesis renders a voxel as c . p, so the slice's values sum to
+    c . sums[i][k] and their squares to c^T grams[i][k] c. One array per
+    atlas, since atlases that disagree on K fail only in training."""
+
+    sums: tuple[np.ndarray, ...]      # [atlas] -> (K, K)
+    grams: tuple[np.ndarray, ...]     # [atlas] -> (K, K, K)
 
 
 @dataclass
@@ -157,10 +159,12 @@ class _AtlasSet:
     atlas's labels, which the AtlasSide and the tissue partial volumes
     share; the segmenter's AtlasSide and the model trained on the original
     atlas images, for the latest SegmenterConfig; the tissue partial
-    volumes, for the latest PvConfig; the count of run() calls on the set;
-    and, from the second run on, the loop's kept normal draws for the
-    latest loop seed. The entry lives in the process only: every process
-    computes its own."""
+    volumes and their per-class _Fractions (K^3 + K^2 float64 per atlas),
+    for the latest PvConfig; and, for the latest loop seed, the moments of
+    the noise draws of each iteration a linear run has reached with a
+    positive noise level (see _reduce_noise; K^2 + 2K float64 per atlas),
+    reduced against those fractions. The entry lives in the process only: every process computes
+    its own."""
 
     orders: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     segmenter: SegmenterConfig | None = None
@@ -168,8 +172,9 @@ class _AtlasSet:
     model: SegmenterModel | None = None
     pv: PvConfig | None = None
     pvs: list[TissuePartialVolumes] | None = None
-    runs: int = 0
-    normals: _Normals | None = None
+    fractions: _Fractions | None = None
+    noise_seed: int | None = None
+    noise: dict[int, tuple[ClassMoments, np.ndarray]] = field(default_factory=dict)
 
     def class_orders(self, atlases: list[AtlasPair]) -> list:
         """class_order of each atlas's labels, computed on first use."""
@@ -177,15 +182,12 @@ class _AtlasSet:
             self.orders = [class_order(pair.labels) for pair in atlases]
         return self.orders
 
-    def run_normals(self, seed: int) -> _Normals:
-        """The normal draws of one more run() on this set: drawn afresh and
-        kept nowhere on its first run, kept from the second run on."""
-        self.runs += 1
-        if self.runs == 1:
-            return _Normals(seed, keep=False)
-        if self.normals is None or self.normals.seed != seed:
-            self.normals = _Normals(seed, keep=True)
-        return self.normals
+    def kept_noise(self, seed: int) -> dict[int, tuple[ClassMoments, np.ndarray]]:
+        """The kept noise moments of loop seed by iteration, emptied first
+        when the latest run had another seed."""
+        if self.noise_seed != seed:
+            self.noise_seed, self.noise = seed, {}
+        return self.noise
 
 
 # the latest atlas set's entry; its slots are read and filled with the lock held
@@ -226,42 +228,53 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissueP
     labels, held at the atlas's tissue voxels in class_order: the index of
     atlas i's partial volumes is the order array of the set's AtlasSide.
 
-    Computed once per atlas set and cfg per process, on the calling thread
-    and one started thread per further CPU (see _estimate_atlas_pvs), and
-    kept in the set's entry (see _atlas_set), so a second run() on the same
-    atlas list reuses them. A new set drops the old one, with its kept
-    noise draws, before its partial volumes are computed; a failed compute
-    keeps none.
+    Computed once per atlas set and cfg per process, with their per-class
+    _Fractions, on the calling thread and one started thread per further
+    CPU (see _estimate_atlas_pvs), and kept in the set's entry (see
+    _atlas_set), so a second run() on the same atlas list reuses them. A
+    new set drops the old one, with its kept noise moments, before its
+    partial volumes are computed; a failed compute keeps none.
     """
     with _ATLAS_SET.lock:
         entry = _atlas_set(atlases)
         if entry.pv != cfg or entry.pvs is None:
-            entry.pv, entry.pvs = cfg, None
+            entry.pv, entry.pvs, entry.fractions = cfg, None, None
+            entry.noise_seed, entry.noise = None, {}
             with _Stage("precompute_atlas_pv"):
-                entry.pvs = _estimate_atlas_pvs(atlases, cfg, entry.class_orders(atlases))
+                pvs, fractions = _estimate_atlas_pvs(atlases, cfg, entry.class_orders(atlases))
+            entry.pvs, entry.fractions = pvs, fractions
         return entry.pvs
 
 
 def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig,
-                        orders: list) -> list[TissuePartialVolumes]:
+                        orders: list) -> tuple[list[TissuePartialVolumes], _Fractions]:
     """estimate_pv of every atlas, in atlas order, each kept at its tissue
     voxels in class_order (orders[i] for atlas i) as soon as it is
-    estimated; a failure raises the error of the first failing atlas in
-    that order. The calling thread estimates atlases beside one started
-    thread per further CPU the process may run on (see map_in_order). Most
-    of estimate_pv's time goes to NumPy gathers, comparisons and reductions
-    over whole arrays of voxels, which run without the GIL, so the atlases
-    overlap."""
+    estimated, and their _Fractions; a failure raises the error of the
+    first failing atlas in that order. The calling thread estimates
+    atlases beside one started thread per further CPU the process may run
+    on (see map_in_order). Most of estimate_pv's time goes to NumPy
+    gathers, comparisons and reductions over whole arrays of voxels, which
+    run without the GIL, so the atlases overlap."""
     def one(item):
-        pair, (order, _, inverse) = item
+        pair, (order, bounds, inverse) = item
         # estimate_pv is looked up at call time, so a rebound module global
         # is the one that runs
         pv = estimate_pv(pair.image, pair.labels, cfg)
         channels = np.empty_like(pv.channels)
         channels[:, inverse] = pv.channels
-        return TissuePartialVolumes(pv.header, order, channels)
+        k_max = bounds.size - 1
+        sums = np.zeros((k_max, k_max))
+        grams = np.zeros((k_max, k_max, k_max))
+        for k in range(k_max):
+            if bounds[k + 1] > bounds[k]:
+                p = channels[:, bounds[k]:bounds[k + 1]].astype(np.float64)
+                sums[k] = p.sum(axis=1)
+                grams[k] = np.einsum("in,jn->ij", p, p)
+        return TissuePartialVolumes(pv.header, order, channels), sums, grams
 
-    return map_in_order(one, zip(atlases, orders), worker_count())
+    pvs, sums, grams = zip(*map_in_order(one, zip(atlases, orders), worker_count()))
+    return list(pvs), _Fractions(sums, grams)
 
 
 def _strip(labels: LabelVolume, fg: np.ndarray) -> LabelVolume:
@@ -347,14 +360,15 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
 
     Deterministic for a given config seed. On non-convergence at the
     iteration cap the last labels are returned with converged = False.
-    The synthesized atlas images are put on the grid and kept only when
-    cfg.atlas_images is set; the tissue vectors the segmenter retrains on
-    are the same either way.
+    The synthesized atlas images are rendered, put on the grid and kept
+    only when cfg.atlas_images is set; the moments the segmenter retrains
+    on are the same either way.
     """
     fg = _checked_foreground(input_image, atlases, cfg)
-    with _ATLAS_SET.lock:  # the run is counted on the entry that holds atlas_pvs
+    with _ATLAS_SET.lock:  # the partial volumes, fractions and kept noise of one entry
         atlas_pvs = precompute_atlas_pv(atlases, cfg.pv)
-        normals = _atlas_set(atlases).run_normals(cfg.seed)
+        entry = _atlas_set(atlases)
+        fractions, kept_noise = entry.fractions, entry.kept_noise(cfg.seed)
 
     side, model, stripped = _initial_segmentation(input_image, atlases, cfg, fg)
     labels_history = [stripped]
@@ -381,26 +395,103 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
             if model_t.class_intensities is not None:
                 last_intensities = model_t.class_intensities.copy()
         with _Stage(f"synthesize[{t}]", partial):
-            values = [synthesize(model_t, pv) for pv in atlas_pvs]
-            sigma = _spread_gap_sigma(stats.sigma, values, side)
-            values = [
-                _with_noise(vec, sigma, functools.partial(normals.draw, t, i, vec.size))
-                for i, vec in enumerate(values)
-            ]
+            values = None
+            if model_t.backend == synth.LINEAR_BACKEND:
+                weights = model_t.class_intensities
+                moments = _linear_moments(fractions, weights, side)
+            else:
+                values = [synthesize(model_t, pv) for pv in atlas_pvs]
+                weights = np.ones(1)
+                moments = class_moments(values, side)
+            sigma = _spread_gap_sigma(stats.sigma, moments, side)
+            if sigma > 0:
+                if values is None:
+                    noise = kept_noise.get(t)
+                    if noise is None:
+                        # two threads may reduce the same draws; both are equal
+                        noise = kept_noise.setdefault(t, _reduce_noise(
+                            cfg.seed, t, [pv.channels for pv in atlas_pvs], side))
+                else:
+                    noise = _reduce_noise(cfg.seed, t, [vec[None] for vec in values], side)
+                moments = _plus_noise(moments, *noise, weights, sigma)
+            if cfg.atlas_images:
+                if values is None:
+                    values = [synthesize(model_t, pv) for pv in atlas_pvs]
+                images = [
+                    _on_grid(_with_noise(vec, sigma,
+                                         functools.partial(_normals, cfg.seed, t, i, vec.size)), pv)
+                    for i, (vec, pv) in enumerate(zip(values, atlas_pvs))
+                ]
         with _Stage(f"retrain[{t}]", partial):
-            model = train(values, side, cfg.segmenter)
+            model = fit_moments(moments, side, cfg.segmenter)
         with _Stage(f"segment[{t}]", partial):
             new_labels = _strip(predict(model, input_image), fg)
         change = metrics.label_change_fraction(current, new_labels)
         labels_history.append(new_labels)
         if cfg.atlas_images:
-            atlas_images_history.append([_on_grid(vec, pv) for vec, pv in zip(values, atlas_pvs)])
+            atlas_images_history.append(images)
         records.append(IterationRecord(change, model_t, stats.sigma, sigma))
         if change < cfg.change_threshold:
             converged = True
             break
 
     return partial()
+
+
+def _linear_moments(fractions: _Fractions, c: np.ndarray, side: AtlasSide) -> ClassMoments:
+    """The ClassMoments of every atlas as linear synthesis with class
+    intensities c renders it, from the set's _Fractions, without rendering
+    a voxel. Each voxel's fractions mix classes present in its atlas and
+    sum to one, so lo and hi are the least and the greatest c of the
+    classes present in any atlas."""
+    present = side.class_counts.sum(axis=0) > 0
+    return ClassMoments(np.einsum("ikj,j->ik", np.stack(fractions.sums), c),
+                        np.einsum("ikjl,j,l->ik", np.stack(fractions.grams), c, c),
+                        float(c[present].min(initial=np.inf)),
+                        float(c[present].max(initial=-np.inf)))
+
+
+def _reduce_noise(seed: int, t: int, rows: list[np.ndarray],
+                  side: AtlasSide) -> tuple[ClassMoments, np.ndarray]:
+    """The ClassMoments of the loop's standard normals z at iteration t, at
+    the class slices of side, and their (A, K, m) cross moments with rows:
+    cross[i, k] is the sum of z times each of the m rows of rows[i], an
+    (m, n_i) array of values at atlas i's tissue voxels. Each atlas draws
+    and reduces its own normals, on the calling thread and at most one
+    started thread per further CPU (see map_in_order); Philox fills run
+    without the GIL. No draw is kept."""
+    def one(item):
+        i, (x, bounds) = item
+        z = _normals(seed, t, i, x.shape[1])
+        k_max = bounds.size - 1
+        sums = np.zeros(k_max)
+        squares = np.zeros(k_max)
+        cross = np.zeros((k_max, x.shape[0]))
+        for k in range(k_max):
+            if bounds[k + 1] > bounds[k]:
+                zk = z[bounds[k]:bounds[k + 1]]
+                sums[k] = zk.sum()
+                squares[k] = np.einsum("n,n->", zk, zk)
+                cross[k] = np.einsum("jn,n->j", x[:, bounds[k]:bounds[k + 1]], zk)
+        return sums, squares, cross, z.min(initial=np.inf), z.max(initial=-np.inf)
+
+    sums, squares, cross, lo, hi = zip(*map_in_order(one, enumerate(zip(rows, side.bounds)),
+                                                     worker_count()))
+    return (ClassMoments(np.stack(sums), np.stack(squares), float(min(lo)), float(max(hi))),
+            np.stack(cross))
+
+
+def _plus_noise(moments: ClassMoments, noise: ClassMoments, cross: np.ndarray,
+                weights: np.ndarray, sigma: float) -> ClassMoments:
+    """The ClassMoments of the values that moments reduce plus sigma times
+    the draws that noise reduces, where weights . cross[i, k] is the sum of
+    the values times the draws: the class intensities against the
+    fractions' cross moments, or one against the values' own."""
+    values_by_draws = np.einsum("ikj,j->ik", cross, weights)
+    return ClassMoments(
+        moments.sums + sigma * noise.sums,
+        moments.squares + 2.0 * sigma * values_by_draws + sigma * sigma * noise.squares,
+        moments.lo + sigma * noise.lo, moments.hi + sigma * noise.hi)
 
 
 def _with_noise(values: np.ndarray, sigma: float, normals) -> np.ndarray:
@@ -423,7 +514,7 @@ def _on_grid(values: np.ndarray, pv: TissuePartialVolumes) -> ScalarVolume:
     return ScalarVolume(pv.header, data)
 
 
-def _spread_gap_sigma(input_sigma: float, synthetic: list[np.ndarray], side: AtlasSide) -> float:
+def _spread_gap_sigma(input_sigma: float, moments: ClassMoments, side: AtlasSide) -> float:
     """Noise level that closes the within-class spread gap between the input
     and the synthesized atlases.
 
@@ -432,22 +523,15 @@ def _spread_gap_sigma(input_sigma: float, synthetic: list[np.ndarray], side: Atl
     within-class variance keeps the retrained Gaussian segmenter's likelihood
     widths realistic; without it the loop's likelihoods turn pathologically
     sharp and ignore the spatial prior. input_sigma is the input's pooled
-    within-class sigma (ClassStats.sigma); synthetic[i] is the tissue vector
-    of atlas i of side. Class means are taken over the class slices, and
-    the residuals are summed in C order, as a full-grid scan would.
+    within-class sigma (ClassStats.sigma); moments are those of the
+    synthesized atlases at the class slices of side. Each atlas and class
+    contributes squares - sums^2 / count, its squared residuals about its
+    own mean, pooled over every atlas tissue voxel.
     """
-    total = 0.0
-    count = 0
-    for vec, bounds, inverse in zip(synthetic, side.bounds, side.inverse):
-        vec = vec.astype(np.float64)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b > a:
-                vec[a:b] -= vec[a:b].mean()
-        residual = vec[inverse]
-        residual *= residual
-        total += float(np.sum(residual))
-        count += vec.size
-    pooled_syn_sq = total / max(count, 1)
+    counts = side.class_counts
+    present = counts > 0
+    within = moments.squares[present] - moments.sums[present] ** 2 / counts[present]
+    pooled_syn_sq = float(within.sum()) / max(int(counts.sum()), 1)
     return float(np.sqrt(max(input_sigma**2 - pooled_syn_sq, 0.0)))
 
 

@@ -9,9 +9,12 @@ loop never changes, is built by atlas_side (AtlasSide): the support of
 the spatial prior (the brain mask) as flat voxel indices with the
 log-prior on it, and each atlas's tissue voxels ordered by class. train
 fits class statistics of atlas intensities given at those voxels (one
-slice per class), and predict classifies the support voxels only: no
-other voxel can get a label. Nothing here is cached: the pipeline keeps
-the side of its atlas label set and passes it to every train call.
+slice per class) in two steps: class_moments reduces the intensities to
+per-class sums and sums of squares, and fit_moments fits from those, so a
+caller that has the moments in closed form fits without the intensities.
+predict classifies the support voxels only: no other voxel can get a
+label. Nothing here is cached: the pipeline keeps the side of its atlas
+label set and passes it to every train and fit_moments call.
 """
 
 from __future__ import annotations
@@ -188,18 +191,20 @@ class AtlasSide:
     """What the segmenter and the loop read from a fixed atlas label set.
 
     support is that of the atlas prior on the atlases' shared header.
-    order[i], bounds[i] and inverse[i] are class_order of atlas i's
-    labels: a vector of values at order[i] (a tissue vector of atlas i)
-    holds each class in one contiguous slice, and vector[inverse[i]] lists
-    the values by ascending voxel index, as a boolean-mask selection of the
-    tissue would. The arrays are read-only.
+    order[i] and bounds[i] are class_order of atlas i's labels: a vector
+    of values at order[i] (a tissue vector of atlas i) holds each class in
+    one contiguous slice. The arrays are read-only.
     """
 
     header: VolumeHeader
     support: PriorSupport
     order: tuple[np.ndarray, ...]      # [atlas] -> (n_i,) intp
     bounds: tuple[np.ndarray, ...]     # [atlas] -> (K + 1,) intp
-    inverse: tuple[np.ndarray, ...]    # [atlas] -> (n_i,) intp
+
+    @property
+    def class_counts(self) -> np.ndarray:
+        """(A, K) the voxel count of each atlas's class slices."""
+        return np.diff(np.stack(self.bounds), axis=1)
 
     def tissue_values(self, images: list[ScalarVolume]) -> list[np.ndarray]:
         """The tissue vector of each atlas image, image i on atlas i."""
@@ -217,25 +222,32 @@ def atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig,
                orders: list | None = None) -> AtlasSide:
     """Build the AtlasSide of these atlas labels (in this order). orders,
     when given, is class_order of each atlas's labels, and the side holds
-    those arrays."""
+    its order and bounds arrays."""
     prior = atlas_prior(atlas_labels, cfg)
     if orders is None:
         orders = [class_order(lab) for lab in atlas_labels]
-    order, bounds, inverse = zip(*orders)
+    order, bounds, _ = zip(*orders)
     return AtlasSide(header=atlas_labels[0].header, support=prior_support(prior),
-                     order=order, bounds=bounds, inverse=inverse)
+                     order=order, bounds=bounds)
 
 
-def train(values: list[np.ndarray], side: AtlasSide, cfg: SegmenterConfig) -> SegmenterModel:
-    """Fit the Gaussian classifier on atlas intensities: values[i] is the
-    tissue vector of an image of atlas i (see AtlasSide.tissue_values).
+@dataclass(frozen=True)
+class ClassMoments:
+    """What training reads of atlas intensities: per atlas i and class k,
+    the float64 sum and sum of squares of the class's values, each (A, K),
+    and lo <= every value <= hi, the least and the greatest value or an
+    outer bound of them."""
 
-    Class statistics are pooled over every atlas voxel of the class, one
-    slice per atlas and class; the prior support is the side's. Per-atlas
-    partial sums are reduced in sorted order, so the result is invariant to
-    atlas ordering. The variance floor is VARIANCE_FLOOR_FRACTION of the
-    squared range of the values trained on. Means and variances are read-only.
-    """
+    sums: np.ndarray
+    squares: np.ndarray
+    lo: float
+    hi: float
+
+
+def class_moments(values: list[np.ndarray], side: AtlasSide) -> ClassMoments:
+    """Reduce the tissue vectors values (values[i] for atlas i, see
+    AtlasSide.tissue_values) to their ClassMoments, one class slice at a
+    time, with lo and hi the least and the greatest value."""
     if len(values) != len(side.order):
         raise ArgumentError(
             f"{len(values)} atlas images for an atlas side of {len(side.order)} atlases")
@@ -243,30 +255,42 @@ def train(values: list[np.ndarray], side: AtlasSide, cfg: SegmenterConfig) -> Se
         if vec.shape != order.shape:
             raise ArgumentError(f"{vec.size} values for an atlas of {order.size} tissue voxels")
     k_max = side.bounds[0].size - 1
-
-    counts = np.diff(np.stack(side.bounds), axis=1).astype(np.float64)
     sums = np.zeros((len(values), k_max), dtype=np.float64)
-    sq_sums = np.zeros((len(values), k_max), dtype=np.float64)
-    lo = np.empty(len(values))
-    hi = np.empty(len(values))
+    squares = np.zeros((len(values), k_max), dtype=np.float64)
+    lo, hi = np.inf, -np.inf
     for i, (vec, bounds) in enumerate(zip(values, side.bounds)):
-        lo[i], hi[i] = vec.min(initial=np.inf), vec.max(initial=-np.inf)
+        lo = min(lo, float(vec.min(initial=np.inf)))
+        hi = max(hi, float(vec.max(initial=-np.inf)))
         for k in range(k_max):
             if bounds[k + 1] > bounds[k]:
                 vals = vec[bounds[k]:bounds[k + 1]].astype(np.float64)
                 sums[i, k] = vals.sum()
-                sq_sums[i, k] = np.sum(vals * vals)
+                squares[i, k] = np.sum(vals * vals)
+    return ClassMoments(sums, squares, lo, hi)
 
+
+def fit_moments(moments: ClassMoments, side: AtlasSide, cfg: SegmenterConfig) -> SegmenterModel:
+    """Fit the Gaussian classifier on the ClassMoments of atlas intensities
+    at the side's class slices.
+
+    Class statistics are pooled over every atlas voxel of the class. The
+    per-atlas sums are reduced in sorted order, so the result is invariant
+    to atlas ordering. The variance floor is VARIANCE_FLOOR_FRACTION of
+    (hi - lo) squared. Means and variances are read-only.
+    """
+    counts = side.class_counts.astype(np.float64)
+    if moments.sums.shape != counts.shape or moments.squares.shape != counts.shape:
+        raise ArgumentError(
+            f"moments of shape {moments.sums.shape} for an atlas side of shape {counts.shape}")
     total = np.sort(counts, axis=0).sum(axis=0)
-    for k in range(k_max):
+    for k in range(total.size):
         if total[k] == 0:
             raise TrainingError(
                 f"class {tissues.class_name(k + 1)} ({k + 1}) absent from all atlases"
             )
-    mean = np.sort(sums, axis=0).sum(axis=0) / total
-    var = np.sort(sq_sums, axis=0).sum(axis=0) / total - mean**2
-    intensity_range = float(hi.max() - lo.min())
-    floor = VARIANCE_FLOOR_FRACTION * intensity_range**2
+    mean = np.sort(moments.sums, axis=0).sum(axis=0) / total
+    var = np.sort(moments.squares, axis=0).sum(axis=0) / total - mean**2
+    floor = VARIANCE_FLOOR_FRACTION * (moments.hi - moments.lo)**2
     var = np.maximum(var, max(floor, np.finfo(np.float64).tiny))
     for arr in (mean, var):
         arr.flags.writeable = False
@@ -278,6 +302,14 @@ def train(values: list[np.ndarray], side: AtlasSide, cfg: SegmenterConfig) -> Se
         support=side.support,
         smoothing_weight=cfg.smoothing_weight,
     )
+
+
+def train(values: list[np.ndarray], side: AtlasSide, cfg: SegmenterConfig) -> SegmenterModel:
+    """Fit the Gaussian classifier on atlas intensities: values[i] is the
+    tissue vector of an image of atlas i (see AtlasSide.tissue_values).
+    fit_moments of their class_moments, so the variance floor reads the
+    range of the values trained on."""
+    return fit_moments(class_moments(values, side), side, cfg)
 
 
 def _neighbors(labels: np.ndarray, support: PriorSupport, dims) -> np.ndarray:

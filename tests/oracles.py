@@ -5,10 +5,13 @@ counting, direct formula evaluation) and deliberately shares no code with
 the implementations under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.ndimage import distance_transform_edt, uniform_filter
 
-from camelion import phantom, pv, segmenter, tissues
+from camelion import metrics, phantom, pipeline, pv, segmenter, synth, tissues
+from camelion.util import derived_seed
 
 
 def grid_objective(alpha, f, c_a, c_b, sigma, beta):
@@ -422,3 +425,57 @@ def fit_linear_reference(pv_set, image, fallback_intensities):
     c[active] = np.linalg.solve(p_active @ p_active.T, p_active @ f)
     residual = f - c[active] @ p_active
     return c, float(np.mean(residual**2))
+
+
+def adaptation_loop_reference(input_image, atlases, cfg):
+    """The adaptation loop as it ran before the retrain read closed-form
+    class moments: each iteration renders every atlas's tissue voxels with
+    the synthesis fit as float32, takes the spread-gap noise level from the
+    residuals of the rendered vectors about their class means, summed in
+    voxel order, adds sigma
+    times the loop's Philox standard normals to each vector as float32, and
+    trains on the noisy vectors. The partial volumes and the stages the
+    loop shares with it are the library's. Returns the labels history."""
+    fg = pipeline.foreground_mask(input_image, cfg.mask_rel_threshold)
+    atlas_pvs = pipeline.precompute_atlas_pv(atlases, cfg.pv)
+    side = segmenter.atlas_side([a.labels for a in atlases], cfg.segmenter)
+    model = segmenter.train(side.tissue_values([a.image for a in atlases]), side, cfg.segmenter)
+
+    def segment(model):
+        labels = segmenter.predict(model, input_image)
+        return type(labels)(labels.header, np.where(fg, labels.data, 0).astype(np.uint8),
+                            num_classes=labels.num_classes)
+
+    history = [segment(model)]
+    last = model.means.copy()
+    for t in range(cfg.max_iterations):
+        current = history[-1]
+        stats = pv.class_stats(input_image, current)
+        input_pv = pv.estimate_tissue_pv(input_image, current, cfg.pv, stats)
+        synth_cfg = replace(cfg.synth, seed=derived_seed(cfg.seed, t, 101))
+        model_t = synth.fit(input_pv, input_image, synth_cfg, fallback_intensities=last)
+        if model_t.class_intensities is not None:
+            last = model_t.class_intensities.copy()
+        values = [synth.synthesize(model_t, atlas_pv) for atlas_pv in atlas_pvs]
+        total = 0.0
+        for vec, bounds, order in zip(values, side.bounds, side.order):
+            residual = vec.astype(np.float64)
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if b > a:
+                    residual[a:b] -= residual[a:b].mean()
+            # summed in voxel order, as a full-grid scan would
+            total += float(np.sum(residual[np.argsort(order)] ** 2))
+        pooled = total / max(sum(vec.size for vec in values), 1)
+        sigma = float(np.sqrt(max(stats.sigma**2 - pooled, 0.0)))
+        if sigma > 0:
+            noisy = []
+            for i, vec in enumerate(values):
+                stream = np.random.SeedSequence(derived_seed(cfg.seed, t, 211, i))
+                z = np.random.Generator(np.random.Philox(stream)).standard_normal(vec.size)
+                noisy.append((z * sigma + vec).astype(np.float32))
+            values = noisy
+        new = segment(segmenter.train(values, side, cfg.segmenter))
+        history.append(new)
+        if metrics.label_change_fraction(current, new) < cfg.change_threshold:
+            break
+    return history

@@ -214,17 +214,17 @@ class TestRunCommand:
             assert fields[-5:] == [""] * 5
 
     def test_loop_failure_keeps_partial_results(self, cohort, tmp_path, monkeypatch):
-        real = pipeline.synthesize
+        real = pipeline.fit_moments
         calls = []
 
-        def synthesize_failing_in_iteration_2(model, pv):
-            # each iteration synthesizes both atlases once
-            calls.append(pv)
-            if len(calls) == 3:
-                raise CamelionError("synthesis failed")
-            return real(model, pv)
+        def retrain_failing_in_iteration_2(moments, side, cfg):
+            # each iteration retrains once
+            calls.append(moments)
+            if len(calls) == 2:
+                raise CamelionError("retrain failed")
+            return real(moments, side, cfg)
 
-        monkeypatch.setattr(pipeline, "synthesize", synthesize_failing_in_iteration_2)
+        monkeypatch.setattr(pipeline, "fit_moments", retrain_failing_in_iteration_2)
         runs = tmp_path / "runs"
         code = run_cli(
             "run", "--method", "camelion", "--subject", "s002",
@@ -298,10 +298,10 @@ class TestRunCommand:
         out_dir = runs / "s002" / "camelion"
         assert (out_dir / "labels_final.mvf").exists()
 
-        def failing_synthesize(*args, **kwargs):
-            raise CamelionError("synthesis failed")
+        def failing_retrain(*args, **kwargs):
+            raise CamelionError("retrain failed")
 
-        monkeypatch.setattr(pipeline, "synthesize", failing_synthesize)
+        monkeypatch.setattr(pipeline, "fit_moments", failing_retrain)
         assert run_cli(*args) == 4
         # only the initial segmentation completed; eval finds no finished run
         assert sorted(p.name for p in out_dir.iterdir()) == [

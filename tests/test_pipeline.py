@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from camelion import metrics, pipeline, segmenter, tissues
-from camelion.errors import ArgumentError, CamelionError, EstimationError, PipelineError
+from camelion.errors import (ArgumentError, CamelionError, EstimationError, PipelineError,
+                             TrainingError)
 from camelion.phantom import (
     DEFAULT_PROTOCOL_A,
     DEFAULT_PROTOCOL_B,
@@ -42,7 +43,7 @@ from camelion.volumes import (
     encode_mvf,
     validate_partial_volumes,
 )
-from oracles import spread_gap_sigma_reference
+from oracles import adaptation_loop_reference, spread_gap_sigma_reference
 
 NOISELESS_A = ProtocolParams((25.0, 15.0, 60.0, 100.0, 80.0))
 PARAMS = PhantomParams(base_dims=(24, 24, 24), supersample=4, seed=99)
@@ -235,7 +236,7 @@ class TestAtlasPvMemo:
 class TestWarmRun:
     """One subject run in-process cold, warm, after a run with another seed
     and after a run on another atlas set: the same bytes every time, with
-    the atlas-set work done once and the kept noise draws dropped in
+    the atlas-set work done once and the kept noise moments dropped in
     time."""
 
     CFG = LoopConfig(max_iterations=3, change_threshold=0.0001, atlas_images=True)
@@ -249,32 +250,37 @@ class TestWarmRun:
         return [encode_mvf(v) for v in volumes], repr(records), result.converged
 
     @staticmethod
-    def kept_normals(atlases):
-        """The draws kept for atlases, the set the memo holds."""
-        return pipeline._atlas_set(atlases).normals
+    def kept_noise(atlases):
+        """The loop seed and the iterations of the noise moments kept for
+        atlases, the set the memo holds."""
+        entry = pipeline._atlas_set(atlases)
+        return entry.noise_seed, sorted(entry.noise)
 
     def test_every_situation_gives_the_cold_bytes(self, small_cohort, fresh_atlas_memo,
                                                    monkeypatch):
         atlases, input_image, _ = small_cohort
+        seed = self.CFG.seed
         cold = run(input_image, atlases, self.CFG)
         assert all(r.noise_sigma > 0 for r in cold.records)
-        # a run on a set seen once keeps no draws
-        assert self.kept_normals(atlases) is None
+        # the first run keeps the noise moments of every iteration it ran
+        ran = list(range(cold.iterations_run))
+        assert self.kept_noise(atlases) == (seed, ran)
+        first = pipeline._atlas_set(atlases).noise[0]
 
         warm = run(input_image, atlases, self.CFG)
         assert self.outputs(warm) == self.outputs(cold)
-        assert self.kept_normals(atlases).seed == self.CFG.seed
+        assert self.kept_noise(atlases) == (seed, ran)
+        assert pipeline._atlas_set(atlases).noise[0] is first
 
-        run(input_image, atlases, replace(self.CFG, seed=self.CFG.seed + 1))
-        assert self.kept_normals(atlases).seed == self.CFG.seed + 1
+        run(input_image, atlases, replace(self.CFG, seed=seed + 1))
+        assert self.kept_noise(atlases)[0] == seed + 1
         after_seed = run(input_image, atlases, self.CFG)
         assert self.outputs(after_seed) == self.outputs(cold)
-        assert self.kept_normals(atlases).seed == self.CFG.seed
+        assert self.kept_noise(atlases) == (seed, ran)
 
-        # the kept draws of the old set are gone before the new set's
+        # the kept moments of the old set are gone before the new set's
         # partial volumes are computed
-        n = precompute_atlas_pv(atlases, self.CFG.pv)[0].index.size
-        kept = weakref.ref(self.kept_normals(atlases).draw(0, 0, n))
+        kept = weakref.ref(pipeline._atlas_set(atlases).noise[0][1])
         alive_at_compute = []
 
         def checking(image, labels, cfg, stats=None):
@@ -283,12 +289,19 @@ class TestWarmRun:
             return estimate_tissue_pv(image, labels, cfg, stats)
 
         monkeypatch.setattr(pipeline, "estimate_pv", checking)
-        run(input_image, atlases[::-1], self.CFG)
+        other = run(input_image, atlases[::-1], self.CFG)
         assert alive_at_compute == [False] * len(atlases)
-        assert self.kept_normals(atlases[::-1]) is None
+        assert self.kept_noise(atlases[::-1]) == (seed, list(range(other.iterations_run)))
         after_set = run(input_image, atlases, self.CFG)
         assert self.outputs(after_set) == self.outputs(cold)
-        assert self.kept_normals(atlases) is None
+        assert self.kept_noise(atlases) == (seed, ran)
+
+    def test_new_pv_config_drops_the_kept_moments(self, small_cohort, fresh_atlas_memo):
+        # the moments of the draws against the fractions are those of one PvConfig
+        atlases, input_image, _ = small_cohort
+        run(input_image, atlases, self.CFG)
+        precompute_atlas_pv(atlases, PvConfig(beta=0.3))
+        assert self.kept_noise(atlases) == (None, [])
 
     def test_direct_and_nhm_give_the_cold_bytes(self, small_cohort, fresh_atlas_memo):
         atlases, input_image, _ = small_cohort
@@ -353,10 +366,11 @@ class TestAtlasSetSlots:
 
     @pytest.fixture
     def calls(self, small_cohort, monkeypatch):
-        """The train, atlas_side and atlas estimate_pv calls; atlas_side
-        sleeps, so that a racing thread arrives while it runs."""
+        """The train, fit_moments, atlas_side and atlas estimate_pv calls:
+        the first model trains and the loop's retrains fit from moments.
+        atlas_side sleeps, so that a racing thread arrives while it runs."""
         atlases, _, _ = small_cohort
-        calls = {"train": 0, "atlas_side": 0, "estimate_pv": 0}
+        calls = {"train": 0, "fit_moments": 0, "atlas_side": 0, "estimate_pv": 0}
 
         def counting(name, fn, *args, **kwargs):
             if name != "estimate_pv" or any(args[1] is a.labels for a in atlases):
@@ -377,9 +391,9 @@ class TestAtlasSetSlots:
         for name in calls:
             calls[name] = 0
         out = ARMS[arm](input_image, atlases, self.CFG)
-        # the loop trains only for its retrains
+        # the loop fits only for its retrains
         retrains = out.iterations_run if arm == "camelion" else 0
-        assert calls == {"train": retrains, "atlas_side": 0, "estimate_pv": 0}
+        assert calls == {"train": 0, "fit_moments": retrains, "atlas_side": 0, "estimate_pv": 0}
 
     @pytest.mark.parametrize("name,stage", [("train", "train"),
                                             ("estimate_pv", "precompute_atlas_pv")])
@@ -442,7 +456,7 @@ class TestAtlasSetSlots:
         assert errors == []
         assert got == serial
         # one first model, shared, and the loop's retrains
-        assert calls == {"train": 1 + loop.iterations_run, "atlas_side": 1,
+        assert calls == {"train": 1, "fit_moments": loop.iterations_run, "atlas_side": 1,
                          "estimate_pv": len(atlases)}
 
 
@@ -609,7 +623,8 @@ class TestRun:
         calls = []
 
         def synthesize_failing_in_iteration_1(model, pv):
-            # each iteration synthesizes every atlas once
+            # each iteration that keeps its atlas images synthesizes every
+            # atlas once
             calls.append(pv)
             if len(calls) == len(atlases) + 1:
                 raise CamelionError("synthesis failed")
@@ -617,7 +632,7 @@ class TestRun:
 
         monkeypatch.setattr(pipeline, "synthesize", synthesize_failing_in_iteration_1)
         # iteration 0 changes more than this, so the loop reaches iteration 1
-        cfg = LoopConfig(max_iterations=3, change_threshold=0.0001)
+        cfg = LoopConfig(max_iterations=3, change_threshold=0.0001, atlas_images=True)
         with pytest.raises(PipelineError) as err:
             run(input_image, atlases, cfg)
         assert err.value.stage == "synthesize[1]"
@@ -628,17 +643,17 @@ class TestRun:
     def test_partial_result_keeps_atlas_images_only_on_request(self, small_cohort, monkeypatch,
                                                                fresh_atlas_memo, atlas_images):
         atlases, input_image, _ = small_cohort
-        real = pipeline.train
+        real = pipeline.fit_moments
         calls = []
 
-        def train_failing_in_iteration_1(values, side, cfg):
-            # the first model, then one retrain per iteration
-            calls.append(values)
-            if len(calls) == 3:
+        def fit_failing_in_iteration_1(moments, side, cfg):
+            # one retrain per iteration
+            calls.append(moments)
+            if len(calls) == 2:
                 raise CamelionError("training failed")
-            return real(values, side, cfg)
+            return real(moments, side, cfg)
 
-        monkeypatch.setattr(pipeline, "train", train_failing_in_iteration_1)
+        monkeypatch.setattr(pipeline, "fit_moments", fit_failing_in_iteration_1)
         cfg = LoopConfig(max_iterations=3, change_threshold=0.0001, atlas_images=atlas_images)
         with pytest.raises(PipelineError) as err:
             run(input_image, atlases, cfg)
@@ -738,9 +753,9 @@ class TestRunNhm:
 
 
 class TestSpreadGapAndNoise:
-    """The spread gap read from the atlases' tissue vectors gives the bytes of
-    a full-grid scan, and the noise is drawn on the tissue vector before
-    the values are added."""
+    """The spread gap from the atlases' class moments matches a full-grid
+    scan of the synthetic images, and the atlas images' noise is drawn on
+    the tissue vector before the values are added."""
 
     @staticmethod
     def scene(voxel=(1.0, 2.0, 0.5), seed=4):
@@ -769,18 +784,21 @@ class TestSpreadGapAndNoise:
 
     @staticmethod
     def spread_gap(input_image, current, synthetic, atlases):
-        """The loop's spread gap, from the tissue vectors of the synthetic
-        images and the input's class statistics."""
+        """The loop's spread gap, from the class moments of the synthetic
+        images' tissue vectors and the input's class statistics."""
         side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
-        return pipeline._spread_gap_sigma(class_stats(input_image, current).sigma,
-                                          side.tissue_values(synthetic), side)
+        moments = segmenter.class_moments(side.tissue_values(synthetic), side)
+        return pipeline._spread_gap_sigma(class_stats(input_image, current).sigma, moments, side)
 
     @pytest.mark.parametrize("voxel", [(1.0, 1.0, 1.0), (1.0, 2.0, 0.5)])
     def test_spread_gap_matches_full_scan(self, voxel):
+        # sums and squares stand in for the residuals about each class
+        # mean, so the last bits differ from the scan's
         input_image, current, synthetic, atlases = self.scene(voxel)
         got = self.spread_gap(input_image, current, synthetic, atlases)
         assert got > 0
-        assert got == spread_gap_sigma_reference(input_image, current, synthetic, atlases)
+        expected = spread_gap_sigma_reference(input_image, current, synthetic, atlases)
+        assert got == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_spread_gap_zero_when_synthetic_spread_is_wider(self):
         input_image, current, synthetic, atlases = self.scene()
@@ -791,9 +809,10 @@ class TestSpreadGapAndNoise:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_noise_matches_image_plus_draw(self, seed):
-        # the values are the tissue vector of one atlas, as the loop holds it,
-        # and prefixes of it; a fresh draw and a kept one must both give the
-        # bytes of values plus Philox's normal(0.0, sigma) on the loop's stream
+        # the values are the tissue vector of one atlas, as the loop renders
+        # it for its atlas images, and prefixes of it; a fresh draw must give
+        # the bytes of values plus Philox's normal(0.0, sigma) on the loop's
+        # stream
         input_image, _, _, atlases = self.scene()
         side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
         tissue = side.tissue_values([input_image] * 3)[1]
@@ -801,17 +820,10 @@ class TestSpreadGapAndNoise:
             stream = derived_seed(seed, 2, 211, 1)
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(stream)))
             expected = values.astype(np.float64) + rng.normal(0.0, sigma, size=values.size)
-            expected = expected.astype(np.float32).tobytes()
-            fresh = pipeline._Normals(seed, keep=False)
-            kept = pipeline._Normals(seed, keep=True)
-            for normals in (fresh, kept, kept):
-                got = pipeline._with_noise(
-                    values, sigma, functools.partial(normals.draw, 2, 1, values.size))
-                assert got.dtype == np.float32
-                assert got.tobytes() == expected
-            assert kept.draw(2, 1, values.size) is kept.draw(2, 1, values.size)
-            assert not kept.draw(2, 1, values.size).flags.writeable
-            assert fresh.draw(2, 1, values.size) is not fresh.draw(2, 1, values.size)
+            got = pipeline._with_noise(
+                values, sigma, functools.partial(pipeline._normals, seed, 2, 1, values.size))
+            assert got.dtype == np.float32
+            assert got.tobytes() == expected.astype(np.float32).tobytes()
 
     def test_no_noise_returns_the_values(self):
         values = np.arange(5, dtype=np.float32)
@@ -821,6 +833,110 @@ class TestSpreadGapAndNoise:
 
         for sigma in (0.0, -1.0):
             assert pipeline._with_noise(values, sigma, no_draw) is values
+
+
+class TestClosedFormMoments:
+    """The retrain's class moments under linear synthesis, from the set's
+    fraction sums and Gram matrices and the draws' moments, against a
+    float64 render and noise of every atlas tissue voxel."""
+
+    INTENSITIES = np.array([31.5, 12.25, 70.0, 104.75, 88.0])
+
+    @staticmethod
+    def set_of(atlases):
+        """The tissue partial volumes, fractions and side of atlases."""
+        pvs = precompute_atlas_pv(atlases, PvConfig())
+        side = segmenter.atlas_side([a.labels for a in atlases], SegmenterConfig())
+        return pvs, pipeline._atlas_set(atlases).fractions, side
+
+    @staticmethod
+    def per_voxel(atlases, pvs, c, sigma, seed, t):
+        """Per atlas and class, the float64 sum and sum of squares of the
+        rendered and noised values, each class selected from the atlas's
+        labels; and the least and the greatest value."""
+        k_max = c.size
+        sums = np.zeros((len(atlases), k_max))
+        squares = np.zeros((len(atlases), k_max))
+        lo, hi = np.inf, -np.inf
+        for i, (pair, pv) in enumerate(zip(atlases, pvs)):
+            p = pv.channels.astype(np.float64)
+            values = np.zeros(pv.index.size)
+            for k in range(k_max):
+                values += c[k] * p[k]
+            stream = np.random.SeedSequence(derived_seed(seed, t, 211, i))
+            values += sigma * np.random.Generator(np.random.Philox(stream)) \
+                .standard_normal(values.size)
+            classes = pair.labels.data.reshape(-1)[pv.index]
+            for k in range(k_max):
+                vals = values[classes == k + 1]
+                sums[i, k] = np.sum(vals)
+                squares[i, k] = np.sum(vals * vals)
+            lo, hi = min(lo, values.min()), max(hi, values.max())
+        return sums, squares, lo, hi
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 2.5, 400.0])
+    def test_match_per_voxel_reduction(self, fresh_atlas_memo, sigma):
+        _, _, _, atlases = TestSpreadGapAndNoise.scene()
+        pvs, fractions, side = self.set_of(atlases)
+        c = self.INTENSITIES
+        got = pipeline._linear_moments(fractions, c, side)
+        if sigma > 0:
+            noise, cross = pipeline._reduce_noise(7, 2, [pv.channels for pv in pvs], side)
+            got = pipeline._plus_noise(got, noise, cross, c, sigma)
+        sums, squares, lo, hi = self.per_voxel(atlases, pvs, c, sigma, 7, 2)
+        # atlas 1 has no voxel of class 4
+        assert sums[1, 3] == squares[1, 3] == got.sums[1, 3] == got.squares[1, 3] == 0.0
+        np.testing.assert_allclose(got.sums, sums, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got.squares, squares, rtol=1e-9, atol=0)
+        # the bounds hold every value, up to the float32 fractions' sum
+        slack = 1e-6 * np.abs(c).max()
+        assert got.lo <= lo + slack and got.hi >= hi - slack
+        if sigma == 0:
+            assert (got.lo, got.hi) == (c.min(), c.max())
+
+    def test_class_absent_from_every_atlas(self, fresh_atlas_memo):
+        _, _, _, atlases = TestSpreadGapAndNoise.scene()
+        without = [AtlasPair(a.image, LabelVolume(a.labels.header,
+                                                  np.where(a.labels.data == 4, 1, a.labels.data),
+                                                  num_classes=5)) for a in atlases]
+        pvs, fractions, side = self.set_of(without)
+        moments = pipeline._linear_moments(fractions, self.INTENSITIES, side)
+        noise, cross = pipeline._reduce_noise(0, 0, [pv.channels for pv in pvs], side)
+        moments = pipeline._plus_noise(moments, noise, cross, self.INTENSITIES, 3.0)
+        assert not moments.sums[:, 3].any()
+        with pytest.raises(TrainingError, match="absent from all atlases"):
+            segmenter.fit_moments(moments, side, SegmenterConfig())
+
+    def test_noise_moments_do_not_depend_on_worker_count(self, small_cohort, fresh_atlas_memo,
+                                                         monkeypatch):
+        atlases, _, _ = small_cohort
+        pvs, _, side = self.set_of(atlases)
+        got = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(pipeline, "worker_count", lambda: workers)
+            noise, cross = pipeline._reduce_noise(5, 1, [pv.channels for pv in pvs], side)
+            got.append((noise.sums.tobytes(), noise.squares.tobytes(), cross.tobytes(),
+                        noise.lo, noise.hi))
+        assert got[1] == got[0] and got[2] == got[0]
+
+
+class TestReferenceLoop:
+    """Every iteration's labels equal those of the per-voxel loop in
+    oracles.py: render, spread gap, noise and retrain on every atlas
+    tissue voxel."""
+
+    @pytest.mark.parametrize("means", [NOISELESS_A.class_means, (25.0, 15.0, 100.0, 60.0, 80.0)],
+                             ids=["default", "gm-wm-swapped"])
+    def test_labels_of_every_iteration(self, small_cohort, means):
+        atlases, input_image, _ = small_cohort
+        if means != NOISELESS_A.class_means:
+            input_image = make_subject(5, ProtocolParams(means), seed=50)[0]
+        cfg = LoopConfig(max_iterations=4, change_threshold=0.0001)
+        result = run(input_image, atlases, cfg)
+        assert all(r.noise_sigma > 0 for r in result.records)
+        expected = adaptation_loop_reference(input_image, atlases, cfg)
+        assert [v.data.tobytes() for v in result.labels_history] == \
+            [v.data.tobytes() for v in expected]
 
 
 class TestArtifacts:

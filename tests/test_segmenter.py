@@ -216,6 +216,16 @@ class TestTrainChecksSide:
             with pytest.raises(ArgumentError, match="atlas side of 2 atlases"):
                 train(vectors, side, NO_SMOOTH)
 
+    def test_rejects_moments_of_other_shape(self):
+        labels = five_class_labels()
+        pair = pair_from(labels * 10.0, labels)
+        side = atlas_side([pair.labels, pair.labels], NO_SMOOTH)
+        moments = segmenter.class_moments(side.tissue_values([pair.image] * 2), side)
+        for sums in (moments.sums[:1], moments.sums[:, :4]):
+            with pytest.raises(ArgumentError, match="moments of shape"):
+                segmenter.fit_moments(segmenter.ClassMoments(sums, sums, 0.0, 50.0), side,
+                                      NO_SMOOTH)
+
     def test_rejects_vector_of_other_length(self):
         labels = five_class_labels()
         pair = pair_from(labels * 10.0, labels)
@@ -279,7 +289,8 @@ class TestPriorMemo:
             for k in range(1, 6):
                 assert np.array_equal(order[bounds[k - 1]:bounds[k]], np.flatnonzero(flat == k))
             assert bounds[0] == 0 and bounds[-1] == order.size
-            assert np.array_equal(order[cold.inverse[i]], np.flatnonzero(flat > 0))
+            inverse = segmenter.class_order(p.labels)[2]
+            assert np.array_equal(order[inverse], np.flatnonzero(flat > 0))
 
     def test_label_or_epsilon_change_recomputes(self, frequency_calls):
         pairs = self.atlases()
