@@ -156,17 +156,17 @@ class _Fractions:
 class _AtlasSet:
     """What one atlas set alone determines, each slot filled on first use
     and kept until another set replaces this one: the class_order of each
-    atlas's labels, which the AtlasSide and the tissue partial volumes
-    share; the segmenter's AtlasSide and the model trained on the original
-    atlas images, for the latest SegmenterConfig; the tissue partial
-    volumes and their per-class _Fractions (K^3 + K^2 float64 per atlas),
-    for the latest PvConfig; and, for the latest loop seed, the moments of
-    the noise draws of each iteration a linear run has reached with a
-    positive noise level (see _reduce_noise; K^2 + 2K float64 per atlas),
-    reduced against those fractions. The entry lives in the process only: every process computes
-    its own."""
+    atlas's labels, (order, bounds), which the AtlasSide and the tissue
+    partial volumes share; the segmenter's AtlasSide and the model trained
+    on the original atlas images, for the latest SegmenterConfig; the
+    tissue partial volumes and their per-class _Fractions (K^3 + K^2
+    float64 per atlas), for the latest PvConfig; and, for the latest loop
+    seed, the moments of the noise draws of each iteration a linear run has
+    reached with a positive noise level (see _reduce_noise; K^2 + 2K
+    float64 per atlas), reduced against those fractions. The entry lives
+    in the process only: every process computes its own."""
 
-    orders: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    orders: list[tuple[np.ndarray, np.ndarray]] | None = None
     segmenter: SegmenterConfig | None = None
     side: AtlasSide | None = None
     model: SegmenterModel | None = None
@@ -227,6 +227,8 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissueP
     """Estimate each atlas's partial volumes from its original image and
     labels, held at the atlas's tissue voxels in class_order: the index of
     atlas i's partial volumes is the order array of the set's AtlasSide.
+    The entry keeps (order, bounds) of each class_order only; every compute
+    lays its partial volumes out in that order from the atlas labels.
 
     Computed once per atlas set and cfg per process, with their per-class
     _Fractions, on the calling thread and one started thread per further
@@ -257,12 +259,15 @@ def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig,
     gathers, comparisons and reductions over whole arrays of voxels, which
     run without the GIL, so the atlases overlap."""
     def one(item):
-        pair, (order, bounds, inverse) = item
+        pair, (order, bounds) = item
         # estimate_pv is looked up at call time, so a rebound module global
         # is the one that runs
         pv = estimate_pv(pair.image, pair.labels, cfg)
-        channels = np.empty_like(pv.channels)
-        channels[:, inverse] = pv.channels
+        # pv holds the tissue voxels in C order: the stable argsort of their
+        # classes that made order puts the columns in order's order. take
+        # keeps the rows C-contiguous, which the einsum's bytes depend on
+        classes = pair.labels.data.reshape(-1)[pv.index]
+        channels = np.take(pv.channels, np.argsort(classes, kind="stable"), axis=1)
         k_max = bounds.size - 1
         sums = np.zeros((k_max, k_max))
         grams = np.zeros((k_max, k_max, k_max))

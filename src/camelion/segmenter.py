@@ -63,8 +63,9 @@ class PriorSupport:
 def prior_support(prior: np.ndarray) -> PriorSupport:
     """Support indices and log-prior of a (K, *dims) prior stack."""
     index = np.flatnonzero(prior.any(axis=0))
+    log_prior = prior.reshape(prior.shape[0], -1)[:, index].astype(np.float64)
     with np.errstate(divide="ignore"):
-        log_prior = np.log(prior.reshape(prior.shape[0], -1)[:, index].astype(np.float64))
+        np.log(log_prior, out=log_prior)
     coords = np.unravel_index(index, prior.shape[1:])
     padded = np.ravel_multi_index(tuple(c + 1 for c in coords),
                                   tuple(d + 2 for d in prior.shape[1:]))
@@ -89,19 +90,25 @@ class SegmenterModel:
 
 
 def label_frequency(atlas_labels: list[LabelVolume]) -> np.ndarray:
-    """Per-voxel fraction of atlases carrying each class (no smoothing)."""
+    """Per-voxel fraction of atlases carrying each class (no smoothing).
+
+    Each class is counted one atlas at a time, in the narrowest integer
+    type that holds the atlas count, so no array holds every atlas."""
     if not atlas_labels:
         raise ArgumentError("need at least one atlas")
     header = require_same_header(*atlas_labels)
     k_max = atlas_labels[0].num_classes
     if any(lab.num_classes != k_max for lab in atlas_labels):
         raise ArgumentError("atlases disagree on the number of classes")
-    stack = np.stack([lab.data for lab in atlas_labels])
-    # each class's atlas count, in the narrowest integer type that holds it
-    count_type = np.min_scalar_type(len(atlas_labels))
+    count = np.empty(header.dims, dtype=np.min_scalar_type(len(atlas_labels)))
+    hit = np.empty(header.dims, dtype=bool)
     freq = np.empty((k_max,) + header.dims, dtype=np.float32)
     for k in range(1, k_max + 1):
-        freq[k - 1] = np.sum(stack == k, axis=0, dtype=count_type)
+        count.fill(0)
+        for lab in atlas_labels:
+            np.equal(lab.data, k, out=hit)
+            count += hit
+        freq[k - 1] = count
     freq /= len(atlas_labels)
     return freq
 
@@ -135,7 +142,10 @@ def box_filter(data: np.ndarray, size: int) -> np.ndarray:
             np.subtract(padded[size + i - 1], padded[i - 1], out=step)
             np.add(sums[i - 1], step, out=sums[i])
         sums /= size
+        # free this axis's float64 buffers before the next axis makes its own
+        del padded, step
         out = np.moveaxis(sums.astype(np.float32), 0, axis)
+        del sums
     return np.ascontiguousarray(out)
 
 
@@ -145,45 +155,44 @@ def atlas_prior(atlas_labels: list[LabelVolume], cfg: SegmenterConfig) -> np.nda
     The cross-atlas label frequency, box-smoothed, floored at prior_epsilon
     inside the brain mask (union of non-background atlas voxels) and zero
     outside it; where the floored channels sum past one they are rescaled
-    to sum to one. The returned array is read-only.
+    to sum to one. The frequency stack becomes the result: each channel is
+    smoothed, clipped, floored and masked on its own and written back, so
+    no other array spans the class stack. The returned array is read-only.
     """
-    freq = label_frequency(atlas_labels)
-    prior = box_filter(freq, 2 * PRIOR_SMOOTH_RADIUS + 1)
-    np.clip(prior, 0.0, 1.0, out=prior)
-
-    mask = freq.any(axis=0)
-    prior = np.where(mask, np.maximum(prior, np.float32(cfg.prior_epsilon)), 0.0).astype(np.float32)
+    prior = label_frequency(atlas_labels)
+    mask = prior.any(axis=0)  # before any channel is overwritten
+    epsilon = np.float32(cfg.prior_epsilon)
+    for channel in prior:
+        smoothed = box_filter(channel, 2 * PRIOR_SMOOTH_RADIUS + 1)
+        np.clip(smoothed, 0.0, 1.0, out=smoothed)
+        np.maximum(smoothed, epsilon, out=smoothed)
+        channel.fill(0.0)
+        np.copyto(channel, smoothed, where=mask)
     channel_sum = prior.sum(axis=0)
-    over = channel_sum > 1.0
-    if over.any():
-        prior = np.where(over, prior / np.maximum(channel_sum, 1.0), prior)
-    prior = np.ascontiguousarray(prior, dtype=np.float32)
+    np.divide(prior, channel_sum, out=prior, where=channel_sum > 1.0)
     prior.flags.writeable = False
     return prior
 
 
-def class_order(labels: LabelVolume) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def class_order(labels: LabelVolume) -> tuple[np.ndarray, np.ndarray]:
     """The tissue (non-background) voxels of labels as flat C-order indices,
-    ordered by class and ascending within a class; the (K + 1,) bounds of
-    the classes in that order, class k being order[bounds[k - 1]:bounds[k]];
-    and the inverse permutation, which lists the positions in order of the
-    tissue voxels by ascending index. A gather through order yields each
-    class's values in the order of a boolean-mask selection of that class,
-    and a vector in order's order, gathered through inverse, is in C order.
-    The arrays are read-only.
+    ordered by class and ascending within a class, and the (K + 1,) bounds
+    of the classes in that order, class k being order[bounds[k - 1]:bounds[k]].
+    A gather through order yields each class's values in the order of a
+    boolean-mask selection of that class. order is the C-order tissue
+    voxels permuted by a stable argsort of their classes, so a caller with
+    a vector in C order puts it in order's order the same way. The arrays
+    are read-only.
     """
     flat = labels.data.reshape(-1)
     tissue = np.flatnonzero(flat)
     classes = flat[tissue]
-    perm = np.argsort(classes, kind="stable")
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
     counts = np.bincount(classes, minlength=labels.num_classes + 1)[1:]
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    order = tissue[perm]
-    for arr in (order, bounds, inverse):
+    order = tissue[np.argsort(classes, kind="stable")]
+    for arr in (order, bounds):
         arr.flags.writeable = False
-    return order, bounds, inverse
+    return order, bounds
 
 
 @dataclass(frozen=True)
@@ -226,7 +235,7 @@ def atlas_side(atlas_labels: list[LabelVolume], cfg: SegmenterConfig,
     prior = atlas_prior(atlas_labels, cfg)
     if orders is None:
         orders = [class_order(lab) for lab in atlas_labels]
-    order, bounds, _ = zip(*orders)
+    order, bounds = zip(*orders)
     return AtlasSide(header=atlas_labels[0].header, support=prior_support(prior),
                      order=order, bounds=bounds)
 

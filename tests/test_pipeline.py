@@ -206,11 +206,28 @@ class TestAtlasPvMemo:
             pipeline._atlas_set(atlases).pvs = None
             outputs.append(precompute_atlas_pv(atlases, PvConfig()))
         assert len(pv_calls) == 3 * len(atlases)
-        orders = [order for order, _, _ in pipeline._atlas_set(atlases).orders]
+        orders = [order for order, _ in pipeline._atlas_set(atlases).orders]
         for pvs in outputs:
             assert all(pv.index is order for pv, order in zip(pvs, orders))
             assert [pv.channels.tobytes() for pv in pvs] == [
                 pv.channels.tobytes() for pv in outputs[0]]
+
+    def test_fractions_reduce_the_kept_channels(self, small_cohort, fresh_atlas_memo):
+        # the per-class sums and Gram matrices, byte for byte, of the kept
+        # C-contiguous partial volumes in class order, which equal the
+        # estimate's columns at each order voxel
+        atlases, _, _ = small_cohort
+        pvs = precompute_atlas_pv(atlases, PvConfig())
+        entry = pipeline._atlas_set(atlases)
+        for pair, pv, (_, bounds), sums, grams in zip(
+                atlases, pvs, entry.orders, entry.fractions.sums, entry.fractions.grams):
+            estimate = estimate_pv(pair.image, pair.labels, PvConfig())
+            assert pv.channels.tobytes() == estimate.channels.reshape(
+                pv.num_classes, -1)[:, pv.index].tobytes()
+            for k in range(bounds.size - 1):
+                p = np.ascontiguousarray(pv.channels[:, bounds[k]:bounds[k + 1]], np.float64)
+                assert sums[k].tobytes() == p.sum(axis=1).tobytes()
+                assert grams[k].tobytes() == np.einsum("in,jn->ij", p, p).tobytes()
 
     @pytest.mark.parametrize("failing", [(1,), (1, 2)], ids=["one", "later-fails-first"])
     def test_failure_names_first_failing_atlas(self, small_cohort, monkeypatch,
