@@ -40,7 +40,7 @@ from .segmenter import (AtlasSide, ClassMoments, SegmenterConfig, SegmenterModel
                         class_moments, class_order, fit_moments, predict, train)
 from .synth import SynthConfig, SynthModel, synthesize
 from .util import LatestMemo, derived_seed, map_in_order, percentile, worker_count
-from .volumes import (AtlasPair, LabelVolume, ScalarVolume, TissuePartialVolumes,
+from .volumes import (AtlasPair, LabelVolume, ScalarVolume, TissuePartialVolumes, VolumeHeader,
                       require_same_header, write_mvf)
 
 
@@ -152,6 +152,46 @@ class _Fractions:
     grams: tuple[np.ndarray, ...]     # [atlas] -> (K, K, K)
 
 
+@dataclass(frozen=True)
+class AtlasPartialVolumes:
+    """One atlas's tissue partial volumes in two-class form, held at its
+    tissue voxels in class_order: index and bounds are the order and the
+    bounds of class_order of the atlas labels, so class slice k, the
+    voxels of class k + 1, is bounds[k]:bounds[k + 1]. A voxel mixes the
+    class of its slice with at most one other, as estimate_pv makes it:
+    other holds that class (0 for none) and fractions the two classes'
+    fractions, own first, as the float32 values of the dense channels.
+    Every other channel of the voxel is zero. 9 bytes a voxel besides the
+    shared index, against 4 K for the dense channels, which dense_slice
+    and dense give back byte for byte. The arrays are read-only."""
+
+    header: VolumeHeader
+    index: np.ndarray       # (n,) intp
+    bounds: np.ndarray      # (K + 1,) intp
+    other: np.ndarray       # (n,) uint8
+    fractions: np.ndarray   # (2, n) float32
+
+    @property
+    def num_classes(self) -> int:
+        return self.bounds.size - 1
+
+    def dense_slice(self, k: int) -> np.ndarray:
+        """The (K, n_k) float32 channels of class slice k, a new
+        C-contiguous array."""
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        channels = np.zeros((self.num_classes, hi - lo), dtype=np.float32)
+        channels[k] = self.fractions[0, lo:hi]
+        other = self.other[lo:hi]
+        mixed = np.flatnonzero(other)
+        channels[other[mixed] - 1, mixed] = self.fractions[1, lo:hi][mixed]
+        return channels
+
+    def dense(self) -> TissuePartialVolumes:
+        """The TissuePartialVolumes of these voxels, in class order."""
+        return TissuePartialVolumes(self.header, self.index, np.concatenate(
+            [self.dense_slice(k) for k in range(self.num_classes)], axis=1))
+
+
 @dataclass
 class _AtlasSet:
     """What one atlas set alone determines, each slot filled on first use
@@ -159,19 +199,20 @@ class _AtlasSet:
     atlas's labels, (order, bounds), which the AtlasSide and the tissue
     partial volumes share; the segmenter's AtlasSide and the model trained
     on the original atlas images, for the latest SegmenterConfig; the
-    tissue partial volumes and their per-class _Fractions (K^3 + K^2
-    float64 per atlas), for the latest PvConfig; and, for the latest loop
-    seed, the moments of the noise draws of each iteration a linear run has
-    reached with a positive noise level (see _reduce_noise; K^2 + 2K
-    float64 per atlas), reduced against those fractions. The entry lives
-    in the process only: every process computes its own."""
+    AtlasPartialVolumes of each atlas, two-class and 9 bytes a tissue
+    voxel besides the shared order, and their per-class _Fractions (K^3 +
+    K^2 float64 per atlas), for the latest PvConfig; and, for the latest
+    loop seed, the moments of the noise draws of each iteration a linear
+    run has reached with a positive noise level (see _reduce_noise; K^2 +
+    2K float64 per atlas), reduced against those fractions. The entry
+    lives in the process only: every process computes its own."""
 
     orders: list[tuple[np.ndarray, np.ndarray]] | None = None
     segmenter: SegmenterConfig | None = None
     side: AtlasSide | None = None
     model: SegmenterModel | None = None
     pv: PvConfig | None = None
-    pvs: list[TissuePartialVolumes] | None = None
+    pvs: list[AtlasPartialVolumes] | None = None
     fractions: _Fractions | None = None
     noise_seed: int | None = None
     noise: dict[int, tuple[ClassMoments, np.ndarray]] = field(default_factory=dict)
@@ -223,12 +264,14 @@ def _first_model(atlases: list[AtlasPair],
         return entry.side, entry.model
 
 
-def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissuePartialVolumes]:
+def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[AtlasPartialVolumes]:
     """Estimate each atlas's partial volumes from its original image and
-    labels, held at the atlas's tissue voxels in class_order: the index of
-    atlas i's partial volumes is the order array of the set's AtlasSide.
-    The entry keeps (order, bounds) of each class_order only; every compute
-    lays its partial volumes out in that order from the atlas labels.
+    labels, held in two-class form at the atlas's tissue voxels in
+    class_order (see AtlasPartialVolumes): the index of atlas i's partial
+    volumes is the order array of the set's AtlasSide. The entry keeps
+    (order, bounds) of each class_order only; every compute lays its
+    partial volumes out in that order from the atlas labels. dense() gives
+    an atlas's TissuePartialVolumes.
 
     Computed once per atlas set and cfg per process, with their per-class
     _Fractions, on the calling thread and one started thread per further
@@ -249,34 +292,51 @@ def precompute_atlas_pv(atlases: list[AtlasPair], cfg: PvConfig) -> list[TissueP
 
 
 def _estimate_atlas_pvs(atlases: list[AtlasPair], cfg: PvConfig,
-                        orders: list) -> tuple[list[TissuePartialVolumes], _Fractions]:
-    """estimate_pv of every atlas, in atlas order, each kept at its tissue
-    voxels in class_order (orders[i] for atlas i) as soon as it is
-    estimated, and their _Fractions; a failure raises the error of the
-    first failing atlas in that order. The calling thread estimates
-    atlases beside one started thread per further CPU the process may run
-    on (see map_in_order). Most of estimate_pv's time goes to NumPy
-    gathers, comparisons and reductions over whole arrays of voxels, which
-    run without the GIL, so the atlases overlap."""
+                        orders: list) -> tuple[list[AtlasPartialVolumes], _Fractions]:
+    """estimate_pv of every atlas, in atlas order, each kept in two-class
+    form at its tissue voxels in class_order (orders[i] for atlas i) as
+    soon as it is estimated, and their _Fractions; a failure raises the
+    error of the first failing atlas in that order. Each atlas's estimate
+    is laid out one class slice at a time, and only its two-class form is
+    kept. The calling thread estimates atlases beside one started thread
+    per further CPU the process may run on (see map_in_order). Most of
+    estimate_pv's time goes to NumPy gathers, comparisons and reductions
+    over whole arrays of voxels, which run without the GIL, so the atlases
+    overlap."""
     def one(item):
         pair, (order, bounds) = item
         # estimate_pv is looked up at call time, so a rebound module global
         # is the one that runs
         pv = estimate_pv(pair.image, pair.labels, cfg)
         # pv holds the tissue voxels in C order: the stable argsort of their
-        # classes that made order puts the columns in order's order. take
-        # keeps the rows C-contiguous, which the einsum's bytes depend on
+        # classes that made order puts the columns in order's order
         classes = pair.labels.data.reshape(-1)[pv.index]
-        channels = np.take(pv.channels, np.argsort(classes, kind="stable"), axis=1)
+        columns = np.argsort(classes, kind="stable")
         k_max = bounds.size - 1
+        other = np.zeros(columns.size, dtype=np.uint8)
+        fractions = np.zeros((2, columns.size), dtype=np.float32)
+        codes = np.arange(1, k_max + 1, dtype=np.uint8)[:, None]
         sums = np.zeros((k_max, k_max))
         grams = np.zeros((k_max, k_max, k_max))
         for k in range(k_max):
-            if bounds[k + 1] > bounds[k]:
-                p = channels[:, bounds[k]:bounds[k + 1]].astype(np.float64)
-                sums[k] = p.sum(axis=1)
-                grams[k] = np.einsum("in,jn->ij", p, p)
-        return TissuePartialVolumes(pv.header, order, channels), sums, grams
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                # take keeps the rows C-contiguous, which the einsum's bytes
+                # depend on
+                p = np.take(pv.channels, columns[lo:hi], axis=1)
+                p64 = p.astype(np.float64)
+                sums[k] = p64.sum(axis=1)
+                grams[k] = np.einsum("in,jn->ij", p64, p64)
+                # with its own fraction cleared, a voxel keeps at most one
+                # nonzero, the other class's: a sum over the classes returns
+                # it unchanged, and a sum of their codes names that class
+                fractions[0, lo:hi] = p[k]
+                p[k] = 0
+                fractions[1, lo:hi] = p.sum(axis=0)
+                other[lo:hi] = ((p != 0) * codes).sum(axis=0, dtype=np.uint8)
+        for arr in (other, fractions):
+            arr.flags.writeable = False
+        return AtlasPartialVolumes(pv.header, order, bounds, other, fractions), sums, grams
 
     pvs, sums, grams = zip(*map_in_order(one, zip(atlases, orders), worker_count()))
     return list(pvs), _Fractions(sums, grams)
@@ -405,7 +465,7 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
                 weights = model_t.class_intensities
                 moments = _linear_moments(fractions, weights, side)
             else:
-                values = [synthesize(model_t, pv) for pv in atlas_pvs]
+                values = [synthesize(model_t, pv.dense()) for pv in atlas_pvs]
                 weights = np.ones(1)
                 moments = class_moments(values, side)
             sigma = _spread_gap_sigma(stats.sigma, moments, side)
@@ -415,13 +475,15 @@ def run(input_image: ScalarVolume, atlases: list[AtlasPair], cfg: LoopConfig) ->
                     if noise is None:
                         # two threads may reduce the same draws; both are equal
                         noise = kept_noise.setdefault(t, _reduce_noise(
-                            cfg.seed, t, [pv.channels for pv in atlas_pvs], side))
+                            cfg.seed, t, [pv.dense_slice for pv in atlas_pvs], side))
                 else:
-                    noise = _reduce_noise(cfg.seed, t, [vec[None] for vec in values], side)
+                    columns = [_class_columns(vec[None], bounds)
+                               for vec, bounds in zip(values, side.bounds)]
+                    noise = _reduce_noise(cfg.seed, t, columns, side)
                 moments = _plus_noise(moments, *noise, weights, sigma)
             if cfg.atlas_images:
                 if values is None:
-                    values = [synthesize(model_t, pv) for pv in atlas_pvs]
+                    values = [synthesize(model_t, pv.dense()) for pv in atlas_pvs]
                 images = [
                     _on_grid(_with_noise(vec, sigma,
                                          functools.partial(_normals, cfg.seed, t, i, vec.size)), pv)
@@ -456,34 +518,40 @@ def _linear_moments(fractions: _Fractions, c: np.ndarray, side: AtlasSide) -> Cl
                         float(c[present].max(initial=-np.inf)))
 
 
-def _reduce_noise(seed: int, t: int, rows: list[np.ndarray],
+def _reduce_noise(seed: int, t: int, slices: list,
                   side: AtlasSide) -> tuple[ClassMoments, np.ndarray]:
     """The ClassMoments of the loop's standard normals z at iteration t, at
-    the class slices of side, and their (A, K, m) cross moments with rows:
-    cross[i, k] is the sum of z times each of the m rows of rows[i], an
-    (m, n_i) array of values at atlas i's tissue voxels. Each atlas draws
-    and reduces its own normals, on the calling thread and at most one
+    the class slices of side, and their (A, K, m) cross moments with the
+    values that slices give: slices[i](k) is the (m, n) array of atlas i's
+    values at its class slice k of n voxels, and cross[i, k] the sum of z
+    times each of its m rows. Each atlas draws and reduces its own normals,
+    one class slice at a time, on the calling thread and at most one
     started thread per further CPU (see map_in_order); Philox fills run
     without the GIL. No draw is kept."""
     def one(item):
-        i, (x, bounds) = item
-        z = _normals(seed, t, i, x.shape[1])
+        i, (values, bounds) = item
+        z = _normals(seed, t, i, bounds[-1])
         k_max = bounds.size - 1
         sums = np.zeros(k_max)
         squares = np.zeros(k_max)
-        cross = np.zeros((k_max, x.shape[0]))
+        cross = []
         for k in range(k_max):
-            if bounds[k + 1] > bounds[k]:
-                zk = z[bounds[k]:bounds[k + 1]]
-                sums[k] = zk.sum()
-                squares[k] = np.einsum("n,n->", zk, zk)
-                cross[k] = np.einsum("jn,n->j", x[:, bounds[k]:bounds[k + 1]], zk)
-        return sums, squares, cross, z.min(initial=np.inf), z.max(initial=-np.inf)
+            zk = z[bounds[k]:bounds[k + 1]]
+            sums[k] = zk.sum()
+            squares[k] = np.einsum("n,n->", zk, zk)
+            cross.append(np.einsum("jn,n->j", values(k), zk))
+        return sums, squares, np.stack(cross), z.min(initial=np.inf), z.max(initial=-np.inf)
 
-    sums, squares, cross, lo, hi = zip(*map_in_order(one, enumerate(zip(rows, side.bounds)),
+    sums, squares, cross, lo, hi = zip(*map_in_order(one, enumerate(zip(slices, side.bounds)),
                                                      worker_count()))
     return (ClassMoments(np.stack(sums), np.stack(squares), float(min(lo)), float(max(hi))),
             np.stack(cross))
+
+
+def _class_columns(rows: np.ndarray, bounds: np.ndarray):
+    """The slices of _reduce_noise of rows, an (m, n) array of values in
+    class order: k -> its columns at class slice k of bounds."""
+    return lambda k: rows[:, bounds[k]:bounds[k + 1]]
 
 
 def _plus_noise(moments: ClassMoments, noise: ClassMoments, cross: np.ndarray,
@@ -512,7 +580,7 @@ def _with_noise(values: np.ndarray, sigma: float, normals) -> np.ndarray:
     return noisy.astype(np.float32)
 
 
-def _on_grid(values: np.ndarray, pv: TissuePartialVolumes) -> ScalarVolume:
+def _on_grid(values: np.ndarray, pv: AtlasPartialVolumes) -> ScalarVolume:
     """The image holding values at pv's voxels and 0 everywhere else."""
     data = np.zeros(pv.header.dims, dtype=np.float32)
     data.reshape(-1)[pv.index] = values

@@ -456,7 +456,7 @@ def adaptation_loop_reference(input_image, atlases, cfg):
         model_t = synth.fit(input_pv, input_image, synth_cfg, fallback_intensities=last)
         if model_t.class_intensities is not None:
             last = model_t.class_intensities.copy()
-        values = [synth.synthesize(model_t, atlas_pv) for atlas_pv in atlas_pvs]
+        values = [synth.synthesize(model_t, atlas_pv.dense()) for atlas_pv in atlas_pvs]
         total = 0.0
         for vec, bounds, order in zip(values, side.bounds, side.order):
             residual = vec.astype(np.float64)

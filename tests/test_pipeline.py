@@ -81,7 +81,7 @@ class TestPrecompute:
             ScalarVolume(header, image), LabelVolume(header, labels, num_classes=5)
         )
         [pv] = precompute_atlas_pv([pair], PvConfig(beta=0.0))
-        pv = pv.full()
+        pv = pv.dense().full()
         validate_partial_volumes(pv)
         mask = labels > 0
         assert np.all(pv.channels.max(axis=0)[mask] == 1.0)
@@ -90,7 +90,7 @@ class TestPrecompute:
         atlases, _, _ = small_cohort
         pvs = precompute_atlas_pv(atlases, PvConfig())
         for pair, pv in zip(atlases, pvs):
-            pv = pv.full()
+            pv = pv.dense().full()
             validate_partial_volumes(pv)
             own = np.take_along_axis(
                 pv.channels,
@@ -128,7 +128,8 @@ class TestAtlasPvMemo:
         first = precompute_atlas_pv(atlases, PvConfig())
         again = precompute_atlas_pv(self.copies(atlases), PvConfig())
         assert len(pv_calls) == 2 * len(atlases)
-        assert [encode_mvf(pv.full()) for pv in again] == [encode_mvf(pv.full()) for pv in first]
+        assert [encode_mvf(pv.dense().full()) for pv in again] == \
+            [encode_mvf(pv.dense().full()) for pv in first]
 
     def test_changed_voxel_recomputes_whole_set(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
@@ -139,9 +140,9 @@ class TestAtlasPvMemo:
                                          atlases[1].labels)]
         out = precompute_atlas_pv(changed, PvConfig())
         assert len(pv_calls) == 2 * len(atlases)
-        assert encode_mvf(out[0].full()) == encode_mvf(first[0].full())
+        assert encode_mvf(out[0].dense().full()) == encode_mvf(first[0].dense().full())
         fresh = estimate_pv(changed[1].image, changed[1].labels, PvConfig())
-        assert encode_mvf(out[1].full()) == encode_mvf(fresh)
+        assert encode_mvf(out[1].dense().full()) == encode_mvf(fresh)
 
     def test_config_change_recomputes(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
@@ -150,7 +151,7 @@ class TestAtlasPvMemo:
         assert len(pv_calls) == 2 * len(atlases)
         for pair, pv in zip(atlases, out):
             fresh = estimate_pv(pair.image, pair.labels, PvConfig(beta=0.3))
-            assert encode_mvf(pv.full()) == encode_mvf(fresh)
+            assert encode_mvf(pv.dense().full()) == encode_mvf(fresh)
 
     def test_only_latest_set_kept(self, small_cohort, pv_calls):
         atlases, _, _ = small_cohort
@@ -209,15 +210,15 @@ class TestAtlasPvMemo:
         orders = [order for order, _ in pipeline._atlas_set(atlases).orders]
         for pvs in outputs:
             assert all(pv.index is order for pv, order in zip(pvs, orders))
-            assert [pv.channels.tobytes() for pv in pvs] == [
-                pv.channels.tobytes() for pv in outputs[0]]
+            assert [pv.dense().channels.tobytes() for pv in pvs] == [
+                pv.dense().channels.tobytes() for pv in outputs[0]]
 
     def test_fractions_reduce_the_kept_channels(self, small_cohort, fresh_atlas_memo):
         # the per-class sums and Gram matrices, byte for byte, of the kept
         # C-contiguous partial volumes in class order, which equal the
         # estimate's columns at each order voxel
         atlases, _, _ = small_cohort
-        pvs = precompute_atlas_pv(atlases, PvConfig())
+        pvs = [pv.dense() for pv in precompute_atlas_pv(atlases, PvConfig())]
         entry = pipeline._atlas_set(atlases)
         for pair, pv, (_, bounds), sums, grams in zip(
                 atlases, pvs, entry.orders, entry.fractions.sums, entry.fractions.grams):
@@ -248,6 +249,66 @@ class TestAtlasPvMemo:
             precompute_atlas_pv(three, PvConfig())
         assert err.value.stage == "precompute_atlas_pv"
         assert pipeline._atlas_set(three).pvs is None
+
+
+class TestTwoClassForm:
+    """The atlas-set entry keeps each atlas's partial volumes as one other
+    class and two float32 fractions a voxel, which expand to the bytes of
+    the estimate in class order."""
+
+    @staticmethod
+    def scene(name):
+        """The atlases and PvConfig of one scene: two noisy atlases as they
+        are, on an anisotropic grid, or with a negative beta. The noise puts
+        a few voxels at alpha = 0."""
+        atlases = [AtlasPair(*make_subject(i, DEFAULT_PROTOCOL_B, seed=10 + i)[:2])
+                   for i in range(2)]
+        if name == "anisotropic":
+            header = VolumeHeader(atlases[0].image.header.dims, (1.0, 1.5, 0.75))
+            atlases = [AtlasPair(ScalarVolume(header, a.image.data),
+                                 LabelVolume(header, a.labels.data, a.labels.num_classes))
+                       for a in atlases]
+        return atlases, PvConfig(beta=-0.05 if name == "negative-beta" else 0.1)
+
+    @pytest.mark.parametrize("name", ["cohort", "anisotropic", "negative-beta"])
+    def test_expands_to_the_estimate(self, fresh_atlas_memo, name):
+        atlases, cfg = self.scene(name)
+        pvs = precompute_atlas_pv(atlases, cfg)
+        entry = pipeline._atlas_set(atlases)
+        seen = set()
+        for i, (pair, pv, (order, _)) in enumerate(zip(atlases, pvs, entry.orders)):
+            estimate = estimate_tissue_pv(pair.image, pair.labels, cfg)
+            classes = pair.labels.data.reshape(-1)[estimate.index]
+            channels = np.take(estimate.channels, np.argsort(classes, kind="stable"), axis=1)
+            dense = pv.dense()
+            assert dense.index is order
+            assert dense.channels.tobytes() == channels.tobytes()
+            for k in range(pv.num_classes):
+                want = channels[:, pv.bounds[k]:pv.bounds[k + 1]]
+                assert pv.dense_slice(k).tobytes() == np.ascontiguousarray(want).tobytes()
+                p = np.ascontiguousarray(want, np.float64)
+                assert entry.fractions.sums[i][k].tobytes() == p.sum(axis=1).tobytes()
+                assert entry.fractions.grams[i][k].tobytes() == \
+                    np.einsum("in,jn->ij", p, p).tobytes()
+                # the voxels of class k + 1 mix it with at most one other class
+                others = np.delete(want, k, axis=0) != 0
+                assert (others.sum(axis=0) <= 1).all()
+                seen |= {f"alpha={a}" for a in (0, 1) if (want[k] == a).any()}
+                seen |= {f"own {k + 1}"} if want.size else set()
+                seen |= {f"other {j + 1}" for j in range(pv.num_classes)
+                         if j != k and want[j].any()}
+        assert {"alpha=0", "alpha=1", "own 1", "other 1"} <= seen
+
+    def test_entry_keeps_at_most_9_bytes_a_voxel(self, small_cohort, fresh_atlas_memo):
+        # the per-voxel arrays of each atlas, beside the class_order that the
+        # AtlasSide shares: 20 bytes for five dense float32 channels
+        atlases, _, _ = small_cohort
+        precompute_atlas_pv(atlases, PvConfig())
+        entry = pipeline._atlas_set(atlases)
+        for pv, (order, bounds) in zip(entry.pvs, entry.orders):
+            kept = [v for v in vars(pv).values()
+                    if isinstance(v, np.ndarray) and v is not order and v is not bounds]
+            assert sum(v.nbytes for v in kept) <= 9 * order.size
 
 
 class TestWarmRun:
@@ -557,7 +618,7 @@ class TestRun:
         c = result.records[0].synth.class_intensities
         pvs = precompute_atlas_pv(atlases, cfg.pv)
         for pv, synth_img in zip(pvs, result.atlas_images_history[0]):
-            expected = np.tensordot(c, pv.full().channels.astype(np.float64), axes=(0, 0))
+            expected = np.tensordot(c, pv.dense().full().channels.astype(np.float64), axes=(0, 0))
             assert np.allclose(synth_img.data, expected, atol=1e-3)
 
     @pytest.mark.parametrize("backend", ["linear", "regressor"])
@@ -584,7 +645,11 @@ class TestRun:
         def no_grid(values, pv):
             raise AssertionError("atlas images put on the grid without a request")
 
+        def no_dense(pv):
+            raise AssertionError("atlas partial volumes expanded without a request")
+
         monkeypatch.setattr(pipeline, "_on_grid", no_grid)
+        monkeypatch.setattr(pipeline.AtlasPartialVolumes, "dense", no_dense)
         result = run(input_image, atlases, cfg)
         assert result.atlas_images_history == []
         # the images are kept or not; the loop itself is the same
@@ -876,6 +941,7 @@ class TestClosedFormMoments:
         squares = np.zeros((len(atlases), k_max))
         lo, hi = np.inf, -np.inf
         for i, (pair, pv) in enumerate(zip(atlases, pvs)):
+            pv = pv.dense()
             p = pv.channels.astype(np.float64)
             values = np.zeros(pv.index.size)
             for k in range(k_max):
@@ -898,7 +964,7 @@ class TestClosedFormMoments:
         c = self.INTENSITIES
         got = pipeline._linear_moments(fractions, c, side)
         if sigma > 0:
-            noise, cross = pipeline._reduce_noise(7, 2, [pv.channels for pv in pvs], side)
+            noise, cross = pipeline._reduce_noise(7, 2, [pv.dense_slice for pv in pvs], side)
             got = pipeline._plus_noise(got, noise, cross, c, sigma)
         sums, squares, lo, hi = self.per_voxel(atlases, pvs, c, sigma, 7, 2)
         # atlas 1 has no voxel of class 4
@@ -918,7 +984,7 @@ class TestClosedFormMoments:
                                                   num_classes=5)) for a in atlases]
         pvs, fractions, side = self.set_of(without)
         moments = pipeline._linear_moments(fractions, self.INTENSITIES, side)
-        noise, cross = pipeline._reduce_noise(0, 0, [pv.channels for pv in pvs], side)
+        noise, cross = pipeline._reduce_noise(0, 0, [pv.dense_slice for pv in pvs], side)
         moments = pipeline._plus_noise(moments, noise, cross, self.INTENSITIES, 3.0)
         assert not moments.sums[:, 3].any()
         with pytest.raises(TrainingError, match="absent from all atlases"):
@@ -931,7 +997,7 @@ class TestClosedFormMoments:
         got = []
         for workers in (1, 2, 4):
             monkeypatch.setattr(pipeline, "worker_count", lambda: workers)
-            noise, cross = pipeline._reduce_noise(5, 1, [pv.channels for pv in pvs], side)
+            noise, cross = pipeline._reduce_noise(5, 1, [pv.dense_slice for pv in pvs], side)
             got.append((noise.sums.tobytes(), noise.squares.tobytes(), cross.tobytes(),
                         noise.lo, noise.hi))
         assert got[1] == got[0] and got[2] == got[0]
